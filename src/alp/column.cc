@@ -72,31 +72,6 @@ constexpr uint8_t kIntFfor = 0;
 constexpr uint8_t kIntDelta = 1;
 static_assert(sizeof(AlpVectorHeader) == 16);
 
-/// Byte offsets of the index sections that sit between the column header
-/// and the first rowgroup. Every section is a multiple of 8 bytes, so the
-/// payload start needs no extra alignment. v2 buffers have no checksum
-/// sections (checksums_at == stats_at, header_checksum_at == payload_begin).
-struct IndexLayout {
-  size_t offsets_at = 0;          ///< Rowgroup offset index (u64 each).
-  size_t checksums_at = 0;        ///< v3: rowgroup payload checksums.
-  size_t stats_at = 0;            ///< Zone map entries.
-  size_t header_checksum_at = 0;  ///< v3: XXH64 of bytes [0, here).
-  size_t payload_begin = 0;       ///< First rowgroup byte.
-};
-
-IndexLayout ComputeIndexLayout(uint8_t version, uint32_t rowgroup_count,
-                               size_t total_vectors) {
-  const bool v3 = version >= 3;
-  const size_t offsets_bytes = size_t{rowgroup_count} * sizeof(uint64_t);
-  IndexLayout layout;
-  layout.offsets_at = sizeof(ColumnHeader);
-  layout.checksums_at = layout.offsets_at + offsets_bytes;
-  layout.stats_at = layout.checksums_at + (v3 ? offsets_bytes : 0);
-  layout.header_checksum_at = layout.stats_at + total_vectors * sizeof(VectorStats);
-  layout.payload_begin = layout.header_checksum_at + (v3 ? sizeof(uint64_t) : 0);
-  return layout;
-}
-
 struct RdVectorHeader {
   uint16_t exc_count;
   uint16_t n;
@@ -432,77 +407,399 @@ std::vector<uint8_t> CompressColumnParallel(const T* data, size_t n,
   return CompressColumnImpl(data, n, config, info, pool);
 }
 
+// ---------------------------------------------------------------------------
+// Reading. ParseColumnHeader, ParseRowgroup and ParseVector are the only
+// code that reads a ColumnHeader, a RowgroupHeader/RdHeader and an
+// AlpVectorHeader/RdVectorHeader. The constructor, Open, OpenRowgroupChunk,
+// the validator, the decode body, the packed views and the metadata cursor
+// are all built on them, so every path applies the same checks and reports
+// the same Status.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The column header's fields plus the byte offsets of the index sections
+/// that sit between it and the first rowgroup. Every section is a multiple
+/// of 8 bytes, so the payload start needs no extra alignment. v2 buffers
+/// have no checksum sections (checksums_at == stats_at,
+/// header_checksum_at == payload_begin).
+struct IndexLayout {
+  uint8_t version = 0;
+  uint64_t value_count = 0;
+  size_t total_vectors = 0;
+  size_t rowgroup_count = 0;
+  size_t offsets_at = 0;          ///< Rowgroup offset index (u64 each).
+  size_t checksums_at = 0;        ///< v3: rowgroup payload checksums.
+  size_t stats_at = 0;            ///< Zone map entries.
+  size_t header_checksum_at = 0;  ///< v3: XXH64 of bytes [0, here).
+  size_t payload_begin = 0;       ///< First rowgroup byte.
+};
+
+/// Checks magic, version, type tag, value count and rowgroup count of the
+/// column header and derives the index layout from them. Reads only the
+/// first sizeof(ColumnHeader) bytes; whether the index sections fit in the
+/// buffer is the caller's check.
 template <typename T>
-ColumnReader<T>::ColumnReader(const uint8_t* data, size_t size)
-    : data_(data), size_(size) {
-  ByteReader reader(data, size);
-  const auto header = reader.Read<ColumnHeader>();
-  if (reader.failed() || header.magic != kMagic || header.type != TypeTag<T>() ||
-      header.version < kMinVersion || header.version > kVersion) {
-    return;  // ok_ stays false; the reader is empty.
+StatusOr<IndexLayout> ParseColumnHeader(const uint8_t* data, size_t len) {
+  if (data == nullptr || len < sizeof(ColumnHeader)) {
+    return Status::Truncated("buffer smaller than the column header");
   }
-  // Reject value counts whose vector math would wrap; also caps the
-  // vector_count_-sized allocations below on garbage headers.
-  if (header.value_count > (uint64_t{1} << 62)) return;
-  version_ = header.version;
-  value_count_ = header.value_count;
-  vector_count_ = (value_count_ + kVectorSize - 1) / kVectorSize;
+  ColumnHeader header;
+  std::memcpy(&header, data, sizeof(header));
+  if (header.magic != kMagic) return Status::Corrupt("bad magic", 0);
+  if (header.version < kMinVersion || header.version > kVersion) {
+    return Status::UnsupportedVersion("unsupported format version",
+                                      offsetof(ColumnHeader, version));
+  }
+  if (header.type != TypeTag<T>()) {
+    return Status::Corrupt("value type tag mismatch", offsetof(ColumnHeader, type));
+  }
+  // Reject value counts whose vector math would wrap; also caps every
+  // allocation sized by the (still untrusted) counts.
+  if (header.value_count > (uint64_t{1} << 62)) {
+    return Status::Corrupt("value count implausibly large",
+                           offsetof(ColumnHeader, value_count));
+  }
+  IndexLayout layout;
+  layout.version = header.version;
+  layout.value_count = header.value_count;
+  layout.total_vectors = (header.value_count + kVectorSize - 1) / kVectorSize;
+  layout.rowgroup_count = std::max<size_t>(
+      (layout.total_vectors + kRowgroupVectors - 1) / kRowgroupVectors, 1);
+  if (header.rowgroup_count != layout.rowgroup_count) {
+    return Status::Corrupt("rowgroup count inconsistent with value count",
+                           offsetof(ColumnHeader, rowgroup_count));
+  }
+  const bool v3 = header.version >= 3;
+  const size_t offsets_bytes = layout.rowgroup_count * sizeof(uint64_t);
+  layout.offsets_at = sizeof(ColumnHeader);
+  layout.checksums_at = layout.offsets_at + offsets_bytes;
+  layout.stats_at = layout.checksums_at + (v3 ? offsets_bytes : 0);
+  layout.header_checksum_at =
+      layout.stats_at + layout.total_vectors * sizeof(VectorStats);
+  layout.payload_begin = layout.header_checksum_at + (v3 ? sizeof(uint64_t) : 0);
+  return layout;
+}
 
+/// Reads the rowgroup offset index into \p offsets, after verifying (with
+/// \p verify_checksum, v3 only) the header checksum that covers it. Every
+/// offset must be 8-aligned, strictly increasing and leave room for a
+/// RowgroupHeader inside [payload_begin, size). Reads only bytes below
+/// layout.payload_begin, which the caller has checked are present.
+Status ParseRowgroupIndex(const uint8_t* data, size_t size, const IndexLayout& layout,
+                          bool verify_checksum, std::vector<uint64_t>* offsets) {
+  // The header checksum covers everything before its own slot, so any
+  // flipped bit in the column header, the offset index, the rowgroup
+  // checksums or the zone map is caught here before those bytes are used.
+  if (verify_checksum && layout.version >= 3) {
+    uint64_t stored;
+    std::memcpy(&stored, data + layout.header_checksum_at, sizeof(stored));
+    if (Checksum64(data, layout.header_checksum_at) != stored) {
+      return Status::ChecksumMismatch("column header checksum mismatch",
+                                      layout.header_checksum_at);
+    }
+  }
+  offsets->resize(layout.rowgroup_count);
+  std::memcpy(offsets->data(), data + layout.offsets_at,
+              offsets->size() * sizeof(uint64_t));
+  for (size_t rg = 0; rg < offsets->size(); ++rg) {
+    const uint64_t off = (*offsets)[rg];
+    const size_t entry_at = layout.offsets_at + rg * sizeof(uint64_t);
+    if (off % 8 != 0) return Status::Corrupt("misaligned rowgroup offset", entry_at);
+    if (off < layout.payload_begin || off >= size ||
+        size - off < sizeof(RowgroupHeader)) {
+      return Status::Corrupt("rowgroup offset out of bounds", entry_at);
+    }
+    if (rg > 0 && off <= (*offsets)[rg - 1]) {
+      return Status::Corrupt("rowgroup offsets not increasing", entry_at);
+    }
+  }
+  return Status::Ok();
+}
+
+/// v3 rowgroup payload checksum over [offset, next offset or end of buffer)
+/// — the payload plus its alignment padding.
+Status VerifyRowgroupChecksum(const uint8_t* data, size_t size,
+                              const IndexLayout& layout,
+                              const std::vector<uint64_t>& offsets, size_t rg) {
+  const size_t begin = static_cast<size_t>(offsets[rg]);
+  const size_t end =
+      rg + 1 < offsets.size() ? static_cast<size_t>(offsets[rg + 1]) : size;
+  uint64_t stored;
+  std::memcpy(&stored, data + layout.checksums_at + rg * sizeof(uint64_t),
+              sizeof(stored));
+  if (Checksum64(data + begin, end - begin) != stored) {
+    return Status::ChecksumMismatch("rowgroup payload checksum mismatch", begin);
+  }
+  return Status::Ok();
+}
+
+/// Zone-map sanity. NaN bounds can never satisfy MayContain correctly, and
+/// min > max is only legal in the empty-vector sentinel form.
+Status ValidateZoneMap(const uint8_t* data, const IndexLayout& layout) {
+  for (size_t v = 0; v < layout.total_vectors; ++v) {
+    const size_t at = layout.stats_at + v * sizeof(VectorStats);
+    VectorStats vs;
+    std::memcpy(&vs, data + at, sizeof(vs));
+    if (std::isnan(vs.min) || std::isnan(vs.max)) {
+      return Status::Corrupt("zone map entry contains NaN", at);
+    }
+    const bool empty_sentinel =
+        vs.min == std::numeric_limits<double>::infinity() &&
+        vs.max == -std::numeric_limits<double>::infinity();
+    if (vs.min > vs.max && !empty_sentinel) {
+      return Status::Corrupt("zone map entry has min > max", at);
+    }
+  }
+  return Status::Ok();
+}
+
+/// Runs fn(i) for every i in [0, n) on \p pool (inline when null) and
+/// returns the lowest-indexed failure — the Status a serial loop would have
+/// stopped at — so serial and parallel callers report identically.
+template <typename Fn>
+Status FirstFailure(ThreadPool* pool, size_t n, const Fn& fn) {
+  std::vector<Status> results(n);
+  ParallelFor(pool, n, [&](size_t i) { results[i] = fn(i); });
+  for (Status& r : results) {
+    if (!r.ok()) return std::move(r);
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+/// Filled field by field by ParseVector (no initializers: the view is built
+/// once per decoded vector); the ALP-only fields are unset for ALP_rd.
+template <typename T>
+struct ColumnReader<T>::VectorView {
+  using Uint = typename AlpTraits<T>::Uint;
+  size_t at;         ///< Offset of the vector header.
+  size_t packed_at;  ///< Offset of the packed words (end of the header).
+  size_t exc_at;     ///< Offset of the exception values.
+  size_t end;        ///< One past the exception positions.
+  unsigned n;
+  uint16_t exc_count;
+  unsigned width;  ///< ALP: FFOR/Delta width; ALP_rd: right + dict width.
+  // ALP only.
+  Combination c;
+  uint8_t int_encoding;
+  uint64_t base;  ///< FOR base / first delta value.
+  // Streams, all inside the buffer.
+  const Uint* packed;         ///< ALP_rd: right parts, then codes.
+  const Uint* exc_bits;       ///< ALP exception value bits.
+  const uint16_t* exc_lefts;  ///< ALP_rd exception left parts.
+  const uint16_t* positions;  ///< Exception positions, each < n.
+};
+
+template <typename T>
+Status ColumnReader<T>::ParseRowgroup(size_t rg, size_t offset, bool walk) {
+  RowgroupInfo& info = rowgroups_[rg];
+  if (data_ == nullptr || offset >= size_ || size_ - offset < sizeof(RowgroupHeader)) {
+    return Status::Truncated("truncated rowgroup header", offset);
+  }
+  RowgroupHeader header;
+  std::memcpy(&header, data_ + offset, sizeof(header));
+  if (header.scheme > 1) return Status::Corrupt("unknown rowgroup scheme", offset);
+  // Each rowgroup must hold exactly its share of the column's vectors.
+  info.first_vector = rg * kRowgroupVectors;
+  const size_t expected_vectors =
+      std::min<size_t>(kRowgroupVectors, vector_count_ - info.first_vector);
+  if (header.vector_count != expected_vectors) {
+    return Status::Corrupt("rowgroup vector count inconsistent with value count",
+                           offset);
+  }
+  info.byte_offset = offset;
+  info.scheme = static_cast<Scheme>(header.scheme);
+  info.vector_count = header.vector_count;
+
+  size_t index_at = offset + sizeof(RowgroupHeader);
+  if (info.scheme == Scheme::kAlpRd) {
+    if (size_ - index_at < sizeof(RdHeader)) {
+      return Status::Truncated("truncated ALP_rd header", index_at);
+    }
+    RdHeader rd;
+    std::memcpy(&rd, data_ + index_at, sizeof(rd));
+    // The encoder cuts at most kRdMaxLeftBits from the top, so right_bits
+    // lies in [48, 64) for doubles and [16, 32) for floats; anything else
+    // makes the glue shift undefined. Codes index an 8-entry dictionary.
+    if (rd.right_bits < AlpTraits<T>::kValueBits - kRdMaxLeftBits ||
+        rd.right_bits >= AlpTraits<T>::kValueBits) {
+      return Status::Corrupt("ALP_rd cut position out of range", index_at);
+    }
+    if (rd.dict_size > kRdMaxDictSize || rd.dict_width > kRdMaxDictWidth) {
+      return Status::Corrupt("ALP_rd dictionary too big", index_at);
+    }
+    info.rd.right_bits = rd.right_bits;
+    info.rd.dict_width = rd.dict_width;
+    info.rd.dict_size = rd.dict_size;
+    std::memcpy(info.rd.dict, rd.dict, sizeof(info.rd.dict));
+    RdDictShifted(info.rd, info.rd_dict_shifted);
+    index_at += sizeof(RdHeader);
+  }
+  if (size_ - index_at < size_t{header.vector_count} * sizeof(uint32_t)) {
+    return Status::Truncated("truncated vector offset index", index_at);
+  }
+  info.vector_offsets.resize(header.vector_count);
+  for (uint32_t v = 0; v < header.vector_count; ++v) {
+    const size_t entry_at = index_at + v * sizeof(uint32_t);
+    uint32_t& vec_off = info.vector_offsets[v];
+    std::memcpy(&vec_off, data_ + entry_at, sizeof(vec_off));
+    if (vec_off % 8 != 0) return Status::Corrupt("misaligned vector offset", entry_at);
+    if (v > 0 && vec_off <= info.vector_offsets[v - 1]) {
+      return Status::Corrupt("vector offsets not increasing", entry_at);
+    }
+    // Room for the larger (ALP) vector header, which ParseVector relies on.
+    const size_t vec_at = offset + vec_off;
+    if (vec_at >= size_ || size_ - vec_at < sizeof(AlpVectorHeader)) {
+      return Status::Corrupt("vector offset out of bounds", entry_at);
+    }
+  }
+  if (!walk) return Status::Ok();
+  VectorView view;
+  for (uint32_t v = 0; v < header.vector_count; ++v) {
+    Status s = ParseVector(info, v, &view);
+    if (!s.ok()) return s;
+  }
+  return Status::Ok();
+}
+
+template <typename T>
+Status ColumnReader<T>::ParseVector(const RowgroupInfo& rg, size_t local_v,
+                                    VectorView* view) const {
+  using Uint = typename AlpTraits<T>::Uint;
+  // One packed bit-width unit is a 1024-bit lane row: 128 bytes for both
+  // lane types.
+  constexpr size_t kRowBytes = fastlanes::kLanes<Uint> * sizeof(Uint);
+  // ParseRowgroup checked that a full AlpVectorHeader fits at every offset.
+  const size_t at = rg.byte_offset + rg.vector_offsets[local_v];
+  const unsigned expect_n = VectorLength(rg.first_vector + local_v);
+  size_t header_bytes;
+  size_t exc_value_bytes;
+  if (rg.scheme == Scheme::kAlp) {
+    AlpVectorHeader header;
+    std::memcpy(&header, data_ + at, sizeof(header));
+    if (header.e > AlpTraits<T>::kMaxExponent || header.f > header.e) {
+      return Status::Corrupt("ALP exponent/factor out of range", at);
+    }
+    if (header.width > AlpTraits<T>::kValueBits) {
+      return Status::Corrupt("packed width out of range", at);
+    }
+    if (header.int_encoding > kIntDelta ||
+        (header.int_encoding == kIntDelta && sizeof(T) != 8)) {
+      return Status::Corrupt("unknown integer encoding", at);
+    }
+    if (header.n != expect_n || header.exc_count > header.n) {
+      return Status::Corrupt("vector counts out of range", at);
+    }
+    view->exc_count = header.exc_count;
+    view->width = header.width;
+    view->c = Combination{header.e, header.f};
+    view->int_encoding = header.int_encoding;
+    view->base = header.base;
+    header_bytes = sizeof(AlpVectorHeader);
+    exc_value_bytes = sizeof(Uint);
+  } else {
+    RdVectorHeader header;
+    std::memcpy(&header, data_ + at, sizeof(header));
+    if (header.n != expect_n || header.exc_count > header.n) {
+      return Status::Corrupt("vector counts out of range", at);
+    }
+    view->exc_count = header.exc_count;
+    view->width = unsigned{rg.rd.right_bits} + rg.rd.dict_width;
+    header_bytes = sizeof(RdVectorHeader);
+    exc_value_bytes = sizeof(uint16_t);
+  }
+  const size_t exc = view->exc_count;
+  view->at = at;
+  view->n = expect_n;
+  view->packed_at = at + header_bytes;
+  view->exc_at = view->packed_at + view->width * kRowBytes;
+  const size_t positions_at = view->exc_at + exc * exc_value_bytes;
+  view->end = positions_at + exc * sizeof(uint16_t);
+  if (view->end > size_) return Status::Truncated("vector payload truncated", at);
+  // Positions index the decode output, so they are checked before anything
+  // is patched: a branch-free max on the hot path (this runs on every
+  // decode and packed view), and a second pass only to name the culprit.
+  const uint16_t* positions = reinterpret_cast<const uint16_t*>(data_ + positions_at);
+  uint16_t max_pos = 0;
+  for (size_t i = 0; i < exc; ++i) max_pos = std::max(max_pos, positions[i]);
+  if (max_pos >= expect_n) {  // expect_n >= 1 for every vector.
+    const size_t i = std::find_if(positions, positions + exc,
+                                  [&](uint16_t p) { return p >= expect_n; }) -
+                     positions;
+    return Status::Corrupt("exception position out of range",
+                           positions_at + i * sizeof(uint16_t));
+  }
+  view->packed = reinterpret_cast<const Uint*>(data_ + view->packed_at);
+  view->exc_bits = reinterpret_cast<const Uint*>(data_ + view->exc_at);
+  view->exc_lefts = reinterpret_cast<const uint16_t*>(data_ + view->exc_at);
+  view->positions = positions;
+  return Status::Ok();
+}
+
+template <typename T>
+Status ColumnReader<T>::Load(const uint8_t* data, size_t size, bool verify,
+                             ThreadPool* pool, const OpContext* ctx) {
+  StatusOr<IndexLayout> parsed = ParseColumnHeader<T>(data, size);
+  if (!parsed.ok()) return parsed.status();
+  const IndexLayout& layout = *parsed;
   // Check that all index sections fit before sizing any allocation by the
-  // (still untrusted) counts — a forged rowgroup_count must not turn into
-  // a multi-gigabyte resize.
-  const IndexLayout layout =
-      ComputeIndexLayout(version_, header.rowgroup_count, vector_count_);
+  // (still untrusted) counts.
   if (layout.payload_begin > size) {
-    value_count_ = 0;
-    vector_count_ = 0;
-    return;
+    return Status::Truncated("truncated index sections", sizeof(ColumnHeader));
+  }
+  std::vector<uint64_t> offsets;
+  Status s = ParseRowgroupIndex(data, size, layout, verify, &offsets);
+  if (!s.ok()) return s;
+
+  // Verification phases: checksums for all rowgroups, then the zone map,
+  // then the structure of all rowgroups; within a phase the lowest-indexed
+  // rowgroup's failure wins. Cancellation is polled once per rowgroup per
+  // phase and shares that reduction.
+  const auto poll = [ctx] { return ctx != nullptr ? ctx->Check() : Status::Ok(); };
+  if (verify && layout.version >= 3) {
+    s = FirstFailure(pool, offsets.size(), [&](size_t rg) {
+      ALP_OBS_SPAN(checksum_span, "decompress.validate_checksum", 1);
+      Status cs = poll();
+      if (cs.ok()) cs = fault::Check("column.validate_checksum");
+      return cs.ok() ? VerifyRowgroupChecksum(data, size, layout, offsets, rg) : cs;
+    });
+    if (!s.ok()) return s;
+  }
+  if (verify) {
+    s = ValidateZoneMap(data, layout);
+    if (!s.ok()) return s;
   }
 
-  std::vector<uint64_t> rg_offsets(header.rowgroup_count);
-  reader.SeekTo(layout.offsets_at);
-  reader.ReadArray(rg_offsets.data(), rg_offsets.size());
+  data_ = data;
+  size_ = size;
+  version_ = layout.version;
+  value_count_ = layout.value_count;
+  vector_count_ = layout.total_vectors;
   stats_.resize(vector_count_);
-  reader.SeekTo(layout.stats_at);
-  reader.ReadArray(stats_.data(), stats_.size());
+  if (!stats_.empty()) {
+    std::memcpy(stats_.data(), data + layout.stats_at,
+                stats_.size() * sizeof(VectorStats));
+  }
+  rowgroups_.resize(offsets.size());
+  if (!verify) {
+    return FirstFailure(nullptr, offsets.size(), [&](size_t rg) {
+      return ParseRowgroup(rg, offsets[rg], /*walk=*/false);
+    });
+  }
+  return FirstFailure(pool, offsets.size(), [&](size_t rg) {
+    ALP_OBS_SPAN(structure_span, "decompress.validate_structure", 1);
+    Status cs = poll();
+    return cs.ok() ? ParseRowgroup(rg, offsets[rg], /*walk=*/true) : cs;
+  });
+}
 
-  size_t first_vector = 0;
-  rowgroups_.reserve(header.rowgroup_count);
-  for (uint64_t rg_offset : rg_offsets) {
-    RowgroupInfo info;
-    info.byte_offset = rg_offset;
-    reader.SeekTo(rg_offset);
-    const auto rg_header = reader.Read<RowgroupHeader>();
-    if (reader.failed() || rg_header.vector_count > kRowgroupVectors) {
-      value_count_ = 0;
-      vector_count_ = 0;
-      rowgroups_.clear();
-      stats_.clear();
-      return;
-    }
-    info.scheme = static_cast<Scheme>(rg_header.scheme);
-    info.vector_count = rg_header.vector_count;
-    info.first_vector = first_vector;
-    first_vector += rg_header.vector_count;
-    if (info.scheme == Scheme::kAlpRd) {
-      const auto rd_header = reader.Read<RdHeader>();
-      info.rd.right_bits = rd_header.right_bits;
-      info.rd.dict_width = rd_header.dict_width;
-      info.rd.dict_size = rd_header.dict_size;
-      std::memcpy(info.rd.dict, rd_header.dict, sizeof(info.rd.dict));
-      RdDictShifted(info.rd, info.rd_dict_shifted);
-    }
-    info.vector_offsets.resize(rg_header.vector_count);
-    reader.ReadArray(info.vector_offsets.data(), info.vector_offsets.size());
-    rowgroups_.push_back(std::move(info));
-  }
-  ok_ = reader.ok();
-  if (!ok_) {
-    value_count_ = 0;
-    vector_count_ = 0;
-    rowgroups_.clear();
-    stats_.clear();
-  }
+template <typename T>
+ColumnReader<T>::ColumnReader(const uint8_t* data, size_t size) {
+  Status s = Load(data, size, /*verify=*/false, nullptr, nullptr);
+  if (!s.ok()) *this = ColumnReader();  // Empty, never half-built.
+  status_ = std::move(s);
 }
 
 template <typename T>
@@ -514,14 +811,32 @@ template <typename T>
 StatusOr<ColumnReader<T>> ColumnReader<T>::OpenParallel(const uint8_t* data,
                                                         size_t size,
                                                         ThreadPool* pool) {
-  Status s = ValidateColumnParallelEx<T>(data, size, pool);
+  ColumnReader<T> reader;
+  Status s = reader.Load(data, size, /*verify=*/true, pool, nullptr);
   if (!s.ok()) return s;
-  ColumnReader<T> reader(data, size);
-  if (!reader.ok()) {
-    // Validation passed but parsing did not — should be unreachable; treat
-    // it as corruption rather than returning a half-built reader.
-    return Status::Corrupt("column index parse failed after validation");
+  reader.status_ = Status::Ok();
+  return reader;
+}
+
+template <typename T>
+StatusOr<ColumnReader<T>> ColumnReader<T>::OpenRowgroupChunk(
+    const uint8_t* chunk, size_t chunk_size, uint64_t value_count) {
+  if (value_count == 0 || value_count > kRowgroupSize) {
+    return Status::Corrupt("rowgroup value count out of range");
   }
+  // A chunk is rowgroup 0 of a one-rowgroup column starting at offset 0 —
+  // the payload format is position-independent, so the rowgroup parse and
+  // vector walk apply unchanged with chunk-relative offsets.
+  ColumnReader<T> reader;
+  reader.data_ = chunk;
+  reader.size_ = chunk_size;
+  reader.value_count_ = value_count;
+  reader.vector_count_ = (value_count + kVectorSize - 1) / kVectorSize;
+  reader.version_ = kColumnFormatVersion;
+  reader.rowgroups_.resize(1);
+  Status s = reader.ParseRowgroup(0, 0, /*walk=*/true);
+  if (!s.ok()) return s;
+  reader.status_ = Status::Ok();
   return reader;
 }
 
@@ -537,331 +852,113 @@ Scheme ColumnReader<T>::VectorScheme(size_t v) const {
 }
 
 template <typename T>
-void ColumnReader<T>::DecodeAlpVector(const RowgroupInfo& rg, size_t local_v,
-                                      T* out) const {
-  using Uint = typename AlpTraits<T>::Uint;
-  ByteReader reader(data_, size_);
-  reader.SeekTo(rg.byte_offset + rg.vector_offsets[local_v]);
-  const auto header = reader.Read<AlpVectorHeader>();
-
-  const Uint* packed = reinterpret_cast<const Uint*>(reader.Here());
-  const Combination c{header.e, header.f};
-
-  const auto decode_full = [&](T* dst) {
-    if (header.int_encoding == kIntDelta) {
-      if constexpr (sizeof(T) == 8) {
-        // Delta path: unpack + prefix sum, then the ALP_dec multiplies.
-        fastlanes::DeltaParams delta;
-        delta.first = static_cast<int64_t>(header.base);
-        delta.width = header.width;
-        int64_t ints[kVectorSize];
-        fastlanes::DeltaDecode(packed, ints, delta);
-        alp::DecodeVector<T>(ints, c, dst);
-      }
-      return;
-    }
-    fastlanes::FforParams ffor;
-    ffor.base = header.base;
-    ffor.width = header.width;
-    kernels::DecodeAlpFused<T>(packed, ffor, c, dst);
-  };
-
-  if (header.n == kVectorSize) {
-    decode_full(out);
-  } else {
-    alignas(64) T full[kVectorSize];
-    decode_full(full);
-    std::memcpy(out, full, header.n * sizeof(T));
-  }
-
-  reader.Skip(static_cast<size_t>(header.width) * fastlanes::kLanes<Uint> * sizeof(Uint));
-  // Exceptions: value bits array followed by position array (stack
-  // buffers; this is the per-vector hot path).
-  Uint exc_bits[kVectorSize];
-  uint16_t exc_pos[kVectorSize];
-  reader.ReadArray(exc_bits, header.exc_count);
-  reader.ReadArray(exc_pos, header.exc_count);
-  kernels::PatchExceptionBits<T>(out, exc_bits, exc_pos, header.exc_count);
-}
-
-template <typename T>
-void ColumnReader<T>::DecodeRdVector(const RowgroupInfo& rg, size_t local_v,
-                                     T* out) const {
-  using Uint = typename AlpTraits<T>::Uint;
-  constexpr unsigned kLanes = fastlanes::kLanes<Uint>;
-  ByteReader reader(data_, size_);
-  reader.SeekTo(rg.byte_offset + rg.vector_offsets[local_v]);
-  const auto header = reader.Read<RdVectorHeader>();
-
-  const Uint* packed_right = reinterpret_cast<const Uint*>(reader.Here());
-  reader.Skip(static_cast<size_t>(rg.rd.right_bits) * kLanes * sizeof(Uint));
-  const Uint* packed_codes = reinterpret_cast<const Uint*>(reader.Here());
-  reader.Skip(static_cast<size_t>(rg.rd.dict_width) * kLanes * sizeof(Uint));
-
-  uint16_t exceptions[kVectorSize];
-  uint16_t exc_positions[kVectorSize];
-  reader.ReadArray(exceptions, header.exc_count);
-  reader.ReadArray(exc_positions, header.exc_count);
-
-  // Fused unpack-right || unpack-codes || dictionary-OR through the
-  // dispatched kernel tier, then the (rare) left-part exception patches.
-  const auto decode_full = [&](T* dst) {
-    kernels::RdDecodeFused<T>(packed_right, packed_codes, rg.rd.right_bits,
-                              rg.rd.dict_width, rg.rd_dict_shifted, dst);
-    RdPatchExceptions(dst, exceptions, exc_positions, header.exc_count,
-                      rg.rd.right_bits);
-  };
-
-  if (header.n == kVectorSize) {
-    decode_full(out);
-  } else {
-    alignas(64) T full[kVectorSize];
-    decode_full(full);
-    std::memcpy(out, full, header.n * sizeof(T));
-  }
-}
-
-template <typename T>
 uint16_t ColumnReader<T>::VectorExceptionCount(size_t v) const {
   if (v >= vector_count_) return 0;
   const RowgroupInfo& rg = rowgroups_[v / kRowgroupVectors];
-  const size_t local_v = v - rg.first_vector;
-  const size_t vec_at = rg.byte_offset + rg.vector_offsets[local_v];
-  const size_t header_size = rg.scheme == Scheme::kAlp
-                                 ? sizeof(AlpVectorHeader)
-                                 : sizeof(RdVectorHeader);
-  if (vec_at + header_size > size_) return 0;
-  ByteReader reader(data_, size_);
-  reader.SeekTo(vec_at);
-  return rg.scheme == Scheme::kAlp ? reader.Read<AlpVectorHeader>().exc_count
-                                   : reader.Read<RdVectorHeader>().exc_count;
+  VectorView view;
+  return ParseVector(rg, v - rg.first_vector, &view).ok() ? view.exc_count : 0;
 }
 
 template <typename T>
 bool ColumnReader<T>::GetPackedVectorView(size_t v, PackedVectorView* view) const {
-  using Uint = typename AlpTraits<T>::Uint;
   if (v >= vector_count_) return false;
   const RowgroupInfo& rg = rowgroups_[v / kRowgroupVectors];
   if (rg.scheme != Scheme::kAlp) return false;
-  const size_t local_v = v - rg.first_vector;
-  const size_t vec_at = rg.byte_offset + rg.vector_offsets[local_v];
-  if (vec_at + sizeof(AlpVectorHeader) > size_) return false;
-  ByteReader reader(data_, size_);
-  reader.SeekTo(vec_at);
-  const auto header = reader.Read<AlpVectorHeader>();
-  if (header.int_encoding != kIntFfor) return false;  // Delta: no lane frame
-  if (header.width > sizeof(Uint) * 8 || header.n > kVectorSize ||
-      header.exc_count > header.n ||
-      header.e > AlpTraits<T>::kMaxExponent || header.f > header.e) {
-    return false;
-  }
-  const size_t packed_bytes =
-      static_cast<size_t>(header.width) * fastlanes::kLanes<Uint> * sizeof(Uint);
-  const size_t exc_bytes =
-      static_cast<size_t>(header.exc_count) * (sizeof(Uint) + sizeof(uint16_t));
-  if (vec_at + sizeof(AlpVectorHeader) + packed_bytes + exc_bytes > size_) {
-    return false;
-  }
-  view->packed = reinterpret_cast<const Uint*>(reader.Here());
-  reader.Skip(packed_bytes);
-  view->exc_bits = reinterpret_cast<const Uint*>(reader.Here());
-  reader.Skip(static_cast<size_t>(header.exc_count) * sizeof(Uint));
-  view->exc_positions = reinterpret_cast<const uint16_t*>(reader.Here());
-  view->ffor.base = header.base;
-  view->ffor.width = header.width;
-  view->c = Combination{header.e, header.f};
-  view->n = header.n;
-  view->exc_count = header.exc_count;
+  VectorView vv;
+  if (!ParseVector(rg, v - rg.first_vector, &vv).ok()) return false;
+  if (vv.int_encoding != kIntFfor) return false;  // Delta: no lane frame
+  view->packed = vv.packed;
+  view->exc_bits = vv.exc_bits;
+  view->exc_positions = vv.positions;
+  view->ffor.base = vv.base;
+  view->ffor.width = vv.width;
+  view->c = vv.c;
+  view->n = vv.n;
+  view->exc_count = vv.exc_count;
   return true;
 }
 
 template <typename T>
-void ColumnReader<T>::DecodeVector(size_t v, T* out) const {
+Status ColumnReader<T>::DecodeChecked(size_t v, T* out) const {
+  if (v >= vector_count_) return Status::Corrupt("vector index out of range");
   const RowgroupInfo& rg = rowgroups_[v / kRowgroupVectors];
-  const size_t local_v = v - rg.first_vector;
-  if (rg.scheme == Scheme::kAlp) {
-    DecodeAlpVector(rg, local_v, out);
+  VectorView view;
+  Status s = ParseVector(rg, v - rg.first_vector, &view);
+  if (!s.ok()) return s;
+
+  const auto decode_full = [&](T* dst) {
+    if (rg.scheme == Scheme::kAlp) {
+      if (view.int_encoding == kIntDelta) {
+        if constexpr (sizeof(T) == 8) {
+          // Delta path: unpack + prefix sum, then the ALP_dec multiplies.
+          fastlanes::DeltaParams delta;
+          delta.first = static_cast<int64_t>(view.base);
+          delta.width = view.width;
+          int64_t ints[kVectorSize];
+          fastlanes::DeltaDecode(view.packed, ints, delta);
+          alp::DecodeVector<T>(ints, view.c, dst);
+        }
+      } else {
+        fastlanes::FforParams ffor;
+        ffor.base = view.base;
+        ffor.width = view.width;
+        kernels::DecodeAlpFused<T>(view.packed, ffor, view.c, dst);
+      }
+      kernels::PatchExceptionBits<T>(dst, view.exc_bits, view.positions,
+                                     view.exc_count);
+      return;
+    }
+    // Fused unpack-right || unpack-codes || dictionary-OR through the
+    // dispatched kernel tier, then the (rare) left-part exception patches.
+    const auto* codes = view.packed + size_t{rg.rd.right_bits} *
+                                          fastlanes::kLanes<typename AlpTraits<T>::Uint>;
+    kernels::RdDecodeFused<T>(view.packed, codes, rg.rd.right_bits,
+                              rg.rd.dict_width, rg.rd_dict_shifted, dst);
+    RdPatchExceptions(dst, view.exc_lefts, view.positions, view.exc_count,
+                      rg.rd.right_bits);
+  };
+  // Kernels always produce 1024 lanes: full vectors decode straight into
+  // out, the column's tail vector goes through scratch.
+  if (view.n == kVectorSize) {
+    decode_full(out);
   } else {
-    DecodeRdVector(rg, local_v, out);
+    alignas(64) T full[kVectorSize];
+    decode_full(full);
+    std::memcpy(out, full, view.n * sizeof(T));
   }
+  return Status::Ok();
+}
+
+template <typename T>
+void ColumnReader<T>::DecodeVector(size_t v, T* out) const {
+  (void)DecodeChecked(v, out);
 }
 
 template <typename T>
 void ColumnReader<T>::DecodeAll(T* out) const {
   ALP_OBS_SPAN(decode_span, "decompress.column", value_count_);
-  for (size_t v = 0; v < vector_count_; ++v) {
-    DecodeVector(v, out + v * kVectorSize);
-  }
-}
-
-template <typename T>
-Status ColumnReader<T>::TryDecodeAlpVector(const RowgroupInfo& rg, size_t local_v,
-                                           unsigned expect_n, T* out) const {
-  using Uint = typename AlpTraits<T>::Uint;
-  constexpr unsigned kLanes = fastlanes::kLanes<Uint>;
-  const size_t vec_at = rg.byte_offset + rg.vector_offsets[local_v];
-  if (vec_at > size_ || vec_at < rg.byte_offset) {
-    return Status::Corrupt("vector offset out of bounds", rg.byte_offset);
-  }
-
-  ByteReader reader(data_, size_);
-  reader.SeekTo(vec_at);
-  const auto header = reader.Read<AlpVectorHeader>();
-  if (reader.failed()) return Status::Truncated("ALP vector header", vec_at);
-  if (header.e > AlpTraits<T>::kMaxExponent || header.f > header.e) {
-    return Status::Corrupt("ALP exponent/factor out of range", vec_at);
-  }
-  if (header.width > AlpTraits<T>::kValueBits) {
-    return Status::Corrupt("ALP packed width out of range", vec_at);
-  }
-  if (header.int_encoding > kIntDelta ||
-      (header.int_encoding == kIntDelta && sizeof(T) != 8)) {
-    return Status::Corrupt("unknown ALP integer encoding", vec_at);
-  }
-  if (header.n != expect_n || header.exc_count > header.n) {
-    return Status::Corrupt("ALP vector counts out of range", vec_at);
-  }
-
-  const size_t packed_bytes = size_t{header.width} * kLanes * sizeof(Uint);
-  const size_t exc_bytes =
-      size_t{header.exc_count} * (sizeof(Uint) + sizeof(uint16_t));
-  if (!reader.CanRead(packed_bytes + exc_bytes)) {
-    return Status::Truncated("ALP vector payload", vec_at);
-  }
-  const Uint* packed = reinterpret_cast<const Uint*>(reader.Here());
-  reader.Skip(packed_bytes);
-
-  const Combination c{header.e, header.f};
-  alignas(64) T full[kVectorSize];
-  if (header.int_encoding == kIntDelta) {
-    if constexpr (sizeof(T) == 8) {
-      fastlanes::DeltaParams delta;
-      delta.first = static_cast<int64_t>(header.base);
-      delta.width = header.width;
-      int64_t ints[kVectorSize];
-      fastlanes::DeltaDecode(packed, ints, delta);
-      alp::DecodeVector<T>(ints, c, full);
-    }
-  } else {
-    fastlanes::FforParams ffor;
-    ffor.base = header.base;
-    ffor.width = header.width;
-    kernels::DecodeAlpFused<T>(packed, ffor, c, full);
-  }
-
-  Uint exc_bits[kVectorSize];
-  uint16_t exc_pos[kVectorSize];
-  reader.ReadArray(exc_bits, header.exc_count);
-  reader.ReadArray(exc_pos, header.exc_count);
-  for (unsigned i = 0; i < header.exc_count; ++i) {
-    if (exc_pos[i] >= header.n) {
-      return Status::Corrupt("ALP exception position out of range", vec_at);
-    }
-  }
-  kernels::PatchExceptionBits<T>(full, exc_bits, exc_pos, header.exc_count);
-  std::memcpy(out, full, expect_n * sizeof(T));
-  return Status::Ok();
-}
-
-template <typename T>
-Status ColumnReader<T>::TryDecodeRdVector(const RowgroupInfo& rg, size_t local_v,
-                                          unsigned expect_n, T* out) const {
-  using Uint = typename AlpTraits<T>::Uint;
-  constexpr unsigned kLanes = fastlanes::kLanes<Uint>;
-  const size_t vec_at = rg.byte_offset + rg.vector_offsets[local_v];
-  if (vec_at > size_ || vec_at < rg.byte_offset) {
-    return Status::Corrupt("vector offset out of bounds", rg.byte_offset);
-  }
-
-  // Re-check the rowgroup parameters the decode arithmetic depends on:
-  // left << right_bits and dict[code] are only safe inside these ranges.
-  if (rg.rd.right_bits < AlpTraits<T>::kValueBits - kRdMaxLeftBits ||
-      rg.rd.right_bits >= AlpTraits<T>::kValueBits) {
-    return Status::Corrupt("ALP_rd cut position out of range", rg.byte_offset);
-  }
-  if (rg.rd.dict_width > kRdMaxDictWidth || rg.rd.dict_size > kRdMaxDictSize) {
-    return Status::Corrupt("ALP_rd dictionary too big", rg.byte_offset);
-  }
-
-  ByteReader reader(data_, size_);
-  reader.SeekTo(vec_at);
-  const auto header = reader.Read<RdVectorHeader>();
-  if (reader.failed()) return Status::Truncated("ALP_rd vector header", vec_at);
-  if (header.n != expect_n || header.exc_count > header.n) {
-    return Status::Corrupt("ALP_rd vector counts out of range", vec_at);
-  }
-
-  const size_t packed_bytes =
-      (size_t{rg.rd.right_bits} + rg.rd.dict_width) * kLanes * sizeof(Uint);
-  const size_t exc_bytes = size_t{header.exc_count} * 2 * sizeof(uint16_t);
-  if (!reader.CanRead(packed_bytes + exc_bytes)) {
-    return Status::Truncated("ALP_rd vector payload", vec_at);
-  }
-
-  const Uint* packed_right = reinterpret_cast<const Uint*>(reader.Here());
-  reader.Skip(size_t{rg.rd.right_bits} * kLanes * sizeof(Uint));
-  const Uint* packed_codes = reinterpret_cast<const Uint*>(reader.Here());
-  reader.Skip(size_t{rg.rd.dict_width} * kLanes * sizeof(Uint));
-
-  uint16_t exceptions[kVectorSize];
-  uint16_t exc_positions[kVectorSize];
-  reader.ReadArray(exceptions, header.exc_count);
-  reader.ReadArray(exc_positions, header.exc_count);
-  for (unsigned i = 0; i < header.exc_count; ++i) {
-    if (exc_positions[i] >= header.n) {
-      return Status::Corrupt("ALP_rd exception position out of range", vec_at);
-    }
-  }
-
-  alignas(64) T full[kVectorSize];
-  kernels::RdDecodeFused<T>(packed_right, packed_codes, rg.rd.right_bits,
-                            rg.rd.dict_width, rg.rd_dict_shifted, full);
-  RdPatchExceptions(full, exceptions, exc_positions, header.exc_count,
-                    rg.rd.right_bits);
-  std::memcpy(out, full, expect_n * sizeof(T));
-  return Status::Ok();
+  for (size_t v = 0; v < vector_count_; ++v) DecodeVector(v, out + v * kVectorSize);
 }
 
 template <typename T>
 Status ColumnReader<T>::TryDecodeVector(size_t v, T* out,
                                         const OpContext* ctx) const {
-  if (!ok_) return Status::Corrupt("column reader not initialized");
+  if (!ok()) return status_;
   if (ctx != nullptr) {
     Status cs = ctx->Check();
     if (!cs.ok()) return cs;
   }
   ALP_FAULT("column.decode_vector");
-  if (v >= vector_count_) {
-    return Status::Corrupt("vector index out of range");
-  }
-  const size_t rg_index = v / kRowgroupVectors;
-  if (rg_index >= rowgroups_.size()) {
-    return Status::Corrupt("rowgroup index out of range");
-  }
-  const RowgroupInfo& rg = rowgroups_[rg_index];
-  const size_t local_v = v - rg.first_vector;
-  if (local_v >= rg.vector_offsets.size()) {
-    return Status::Corrupt("vector missing from rowgroup index", rg.byte_offset);
-  }
-  const unsigned expect_n = VectorLength(v);
-  if (rg.scheme == Scheme::kAlp) {
-    return TryDecodeAlpVector(rg, local_v, expect_n, out);
-  }
-  if (rg.scheme == Scheme::kAlpRd) {
-    return TryDecodeRdVector(rg, local_v, expect_n, out);
-  }
-  return Status::Corrupt("unknown rowgroup scheme", rg.byte_offset);
+  return DecodeChecked(v, out);
 }
 
 template <typename T>
 Status ColumnReader<T>::TryDecodeAll(T* out, const OpContext* ctx) const {
-  if (!ok_) return Status::Corrupt("column reader not initialized");
+  if (!ok()) return status_;
   ALP_OBS_SPAN(decode_span, "decompress.column", value_count_);
   for (size_t v = 0; v < vector_count_; ++v) {
-    T vec[kVectorSize];
-    Status s = TryDecodeVector(v, vec, ctx);
+    Status s = TryDecodeVector(v, out + v * kVectorSize, ctx);
     if (!s.ok()) return s;
-    std::memcpy(out + v * kVectorSize, vec, VectorLength(v) * sizeof(T));
   }
   return Status::Ok();
 }
@@ -869,15 +966,14 @@ Status ColumnReader<T>::TryDecodeAll(T* out, const OpContext* ctx) const {
 template <typename T>
 Status ColumnReader<T>::TryDecodeAllParallel(T* out, ThreadPool* pool,
                                              const OpContext* ctx) const {
-  if (!ok_) return Status::Corrupt("column reader not initialized");
+  if (!ok()) return status_;
   // Partition by rowgroup-sized blocks of *global vector indexes* — the
   // exact ranges the serial loop walks — so each task writes a disjoint
   // region of out and hits the same per-vector Statuses the serial scan
   // would. A task stops at its block's first failure; the lowest-indexed
   // block's Status wins, which is the Status TryDecodeAll returns.
   const size_t blocks = (vector_count_ + kRowgroupVectors - 1) / kRowgroupVectors;
-  std::vector<Status> results(blocks);
-  ParallelFor(pool, blocks, [&](size_t b) {
+  return FirstFailure(pool, blocks, [&](size_t b) {
     const size_t v_begin = b * kRowgroupVectors;
     const size_t v_end =
         std::min<size_t>((b + 1) * kRowgroupVectors, vector_count_);
@@ -896,336 +992,24 @@ Status ColumnReader<T>::TryDecodeAllParallel(T* out, ThreadPool* pool,
       }
     });
     for (size_t v = v_begin; v < v_end; ++v) {
-      T vec[kVectorSize];
-      Status s = TryDecodeVector(v, vec, ctx);
-      if (!s.ok()) {
-        results[b] = std::move(s);
-        return;
-      }
-      std::memcpy(out + v * kVectorSize, vec, VectorLength(v) * sizeof(T));
+      Status s = TryDecodeVector(v, out + v * kVectorSize, ctx);
+      if (!s.ok()) return s;
     }
+    return Status::Ok();
   });
-  for (Status& s : results) {
-    if (!s.ok()) return std::move(s);
-  }
-  return Status::Ok();
 }
-
-namespace {
-
-/// Everything the per-rowgroup validation phases need, parsed and verified
-/// once by ValidateHeaderAndIndex.
-struct ValidationContext {
-  ColumnHeader header;
-  IndexLayout layout;
-  std::vector<uint64_t> rg_offsets;
-  size_t total_vectors = 0;
-};
-
-/// Phase 1 (serial): column header sanity, index-section fit, the v3 header
-/// checksum, and the rowgroup offset index. After this returns OK, every
-/// rg_offsets entry is 8-aligned, strictly increasing, and has room for at
-/// least a RowgroupHeader — the guarantees the per-rowgroup phases build on.
-template <typename T>
-Status ValidateHeaderAndIndex(const uint8_t* data, size_t size,
-                              ValidationContext* ctx) {
-  if (data == nullptr || size < sizeof(ColumnHeader)) {
-    return Status::Truncated("buffer smaller than the column header");
-  }
-  ColumnHeader& header = ctx->header;
-  std::memcpy(&header, data, sizeof(header));
-  if (header.magic != kMagic) return Status::Corrupt("bad magic", 0);
-  if (header.version < kMinVersion || header.version > kVersion) {
-    return Status::UnsupportedVersion("unsupported format version",
-                                      offsetof(ColumnHeader, version));
-  }
-  if (header.type != TypeTag<T>()) {
-    return Status::Corrupt("value type tag mismatch", offsetof(ColumnHeader, type));
-  }
-  if (header.value_count > (uint64_t{1} << 62)) {
-    return Status::Corrupt("value count implausibly large",
-                           offsetof(ColumnHeader, value_count));
-  }
-  const bool v3 = header.version >= 3;
-
-  ctx->total_vectors = (header.value_count + kVectorSize - 1) / kVectorSize;
-  const size_t expected_rowgroups = std::max<size_t>(
-      (ctx->total_vectors + kRowgroupVectors - 1) / kRowgroupVectors, 1);
-  if (header.rowgroup_count != expected_rowgroups) {
-    return Status::Corrupt("rowgroup count inconsistent with value count",
-                           offsetof(ColumnHeader, rowgroup_count));
-  }
-
-  ctx->layout =
-      ComputeIndexLayout(header.version, header.rowgroup_count, ctx->total_vectors);
-  const IndexLayout& layout = ctx->layout;
-  if (layout.payload_begin > size) {
-    return Status::Truncated("truncated index sections", sizeof(ColumnHeader));
-  }
-
-  // v3: the header checksum covers everything before its own slot, so any
-  // flipped bit in the column header, the offset index, the rowgroup
-  // checksums or the zone map is caught here before those bytes are used.
-  if (v3) {
-    uint64_t stored;
-    std::memcpy(&stored, data + layout.header_checksum_at, sizeof(stored));
-    if (Checksum64(data, layout.header_checksum_at) != stored) {
-      return Status::ChecksumMismatch("column header checksum mismatch",
-                                      layout.header_checksum_at);
-    }
-  }
-
-  ctx->rg_offsets.resize(header.rowgroup_count);
-  std::memcpy(ctx->rg_offsets.data(), data + layout.offsets_at,
-              ctx->rg_offsets.size() * sizeof(uint64_t));
-
-  // Rowgroup offsets: in the payload area, 8-aligned, strictly increasing.
-  for (size_t rg = 0; rg < ctx->rg_offsets.size(); ++rg) {
-    const uint64_t off = ctx->rg_offsets[rg];
-    if (off % 8 != 0) {
-      return Status::Corrupt("misaligned rowgroup offset",
-                             layout.offsets_at + rg * sizeof(uint64_t));
-    }
-    if (off < layout.payload_begin || off >= size ||
-        size - off < sizeof(RowgroupHeader)) {
-      return Status::Corrupt("rowgroup offset out of bounds",
-                             layout.offsets_at + rg * sizeof(uint64_t));
-    }
-    if (rg > 0 && off <= ctx->rg_offsets[rg - 1]) {
-      return Status::Corrupt("rowgroup offsets not increasing",
-                             layout.offsets_at + rg * sizeof(uint64_t));
-    }
-  }
-  return Status::Ok();
-}
-
-/// Phase 2 (per rowgroup, v3 only): payload checksum over [offset, next
-/// offset or end of buffer) — the payload plus its alignment padding.
-Status ValidateRowgroupChecksum(const uint8_t* data, size_t size,
-                                const ValidationContext& ctx, size_t rg) {
-  const size_t begin = static_cast<size_t>(ctx.rg_offsets[rg]);
-  const size_t end = rg + 1 < ctx.rg_offsets.size()
-                         ? static_cast<size_t>(ctx.rg_offsets[rg + 1])
-                         : size;
-  uint64_t stored;
-  std::memcpy(&stored, data + ctx.layout.checksums_at + rg * sizeof(uint64_t),
-              sizeof(stored));
-  if (Checksum64(data + begin, end - begin) != stored) {
-    return Status::ChecksumMismatch("rowgroup payload checksum mismatch", begin);
-  }
-  return Status::Ok();
-}
-
-/// Phase 3 (serial; cheap): zone-map sanity. NaN bounds can never satisfy
-/// MayContain correctly, and min > max is only legal in the empty-vector
-/// sentinel form.
-Status ValidateZoneMap(const uint8_t* data, const ValidationContext& ctx) {
-  for (size_t v = 0; v < ctx.total_vectors; ++v) {
-    const size_t at = ctx.layout.stats_at + v * sizeof(VectorStats);
-    VectorStats vs;
-    std::memcpy(&vs, data + at, sizeof(vs));
-    if (std::isnan(vs.min) || std::isnan(vs.max)) {
-      return Status::Corrupt("zone map entry contains NaN", at);
-    }
-    const bool empty_sentinel =
-        vs.min == std::numeric_limits<double>::infinity() &&
-        vs.max == -std::numeric_limits<double>::infinity();
-    if (vs.min > vs.max && !empty_sentinel) {
-      return Status::Corrupt("zone map entry has min > max", at);
-    }
-  }
-  return Status::Ok();
-}
-
-/// Phase 4 (per rowgroup): full structural walk of one rowgroup — scheme,
-/// vector count, ALP_rd parameters, vector offset index, per-vector header
-/// invariants, payload extents and exception positions. Independent of
-/// every other rowgroup: the vectors a rowgroup must hold follow from its
-/// index alone (rowgroup rg owns global vectors [rg*kRowgroupVectors, ...)),
-/// which is what makes the walk safe to fan out.
-template <typename T>
-Status ValidateRowgroupStructure(const uint8_t* data, size_t size,
-                                 const ValidationContext& ctx, size_t rg) {
-  const size_t off = static_cast<size_t>(ctx.rg_offsets[rg]);
-  RowgroupHeader rg_header;
-  std::memcpy(&rg_header, data + off, sizeof(rg_header));
-  if (rg_header.scheme > 1) return Status::Corrupt("unknown rowgroup scheme", off);
-
-  // Each rowgroup must hold exactly its share of the column's vectors.
-  const size_t first_vector = rg * kRowgroupVectors;
-  const size_t expected_vectors =
-      std::min<size_t>(kRowgroupVectors, ctx.total_vectors - first_vector);
-  if (rg_header.vector_count != expected_vectors) {
-    return Status::Corrupt("rowgroup vector count inconsistent with value count",
-                           off);
-  }
-
-  size_t index_at = off + sizeof(RowgroupHeader);
-  RdHeader rd{};
-  if (rg_header.scheme == static_cast<uint8_t>(Scheme::kAlpRd)) {
-    if (size - index_at < sizeof(RdHeader)) {
-      return Status::Truncated("truncated ALP_rd header", index_at);
-    }
-    std::memcpy(&rd, data + index_at, sizeof(rd));
-    // The encoder cuts at most kRdMaxLeftBits from the top, so
-    // right_bits lies in [48, 64) for doubles and [16, 32) for floats;
-    // anything else makes the glue shift in RdDecodeVector undefined.
-    if (rd.right_bits < AlpTraits<T>::kValueBits - kRdMaxLeftBits ||
-        rd.right_bits >= AlpTraits<T>::kValueBits) {
-      return Status::Corrupt("ALP_rd cut position out of range", index_at);
-    }
-    if (rd.dict_size > kRdMaxDictSize || rd.dict_width > kRdMaxDictWidth) {
-      return Status::Corrupt("ALP_rd dictionary too big", index_at);
-    }
-    index_at += sizeof(RdHeader);
-  }
-  if (size - index_at < size_t{rg_header.vector_count} * sizeof(uint32_t)) {
-    return Status::Truncated("truncated vector offset index", index_at);
-  }
-
-  uint32_t prev_vec_off = 0;
-  for (uint32_t v = 0; v < rg_header.vector_count; ++v) {
-    uint32_t vec_off;
-    std::memcpy(&vec_off, data + index_at + v * sizeof(uint32_t), sizeof(vec_off));
-    if (vec_off % 8 != 0) {
-      return Status::Corrupt("misaligned vector offset",
-                             index_at + v * sizeof(uint32_t));
-    }
-    if (v > 0 && vec_off <= prev_vec_off) {
-      return Status::Corrupt("vector offsets not increasing",
-                             index_at + v * sizeof(uint32_t));
-    }
-    prev_vec_off = vec_off;
-    const size_t vec_at = off + vec_off;
-    if (vec_at >= size || size - vec_at < 16) {
-      return Status::Corrupt("vector offset out of bounds",
-                             index_at + v * sizeof(uint32_t));
-    }
-
-    const size_t global_v = first_vector + v;
-    const size_t expected_n = std::min<size_t>(
-        kVectorSize, ctx.header.value_count - global_v * kVectorSize);
-
-    // Verify the full payload extent of the vector (each packed width
-    // unit occupies 128 bytes for both lane types), then the exception
-    // positions, which index the decode output array.
-    size_t end;
-    uint16_t exc_count;
-    size_t exc_pos_at;
-    if (rg_header.scheme == static_cast<uint8_t>(Scheme::kAlp)) {
-      AlpVectorHeader vh;
-      std::memcpy(&vh, data + vec_at, sizeof(vh));
-      if (vh.e > AlpTraits<T>::kMaxExponent || vh.f > vh.e) {
-        return Status::Corrupt("ALP exponent/factor out of range", vec_at);
-      }
-      if (vh.width > AlpTraits<T>::kValueBits) {
-        return Status::Corrupt("packed width out of range", vec_at);
-      }
-      if (vh.int_encoding > kIntDelta ||
-          (vh.int_encoding == kIntDelta && sizeof(T) != 8)) {
-        return Status::Corrupt("unknown integer encoding", vec_at);
-      }
-      if (vh.n != expected_n || vh.exc_count > vh.n) {
-        return Status::Corrupt("vector counts out of range", vec_at);
-      }
-      exc_count = vh.exc_count;
-      exc_pos_at = vec_at + sizeof(AlpVectorHeader) + size_t{vh.width} * 128 +
-                   size_t{vh.exc_count} * sizeof(T);
-      end = exc_pos_at + size_t{vh.exc_count} * sizeof(uint16_t);
-    } else {
-      RdVectorHeader vh;
-      std::memcpy(&vh, data + vec_at, sizeof(vh));
-      if (vh.n != expected_n || vh.exc_count > vh.n) {
-        return Status::Corrupt("vector counts out of range", vec_at);
-      }
-      exc_count = vh.exc_count;
-      exc_pos_at = vec_at + sizeof(RdVectorHeader) +
-                   (size_t{rd.right_bits} + rd.dict_width) * 128 +
-                   size_t{vh.exc_count} * sizeof(uint16_t);
-      end = exc_pos_at + size_t{vh.exc_count} * sizeof(uint16_t);
-    }
-    if (end > size) return Status::Truncated("vector payload truncated", vec_at);
-    for (uint16_t i = 0; i < exc_count; ++i) {
-      uint16_t pos;
-      std::memcpy(&pos, data + exc_pos_at + i * sizeof(uint16_t), sizeof(pos));
-      if (pos >= expected_n) {
-        return Status::Corrupt("exception position out of range",
-                               exc_pos_at + i * sizeof(uint16_t));
-      }
-    }
-  }
-  return Status::Ok();
-}
-
-/// Shared validation driver. The per-rowgroup phases run through \p pool
-/// (inline when null). Phase order — checksums for all rowgroups, then zone
-/// map, then structure for all rowgroups — matches the historical serial
-/// validator, and within a phase the lowest-indexed rowgroup's failure is
-/// reported, so serial and parallel return identical Statuses.
-template <typename T>
-Status ValidateColumnImpl(const uint8_t* data, size_t size, ThreadPool* pool,
-                          const OpContext* octx) {
-  ValidationContext ctx;
-  Status s = ValidateHeaderAndIndex<T>(data, size, &ctx);
-  if (!s.ok()) return s;
-
-  // Cancellation checkpoints: once per rowgroup per phase (a rowgroup is
-  // the unit of work here, hundreds of microseconds). The checkpoint result
-  // shares the per-phase lowest-rowgroup-wins reduction with real failures.
-  const size_t rowgroups = ctx.rg_offsets.size();
-  if (ctx.header.version >= 3) {
-    std::vector<Status> results(rowgroups);
-    ParallelFor(pool, rowgroups, [&](size_t rg) {
-      ALP_OBS_SPAN(checksum_span, "decompress.validate_checksum", 1);
-      if (octx != nullptr) {
-        Status cs = octx->Check();
-        if (!cs.ok()) {
-          results[rg] = std::move(cs);
-          return;
-        }
-      }
-      Status fs = fault::Check("column.validate_checksum");
-      results[rg] = fs.ok() ? ValidateRowgroupChecksum(data, size, ctx, rg)
-                            : std::move(fs);
-    });
-    for (Status& r : results) {
-      if (!r.ok()) return std::move(r);
-    }
-  }
-
-  s = ValidateZoneMap(data, ctx);
-  if (!s.ok()) return s;
-
-  std::vector<Status> results(rowgroups);
-  ParallelFor(pool, rowgroups, [&](size_t rg) {
-    ALP_OBS_SPAN(structure_span, "decompress.validate_structure", 1);
-    if (octx != nullptr) {
-      Status cs = octx->Check();
-      if (!cs.ok()) {
-        results[rg] = std::move(cs);
-        return;
-      }
-    }
-    results[rg] = ValidateRowgroupStructure<T>(data, size, ctx, rg);
-  });
-  for (Status& r : results) {
-    if (!r.ok()) return std::move(r);
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 template <typename T>
 Status ValidateColumnEx(const uint8_t* data, size_t size,
                         const OpContext* ctx) {
-  return ValidateColumnImpl<T>(data, size, nullptr, ctx);
+  return ValidateColumnParallelEx<T>(data, size, nullptr, ctx);
 }
 
 template <typename T>
 Status ValidateColumnParallelEx(const uint8_t* data, size_t size,
                                 ThreadPool* pool, const OpContext* ctx) {
-  return ValidateColumnImpl<T>(data, size, pool, ctx);
+  ColumnReader<T> reader;
+  return reader.Load(data, size, /*verify=*/true, pool, ctx);
 }
 
 template <typename T>
@@ -1245,126 +1029,48 @@ void DecompressColumn(const std::vector<uint8_t>& buffer, T* out) {
   reader.DecodeAll(out);
 }
 
-template <typename T>
-StatusOr<ColumnReader<T>> ColumnReader<T>::OpenRowgroupChunk(
-    const uint8_t* chunk, size_t chunk_size, uint64_t value_count) {
-  if (chunk == nullptr || chunk_size < sizeof(RowgroupHeader)) {
-    return Status::Truncated("chunk smaller than the rowgroup header");
-  }
-  if (value_count == 0 || value_count > kRowgroupSize) {
-    return Status::Corrupt("rowgroup value count out of range");
-  }
-  // A chunk is rowgroup 0 of a one-rowgroup column starting at offset 0 —
-  // the payload format is position-independent, so the full structural walk
-  // applies unchanged with chunk-relative offsets.
-  ValidationContext ctx;
-  ctx.header = ColumnHeader{};
-  ctx.header.value_count = value_count;
-  ctx.total_vectors = (value_count + kVectorSize - 1) / kVectorSize;
-  ctx.rg_offsets.assign(1, 0);
-  Status s = ValidateRowgroupStructure<T>(chunk, chunk_size, ctx, 0);
-  if (!s.ok()) return s;
-
-  ColumnReader<T> reader;
-  reader.data_ = chunk;
-  reader.size_ = chunk_size;
-  reader.value_count_ = value_count;
-  reader.vector_count_ = ctx.total_vectors;
-  reader.version_ = kColumnFormatVersion;
-
-  RowgroupHeader rg_header;
-  std::memcpy(&rg_header, chunk, sizeof(rg_header));
-  RowgroupInfo info;
-  info.byte_offset = 0;
-  info.scheme = static_cast<Scheme>(rg_header.scheme);
-  info.vector_count = rg_header.vector_count;
-  info.first_vector = 0;
-  size_t index_at = sizeof(RowgroupHeader);
-  if (info.scheme == Scheme::kAlpRd) {
-    RdHeader rd_header;
-    std::memcpy(&rd_header, chunk + index_at, sizeof(rd_header));
-    info.rd.right_bits = rd_header.right_bits;
-    info.rd.dict_width = rd_header.dict_width;
-    info.rd.dict_size = rd_header.dict_size;
-    std::memcpy(info.rd.dict, rd_header.dict, sizeof(info.rd.dict));
-    RdDictShifted(info.rd, info.rd_dict_shifted);
-    index_at += sizeof(RdHeader);
-  }
-  info.vector_offsets.resize(rg_header.vector_count);
-  std::memcpy(info.vector_offsets.data(), chunk + index_at,
-              info.vector_offsets.size() * sizeof(uint32_t));
-  reader.rowgroups_.push_back(std::move(info));
-  reader.ok_ = true;
-  return reader;
-}
-
 namespace internal {
 
 template <typename T>
 StatusOr<size_t> ColumnIndexRegionSize(const uint8_t* header_bytes, size_t len) {
-  if (header_bytes == nullptr || len < sizeof(ColumnHeader)) {
-    return Status::Truncated("buffer smaller than the column header");
-  }
-  ColumnHeader header;
-  std::memcpy(&header, header_bytes, sizeof(header));
-  if (header.magic != kMagic) return Status::Corrupt("bad magic", 0);
-  if (header.version < kMinVersion || header.version > kVersion) {
-    return Status::UnsupportedVersion("unsupported format version",
-                                      offsetof(ColumnHeader, version));
-  }
-  if (header.type != TypeTag<T>()) {
-    return Status::Corrupt("value type tag mismatch",
-                           offsetof(ColumnHeader, type));
-  }
-  if (header.value_count > (uint64_t{1} << 62)) {
-    return Status::Corrupt("value count implausibly large",
-                           offsetof(ColumnHeader, value_count));
-  }
-  const size_t total_vectors =
-      (header.value_count + kVectorSize - 1) / kVectorSize;
-  const size_t expected_rowgroups = std::max<size_t>(
-      (total_vectors + kRowgroupVectors - 1) / kRowgroupVectors, 1);
-  if (header.rowgroup_count != expected_rowgroups) {
-    return Status::Corrupt("rowgroup count inconsistent with value count",
-                           offsetof(ColumnHeader, rowgroup_count));
-  }
-  return ComputeIndexLayout(header.version, header.rowgroup_count,
-                            total_vectors)
-      .payload_begin;
+  StatusOr<IndexLayout> layout = ParseColumnHeader<T>(header_bytes, len);
+  if (!layout.ok()) return layout.status();
+  return layout->payload_begin;
 }
 
 template <typename T>
 StatusOr<ColumnIndex> ParseColumnIndex(const uint8_t* region,
                                        size_t region_size, uint64_t file_size) {
-  StatusOr<size_t> need = ColumnIndexRegionSize<T>(region, region_size);
-  if (!need.ok()) return need.status();
-  if (*need > region_size || region_size > file_size) {
+  StatusOr<IndexLayout> parsed = ParseColumnHeader<T>(region, region_size);
+  if (!parsed.ok()) return parsed.status();
+  const IndexLayout& layout = *parsed;
+  if (layout.payload_begin > region_size || region_size > file_size) {
     return Status::Truncated("truncated index sections", sizeof(ColumnHeader));
   }
-  // ValidateHeaderAndIndex only dereferences bytes below payload_begin
-  // (all present in the region); the full file size bounds the rowgroup
-  // offsets exactly as it would for an in-memory buffer.
-  ValidationContext ctx;
-  Status s = ValidateHeaderAndIndex<T>(region, file_size, &ctx);
+  // Only bytes below payload_begin (all present in the region) are read;
+  // the full file size bounds the rowgroup offsets exactly as it would for
+  // an in-memory buffer.
+  ColumnIndex index;
+  Status s = ParseRowgroupIndex(region, file_size, layout, /*verify_checksum=*/true,
+                                &index.rowgroup_offsets);
   if (!s.ok()) return s;
-  s = ValidateZoneMap(region, ctx);
+  s = ValidateZoneMap(region, layout);
   if (!s.ok()) return s;
 
-  ColumnIndex index;
-  index.version = ctx.header.version;
-  index.value_count = ctx.header.value_count;
-  index.total_vectors = ctx.total_vectors;
-  index.payload_begin = ctx.layout.payload_begin;
-  index.rowgroup_offsets = std::move(ctx.rg_offsets);
-  if (ctx.header.version >= 3) {
+  index.version = layout.version;
+  index.value_count = layout.value_count;
+  index.total_vectors = layout.total_vectors;
+  index.payload_begin = layout.payload_begin;
+  if (layout.version >= 3) {
     index.rowgroup_checksums.resize(index.rowgroup_offsets.size());
-    std::memcpy(index.rowgroup_checksums.data(),
-                region + ctx.layout.checksums_at,
+    std::memcpy(index.rowgroup_checksums.data(), region + layout.checksums_at,
                 index.rowgroup_checksums.size() * sizeof(uint64_t));
   }
-  index.stats.resize(ctx.total_vectors);
-  std::memcpy(index.stats.data(), region + ctx.layout.stats_at,
-              index.stats.size() * sizeof(VectorStats));
+  index.stats.resize(layout.total_vectors);
+  if (!index.stats.empty()) {
+    std::memcpy(index.stats.data(), region + layout.stats_at,
+                index.stats.size() * sizeof(VectorStats));
+  }
   return index;
 }
 
@@ -1388,23 +1094,20 @@ StatusOr<ColumnMetaCursor<T>> ColumnMetaCursor<T>::Open(const uint8_t* data,
   if (!reader.ok()) return reader.status();
   ColumnMetaCursor<T> cursor(std::move(reader).value());
 
-  // Belt and braces for the byte accounting: the validator guarantees every
+  // Belt and braces for the byte accounting: the parser guarantees every
   // read stays in bounds, but the accounting additionally needs the
   // rowgroups to tile the payload region — first rowgroup right after the
   // index sections, offsets ascending. A buffer that passes validation yet
   // breaks the tiling would silently unbalance the explain report, so it is
   // rejected here instead.
   const ColumnReader<T>& r = cursor.reader_;
-  const IndexLayout layout = ComputeIndexLayout(
-      r.version_, static_cast<uint32_t>(r.rowgroups_.size()), r.vector_count_);
-  if (!r.rowgroups_.empty() &&
-      r.rowgroups_.front().byte_offset != layout.payload_begin) {
+  const size_t payload_begin = ParseColumnHeader<T>(data, size)->payload_begin;
+  if (!r.rowgroups_.empty() && r.rowgroups_.front().byte_offset != payload_begin) {
     return Status::Corrupt("first rowgroup does not start at payload begin",
                            r.rowgroups_.front().byte_offset);
   }
-  if (r.rowgroups_.empty() && layout.payload_begin != size) {
-    return Status::Corrupt("empty column with trailing bytes",
-                           layout.payload_begin);
+  if (r.rowgroups_.empty() && payload_begin != size) {
+    return Status::Corrupt("empty column with trailing bytes", payload_begin);
   }
   for (size_t rg = 0; rg + 1 < r.rowgroups_.size(); ++rg) {
     if (r.rowgroups_[rg + 1].byte_offset <= r.rowgroups_[rg].byte_offset) {
@@ -1477,7 +1180,6 @@ StatusOr<RowgroupMeta> ColumnMetaCursor<T>::Rowgroup(size_t rg) const {
 
 template <typename T>
 StatusOr<VectorMeta> ColumnMetaCursor<T>::Vector(size_t v) const {
-  using Uint = typename AlpTraits<T>::Uint;
   if (v >= reader_.vector_count_) {
     return Status::Corrupt("vector index out of range");
   }
@@ -1493,49 +1195,30 @@ StatusOr<VectorMeta> ColumnMetaCursor<T>::Vector(size_t v) const {
     return Status::Corrupt("vector offsets not ascending within rowgroup",
                            info.byte_offset + vec_off);
   }
+  typename ColumnReader<T>::VectorView view;
+  Status s = reader_.ParseVector(info, local_v, &view);
+  if (!s.ok()) return s;
 
   VectorMeta meta;
   meta.index = v;
   meta.rowgroup = rg;
   meta.scheme = info.scheme;
-  meta.n = reader_.VectorLength(v);
-  meta.byte_offset = info.byte_offset + vec_off;
+  meta.n = view.n;
+  meta.byte_offset = view.at;
   meta.byte_extent = vec_end - vec_off;
-
-  ByteReader reader(reader_.data_, reader_.size_);
-  reader.SeekTo(meta.byte_offset);
-  if (info.scheme == Scheme::kAlpRd) {
-    const auto header = reader.Read<RdVectorHeader>();
-    if (reader.failed()) {
-      return Status::Corrupt("vector header out of bounds", meta.byte_offset);
-    }
-    meta.bit_width = static_cast<unsigned>(info.rd.right_bits) + info.rd.dict_width;
-    meta.exc_count = header.exc_count;
-    meta.header_bytes = sizeof(RdVectorHeader);
-    meta.packed_bytes = static_cast<size_t>(meta.bit_width) *
-                        fastlanes::kLanes<Uint> * sizeof(Uint);
-    // Exception left parts (u16) + positions (u16).
-    meta.exception_bytes = static_cast<size_t>(header.exc_count) * 4;
-  } else {
-    const auto header = reader.Read<AlpVectorHeader>();
-    if (reader.failed()) {
-      return Status::Corrupt("vector header out of bounds", meta.byte_offset);
-    }
-    meta.e = header.e;
-    meta.f = header.f;
-    meta.int_encoding = header.int_encoding;
-    meta.base = header.base;
-    meta.bit_width = header.width;
-    meta.exc_count = header.exc_count;
-    meta.header_bytes = sizeof(AlpVectorHeader);
-    meta.packed_bytes = static_cast<size_t>(header.width) *
-                        fastlanes::kLanes<Uint> * sizeof(Uint);
-    // Exception value bits (sizeof(T)) + positions (u16).
-    meta.exception_bytes =
-        static_cast<size_t>(header.exc_count) * (sizeof(T) + 2);
+  if (info.scheme == Scheme::kAlp) {
+    meta.e = view.c.e;
+    meta.f = view.c.f;
+    meta.int_encoding = view.int_encoding;
+    meta.base = view.base;
   }
+  meta.bit_width = view.width;
+  meta.exc_count = view.exc_count;
+  meta.header_bytes = view.packed_at - view.at;
+  meta.packed_bytes = view.exc_at - view.packed_at;
+  meta.exception_bytes = view.end - view.exc_at;  // Values + positions.
 
-  const size_t used = meta.header_bytes + meta.packed_bytes + meta.exception_bytes;
+  const size_t used = view.end - view.at;
   if (used > meta.byte_extent) {
     return Status::Corrupt("vector streams overrun vector extent",
                            meta.byte_offset);
@@ -1554,19 +1237,14 @@ template <typename T>
 Status ColumnMetaCursor<T>::ReadExceptionPositions(
     const VectorMeta& vm, std::vector<uint16_t>* out) const {
   out->clear();
-  if (vm.exc_count == 0) return Status::Ok();
-  // Positions are the trailing stream of the exception section.
-  const size_t positions_at = vm.byte_offset + vm.header_bytes +
-                              vm.packed_bytes + vm.exception_bytes -
-                              static_cast<size_t>(vm.exc_count) * 2;
-  ByteReader reader(reader_.data_, reader_.size_);
-  reader.SeekTo(positions_at);
-  out->resize(vm.exc_count);
-  reader.ReadArray(out->data(), out->size());
-  if (reader.failed()) {
-    out->clear();
-    return Status::Corrupt("exception positions out of bounds", positions_at);
+  if (vm.index >= reader_.vector_count_) {
+    return Status::Corrupt("vector index out of range");
   }
+  const auto& info = reader_.rowgroups_[vm.index / kRowgroupVectors];
+  typename ColumnReader<T>::VectorView view;
+  Status s = reader_.ParseVector(info, vm.index - info.first_vector, &view);
+  if (!s.ok()) return s;
+  out->assign(view.positions, view.positions + view.exc_count);
   return Status::Ok();
 }
 

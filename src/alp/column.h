@@ -32,14 +32,15 @@
 ///   RD vector:  {exc_count, n} | packed right parts | packed left codes
 ///               | exception lefts | exception positions
 ///
-/// Untrusted input: buffers come from disk and the network, so the
-/// container offers two tiers of reading. The fallible tier —
-/// ColumnReader<T>::Open + TryDecodeVector/TryDecodeAll — validates
-/// structure and (v3) XXH64 checksums up front, never reads out of bounds
-/// even on adversarial bytes, and reports failures as a typed alp::Status.
-/// The trusted tier (constructor + DecodeVector/DecodeAll) skips per-vector
-/// re-validation for speed and is only for buffers this process produced or
-/// that already passed validation.
+/// Untrusted input: buffers come from disk and the network, so every read
+/// goes through one bounds-checked parser (ParseColumnHeader, ParseRowgroup
+/// and ParseVector in column.cc) and one decode body per scheme. There are
+/// two entry points into that parser. The constructor parses the header and
+/// every rowgroup's index; ColumnReader<T>::Open additionally verifies the
+/// (v3) XXH64 checksums, the zone map and every vector up front. Either way
+/// no read leaves the buffer, even on adversarial bytes: DecodeVector and
+/// DecodeAll run the same checked body as TryDecodeVector/TryDecodeAll and
+/// only differ in dropping the typed alp::Status.
 ///
 /// Parallelism: rowgroups are fully independent on both sides of the
 /// pipeline, so CompressColumnParallel, ColumnReader::OpenParallel (parallel
@@ -121,14 +122,41 @@ std::vector<uint8_t> CompressColumnParallel(const T* data, size_t n,
 inline constexpr uint8_t kColumnFormatVersion = 3;     ///< v3: checksums.
 inline constexpr uint8_t kColumnFormatMinVersion = 2;  ///< v2: zone maps.
 
+/// Full structural validation of a compressed column buffer: magic,
+/// version, type tag, index bounds, zone-map sanity, per-vector header
+/// invariants and exception positions — plus XXH64 checksum verification
+/// for v3 buffers (kChecksumMismatch on a flipped bit; skipped for v2).
+/// Never reads past \p size, never crashes on adversarial input. A non-null
+/// \p ctx is polled between phases and per rowgroup, so validation of a
+/// large column stops mid-flight on cancellation / deadline expiry.
+template <typename T>
+Status ValidateColumnEx(const uint8_t* data, size_t size,
+                        const OpContext* ctx = nullptr);
+
+/// ValidateColumnEx with the per-rowgroup work (checksum verification, then
+/// structural walk) fanned out over \p pool. Same accept/reject decisions
+/// and same Status as the serial validator: when several rowgroups are bad
+/// the lowest-indexed rowgroup's failure is reported, per verification
+/// phase. A null \p pool degenerates to the serial validator.
+template <typename T>
+Status ValidateColumnParallelEx(const uint8_t* data, size_t size,
+                                ThreadPool* pool = &ThreadPool::Shared(),
+                                const OpContext* ctx = nullptr);
+
+/// Boolean convenience wrapper around ValidateColumnEx (the pre-Status
+/// API); \p reason receives the Status message on failure.
+template <typename T>
+bool ValidateColumn(const uint8_t* data, size_t size, std::string* reason = nullptr);
+
 /// Random-access reader over a compressed column buffer.
 template <typename T>
 class ColumnReader {
  public:
-  /// Fallible entry point for untrusted buffers: structural validation
-  /// (ValidateColumnEx) plus, for v3 buffers, header and rowgroup checksum
-  /// verification, then index parsing. v2 buffers are accepted with
-  /// checksum verification skipped. The buffer must outlive the reader.
+  /// Fallible entry point for untrusted buffers: the constructor's parse
+  /// plus, for v3 buffers, header and rowgroup checksum verification, then
+  /// zone-map sanity and a ParseVector check of every vector — exactly what
+  /// ValidateColumnEx accepts. v2 buffers are accepted with checksum
+  /// verification skipped. The buffer must outlive the reader.
   static StatusOr<ColumnReader<T>> Open(const uint8_t* data, size_t size);
 
   /// Open with the rowgroup checksum + structure verification fanned out
@@ -138,17 +166,18 @@ class ColumnReader {
   static StatusOr<ColumnReader<T>> OpenParallel(const uint8_t* data, size_t size,
                                                 ThreadPool* pool = &ThreadPool::Shared());
 
-  /// Parses the header and indexes without validation; only for trusted
-  /// buffers (ones this process produced or that already passed
-  /// ValidateColumnEx). On a recognizably foreign buffer the reader comes
-  /// up empty (ok() == false) instead of crashing.
+  /// Parses the column header, the rowgroup offset index and every
+  /// rowgroup's header and vector offset index through the same checked
+  /// parser as Open, but runs no checksum pass and leaves each vector's
+  /// checks to its decode. On a buffer the parser rejects the reader comes
+  /// up empty, ok() is false, and the Try* calls return the parse Status.
   ColumnReader(const uint8_t* data, size_t size);
 
   /// Opens one standalone rowgroup payload chunk — the bytes between two
   /// consecutive rowgroup offsets of a column file — as a single-rowgroup
   /// reader whose vectors are chunk-locally indexed from 0. Runs the same
-  /// structural walk ValidateColumnEx applies per rowgroup (scheme, vector
-  /// counts, ALP_rd parameters, offset index, per-vector extents and
+  /// ParseRowgroup + ParseVector walk Open applies per rowgroup (scheme,
+  /// vector counts, ALP_rd parameters, offset index, per-vector extents and
   /// exception positions), with Status offsets relative to the chunk.
   /// \p value_count is the logical values the rowgroup must hold (from the
   /// column header; at most kRowgroupSize). The chunk must outlive the
@@ -160,7 +189,7 @@ class ColumnReader {
                                                      uint64_t value_count);
 
   /// Whether header/index parsing succeeded.
-  bool ok() const { return ok_; }
+  bool ok() const { return status_.ok(); }
 
   /// Format version of the parsed buffer (2 or 3).
   uint8_t format_version() const { return version_; }
@@ -187,8 +216,9 @@ class ColumnReader {
   }
 
   /// Exceptions patched into vector \p v's decode, read from its header
-  /// without decoding any values (out of range or truncated headers read
-  /// as 0). Feeds the flight recorder's decode.exceptions counter.
+  /// without decoding any values (out of range indexes and vectors the
+  /// parser rejects read as 0). Feeds the flight recorder's
+  /// decode.exceptions counter.
   uint16_t VectorExceptionCount(size_t v) const;
 
   /// Zero-copy view of one ALP+FFOR vector's compressed streams, for
@@ -196,7 +226,8 @@ class ColumnReader {
   /// lane words, the frame parameters, the (e, f) combination and the
   /// exception value/position arrays, all pointing into the column buffer.
   /// Exception lane slots hold placeholder integers — any consumer must
-  /// resolve those positions from `exc_bits` instead.
+  /// resolve those positions from `exc_bits` instead. Every view has passed
+  /// ParseVector, so each exception position is < n.
   struct PackedVectorView {
     const typename AlpTraits<T>::Uint* packed = nullptr;
     const typename AlpTraits<T>::Uint* exc_bits = nullptr;
@@ -209,27 +240,29 @@ class ColumnReader {
 
   /// Fills \p view for vector \p v. Returns false — meaning the caller
   /// must decode-then-filter — for ALP_rd rowgroups, Delta-encoded
-  /// vectors, invalid (e, f) headers, and any extent that would leave the
-  /// buffer (so it is safe on chunk readers too).
+  /// vectors, and any vector ParseVector rejects (so it is safe on chunk
+  /// readers and unvalidated buffers too).
   bool GetPackedVectorView(size_t v, PackedVectorView* view) const;
 
-  /// Decodes vector \p v into \p out (room for VectorLength(v) values).
-  /// Trusted path: no per-vector re-validation.
+  /// Decodes vector \p v into \p out (room for VectorLength(v) values)
+  /// through the same checked body as TryDecodeVector, dropping the Status:
+  /// a vector the parser rejects leaves \p out unwritten.
   void DecodeVector(size_t v, T* out) const;
 
-  /// Decodes the whole column into \p out (room for value_count() values).
-  /// Trusted path: no per-vector re-validation.
+  /// Decodes the whole column into \p out (room for value_count() values),
+  /// one DecodeVector per vector.
   void DecodeAll(T* out) const;
 
-  /// Bounds-checked decode of vector \p v: every length and offset is
-  /// verified against the buffer extent before it is dereferenced, so a
-  /// truncated or garbled vector yields a non-OK Status instead of an
-  /// out-of-bounds access — even on buffers that never passed validation.
+  /// Bounds-checked decode of vector \p v: ParseVector verifies every
+  /// header field, stream extent and exception position before one byte
+  /// is decoded, so a truncated or garbled vector yields a non-OK Status
+  /// instead of an out-of-bounds access — even on buffers that never passed
+  /// validation. Full vectors decode straight into \p out.
   /// A non-null \p ctx is checked on entry (kCancelled/kDeadlineExceeded).
   Status TryDecodeVector(size_t v, T* out, const OpContext* ctx = nullptr) const;
 
-  /// Bounds-checked decode of the whole column (room for value_count()).
-  /// A non-null \p ctx is polled once per vector, so a cancelled or
+  /// Bounds-checked decode of the whole column (room for value_count()),
+  /// each vector decoded in place. A non-null \p ctx is polled once per vector, so a cancelled or
   /// deadline-missed decode stops within one vector's worth of work; \p out
   /// must then be treated as garbage (see util/cancellation.h).
   Status TryDecodeAll(T* out, const OpContext* ctx = nullptr) const;
@@ -246,8 +279,11 @@ class ColumnReader {
  private:
   template <typename U>
   friend class ColumnMetaCursor;
+  template <typename U>
+  friend Status ValidateColumnParallelEx(const uint8_t*, size_t, ThreadPool*,
+                                         const OpContext*);
 
-  ColumnReader() = default;  ///< Empty reader, filled by OpenRowgroupChunk.
+  ColumnReader() = default;  ///< Empty reader, filled by Load/OpenRowgroupChunk.
 
   struct RowgroupInfo {
     size_t byte_offset = 0;          ///< Absolute offset in the buffer.
@@ -261,19 +297,28 @@ class ColumnReader {
     uint32_t vector_count = 0;
   };
 
-  void DecodeAlpVector(const RowgroupInfo& rg, size_t local_v, T* out) const;
-  void DecodeRdVector(const RowgroupInfo& rg, size_t local_v, T* out) const;
-  Status TryDecodeAlpVector(const RowgroupInfo& rg, size_t local_v,
-                            unsigned expect_n, T* out) const;
-  Status TryDecodeRdVector(const RowgroupInfo& rg, size_t local_v,
-                           unsigned expect_n, T* out) const;
+  /// Header fields and stream locations of one vector that passed
+  /// ParseVector (defined in column.cc).
+  struct VectorView;
+
+  // The one parser (column.cc). Load reads the column header, the rowgroup
+  // offset index and every rowgroup; with \p verify it also checks the v3
+  // checksums, the zone map and every vector — the whole of ValidateColumnEx.
+  Status Load(const uint8_t* data, size_t size, bool verify, ThreadPool* pool,
+              const OpContext* ctx);
+  /// Parses the rowgroup at \p offset into rowgroups_[rg]; with \p walk
+  /// also runs ParseVector over each of its vectors.
+  Status ParseRowgroup(size_t rg, size_t offset, bool walk);
+  Status ParseVector(const RowgroupInfo& rg, size_t local_v, VectorView* view) const;
+  /// The decode body every Decode*/TryDecode* call ends in.
+  Status DecodeChecked(size_t v, T* out) const;
 
   const uint8_t* data_ = nullptr;
   size_t size_ = 0;
   size_t value_count_ = 0;
   size_t vector_count_ = 0;
   uint8_t version_ = 0;
-  bool ok_ = false;
+  Status status_ = Status::Corrupt("column reader not initialized");
   std::vector<RowgroupInfo> rowgroups_;
   std::vector<VectorStats> stats_;
 };
@@ -338,9 +383,9 @@ struct RowgroupMeta {
 /// This is the substrate of the X-Ray explain engine (src/obs/xray.h) —
 /// everything `alp_cli explain` prints comes through here.
 ///
-/// Open validates the buffer first (ValidateColumnEx, including v3
-/// checksums), then walks trusted headers; the cursor additionally
-/// cross-checks each vector's declared streams against its extent so the
+/// Open is ColumnReader::Open (every check of ValidateColumnEx, including
+/// v3 checksums); Vector reads each header through the same ParseVector and
+/// additionally cross-checks its streams against the vector's extent so the
 /// per-stream byte accounting always sums exactly, or Open/Vector report
 /// kCorrupt. The buffer must outlive the cursor.
 template <typename T>
@@ -386,32 +431,6 @@ class ColumnMetaCursor {
 
   ColumnReader<T> reader_;
 };
-
-/// Full structural validation of a compressed column buffer: magic,
-/// version, type tag, index bounds, zone-map sanity, per-vector header
-/// invariants and exception positions — plus XXH64 checksum verification
-/// for v3 buffers (kChecksumMismatch on a flipped bit; skipped for v2).
-/// Never reads past \p size, never crashes on adversarial input. A non-null
-/// \p ctx is polled between phases and per rowgroup, so validation of a
-/// large column stops mid-flight on cancellation / deadline expiry.
-template <typename T>
-Status ValidateColumnEx(const uint8_t* data, size_t size,
-                        const OpContext* ctx = nullptr);
-
-/// ValidateColumnEx with the per-rowgroup work (checksum verification, then
-/// structural walk) fanned out over \p pool. Same accept/reject decisions
-/// and same Status as the serial validator: when several rowgroups are bad
-/// the lowest-indexed rowgroup's failure is reported, per verification
-/// phase. A null \p pool degenerates to the serial validator.
-template <typename T>
-Status ValidateColumnParallelEx(const uint8_t* data, size_t size,
-                                ThreadPool* pool = &ThreadPool::Shared(),
-                                const OpContext* ctx = nullptr);
-
-/// Boolean convenience wrapper around ValidateColumnEx (the pre-Status
-/// API); \p reason receives the Status message on failure.
-template <typename T>
-bool ValidateColumn(const uint8_t* data, size_t size, std::string* reason = nullptr);
 
 /// Convenience one-shot decompression.
 template <typename T>

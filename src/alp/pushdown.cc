@@ -116,8 +116,8 @@ bool ZoneFullInside(const VectorStats& stats, const Predicate& pred) {
 bool CanSumWholeVector(const ColumnReader<double>& reader, size_t v,
                        const Predicate& pred) {
   if (reader.VectorScheme(v) != Scheme::kAlp) return false;
-  if (reader.VectorExceptionCount(v) != 0) return false;
   if (!ZoneFullInside(reader.Stats(v), pred)) return false;
+  if (reader.VectorExceptionCount(v) != 0) return false;
   NoteFullInsideVector();
   return true;
 }

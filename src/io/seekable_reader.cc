@@ -444,8 +444,8 @@ Status SeekableReader<T>::FilterSumRowgroup(size_t rg,
       // qualifies (valid only for ALP vectors with zero exceptions — see
       // pushdown::ZoneFullInside); decode and sum without the predicate.
       if (chunk_reader->VectorScheme(lv) == Scheme::kAlp &&
-          chunk_reader->VectorExceptionCount(lv) == 0 &&
-          pushdown::ZoneFullInside(index_.stats[v], pred.pred())) {
+          pushdown::ZoneFullInside(index_.stats[v], pred.pred()) &&
+          chunk_reader->VectorExceptionCount(lv) == 0) {
         ++counters->full_inside;
         pushdown::NoteFullInsideVector();
         Status ds = chunk_reader->TryDecodeVector(lv, scratch.values, ctx);
@@ -454,8 +454,8 @@ Status SeekableReader<T>::FilterSumRowgroup(size_t rg,
         continue;
       }
       // Packed-lane evaluation (or per-vector decode-then-filter fallback)
-      // inside the verified chunk. The chunk passed OpenRowgroupChunk's
-      // structural walk, so the trusted per-vector paths are safe here.
+      // inside the verified chunk, through the same checked per-vector
+      // parser OpenRowgroupChunk already walked.
       pushdown::FilterSumVector(*chunk_reader, lv, pred, &scratch, sum,
                                 counters);
     }

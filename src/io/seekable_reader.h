@@ -31,8 +31,9 @@
 ///
 /// Chunk lifecycle (DESIGN.md "Out-of-core reads"):
 ///   fetch (ReadAt)  →  verify (XXH64 vs the indexed checksum, v3)
-///     →  open (ColumnReader::OpenRowgroupChunk: full structural walk)
-///     →  decode (the same bounds-checked TryDecodeVector as in-memory)
+///     →  open (ColumnReader::OpenRowgroupChunk: the ParseRowgroup +
+///              ParseVector walk that ColumnReader::Open runs per rowgroup)
+///     →  decode (TryDecodeVector: the one checked decode body)
 ///     →  publish (decoded vectors inserted into the DecodedVectorCache)
 /// A failure at any stage aborts before the next one, so nothing
 /// unverified is ever decoded and nothing undecoded is ever cached —

@@ -422,6 +422,169 @@ TEST(ColumnMutation, PureGarbageNeverCrashes) {
 }
 
 // ---------------------------------------------------------------------------
+// One parser behind every entry point.
+
+uint64_t RowgroupOffset(const std::vector<uint8_t>& buffer, size_t rg) {
+  uint64_t offset = 0;
+  std::memcpy(&offset, buffer.data() + 24 + rg * sizeof(uint64_t), sizeof(offset));
+  return offset;
+}
+
+TEST(ColumnConstructor, RowgroupShortOfItsVectorsComesUpNotOk) {
+  // A rowgroup that declares fewer vectors than the value count gives it
+  // would leave vector 1 without an offset-index entry. The constructor
+  // runs no checksum pass, so v3 and v2 buffers both reach the parser.
+  const std::vector<uint8_t> v3 = testutil::MakeCorpus(
+      "two_vectors", testutil::DecimalData(505, 2 * kVectorSize)).buffer;
+  for (std::vector<uint8_t> buffer : {v3, StripToV2(v3)}) {
+    SCOPED_TRACE(testing::Message() << "version " << int{buffer[kVersionByte]});
+    const uint32_t one = 1;
+    const uint64_t rg_at = RowgroupOffset(buffer, 0);
+    std::memcpy(buffer.data() + rg_at + 4, &one, sizeof(one));
+
+    ColumnReader<double> reader(buffer.data(), buffer.size());
+    EXPECT_FALSE(reader.ok());
+    EXPECT_EQ(reader.vector_count(), 0u);
+    ColumnReader<double>::PackedVectorView view;
+    EXPECT_FALSE(reader.GetPackedVectorView(1, &view));
+    EXPECT_EQ(reader.VectorExceptionCount(1), 0u);
+    std::vector<double> out(kVectorSize, 7.0);
+    reader.DecodeVector(1, out.data());  // A no-op, not an overread.
+    EXPECT_EQ(out[0], 7.0);
+
+    const Status s = reader.TryDecodeVector(1, out.data());
+    EXPECT_EQ(s.code(), StatusCode::kCorrupt);
+    EXPECT_EQ(s.offset(), rg_at);
+    if (buffer[kVersionByte] == 2) {
+      const Status open =
+          ColumnReader<double>::Open(buffer.data(), buffer.size()).status();
+      EXPECT_EQ(open.code(), s.code());
+      EXPECT_EQ(open.offset(), s.offset());
+    }
+  }
+}
+
+/// Outcome of one entry point on a mutated buffer, offsets made absolute.
+struct EntryOutcome {
+  StatusCode code;
+  uint64_t offset;
+};
+
+EntryOutcome Absolute(const Status& s, uint64_t base = 0) {
+  return {s.code(), s.offset() == Status::kNoOffset ? s.offset() : s.offset() + base};
+}
+
+/// Runs every entry point of the column parser on \p buffer and asserts
+/// they all reject it with the same code and (absolute) offset: Open, the
+/// metadata cursor, OpenRowgroupChunk on the rowgroup's bytes, and
+/// TryDecodeVector on a constructor-built reader. The packed view must
+/// refuse the vector too.
+void ExpectParserParity(const std::vector<uint8_t>& buffer, size_t rg, size_t v) {
+  const EntryOutcome open =
+      Absolute(ColumnReader<double>::Open(buffer.data(), buffer.size()).status());
+  ASSERT_NE(open.code, StatusCode::kOk);
+
+  const EntryOutcome cursor = Absolute(
+      ColumnMetaCursor<double>::Open(buffer.data(), buffer.size()).status());
+
+  uint64_t value_count = 0;
+  std::memcpy(&value_count, buffer.data() + 8, sizeof(value_count));
+  uint32_t rowgroups = 0;
+  std::memcpy(&rowgroups, buffer.data() + 16, sizeof(rowgroups));
+  const uint64_t rg_at = RowgroupOffset(buffer, rg);
+  const uint64_t rg_end = rg + 1 < rowgroups ? RowgroupOffset(buffer, rg + 1)
+                                             : buffer.size();
+  const std::vector<uint8_t> chunk(buffer.begin() + rg_at, buffer.begin() + rg_end);
+  const uint64_t rg_values =
+      std::min<uint64_t>(kRowgroupSize, value_count - rg * kRowgroupSize);
+  const EntryOutcome opened_chunk = Absolute(
+      ColumnReader<double>::OpenRowgroupChunk(chunk.data(), chunk.size(), rg_values)
+          .status(),
+      rg_at);
+
+  ColumnReader<double> trusted(buffer.data(), buffer.size());
+  std::vector<double> out(kVectorSize);
+  const EntryOutcome decoded = Absolute(trusted.TryDecodeVector(v, out.data()));
+  ColumnReader<double>::PackedVectorView view;
+  EXPECT_FALSE(trusted.GetPackedVectorView(v, &view));
+
+  for (const EntryOutcome& other : {cursor, opened_chunk, decoded}) {
+    EXPECT_EQ(other.code, open.code);
+    EXPECT_EQ(other.offset, open.offset);
+  }
+}
+
+TEST(ColumnParserParity, FieldMutationsAgreeAcrossEntryPoints) {
+  // v2 buffers, so the mutations get past the checksums and reach the
+  // parser. One field of one vector (or of its ALP_rd rowgroup) at a time,
+  // always set to a value the format forbids.
+  enum Field { kE, kF, kWidth, kIntEncoding, kExcCount, kN, kPosition,
+               kRightBits, kDictWidth };
+  const Corpus* corpora[] = {&AlpSmall(), &RdSmall(), &TwoRowgroups()};
+  std::mt19937_64 rng(2718);
+  size_t checked[kDictWidth + 1] = {};
+  for (const Corpus* corpus : corpora) {
+    SCOPED_TRACE(corpus->name);
+    const std::vector<uint8_t> v2 = StripToV2(corpus->buffer);
+    auto cursor = ColumnMetaCursor<double>::Open(v2.data(), v2.size());
+    ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+    for (int trial = 0; trial < 40; ++trial) {
+      const size_t v = rng() % cursor->vector_count();
+      const auto vm = cursor->Vector(v);
+      ASSERT_TRUE(vm.ok());
+      const auto rm = cursor->Rowgroup(vm->rowgroup);
+      ASSERT_TRUE(rm.ok());
+      std::vector<uint8_t> bad = v2;
+      const size_t at = vm->byte_offset;
+      const unsigned pick = static_cast<unsigned>(rng());
+      Field field;
+      if (vm->scheme == Scheme::kAlpRd) {
+        field = pick % 2 == 0 ? kRightBits : kDictWidth;
+        const size_t rd_at = rm->byte_offset + 8;
+        if (field == kRightBits) {
+          bad[rd_at] = rng() % 4 == 0 ? 47 : static_cast<uint8_t>(64 + rng() % 192);
+        } else {
+          bad[rd_at + 1] = static_cast<uint8_t>(4 + rng() % 252);
+        }
+      } else {
+        field = static_cast<Field>(pick % (vm->exc_count > 0 ? 7 : 6));
+        uint16_t u16 = 0;
+        switch (field) {
+          case kE: bad[at] = static_cast<uint8_t>(19 + rng() % 237); break;
+          case kF: bad[at + 1] = static_cast<uint8_t>(vm->e + 1 + rng() % (255 - vm->e)); break;
+          case kWidth: bad[at + 2] = static_cast<uint8_t>(65 + rng() % 191); break;
+          case kIntEncoding: bad[at + 3] = static_cast<uint8_t>(2 + rng() % 254); break;
+          case kExcCount:
+            u16 = static_cast<uint16_t>(vm->n + 1 + rng() % (65535 - vm->n));
+            std::memcpy(bad.data() + at + 4, &u16, sizeof(u16));
+            break;
+          case kN:
+            u16 = static_cast<uint16_t>(rng());
+            if (u16 == vm->n) u16 = static_cast<uint16_t>(vm->n + 1);
+            std::memcpy(bad.data() + at + 6, &u16, sizeof(u16));
+            break;
+          default: {
+            const size_t positions_at = at + vm->header_bytes + vm->packed_bytes +
+                                        vm->exception_bytes - vm->exc_count * 2u;
+            u16 = static_cast<uint16_t>(vm->n + rng() % (65536 - vm->n));
+            std::memcpy(bad.data() + positions_at + 2 * (rng() % vm->exc_count),
+                        &u16, sizeof(u16));
+            break;
+          }
+        }
+      }
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " vector " << v
+                                      << " field " << int{field});
+      ++checked[field];
+      ExpectParserParity(bad, vm->rowgroup, v);
+    }
+  }
+  for (int field = kE; field <= kDictWidth; ++field) {
+    EXPECT_GT(checked[field], 0u) << "field " << field << " never mutated";
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Per-codec hardening: every strict prefix, plus seeded bit flips.
 
 template <typename T>
