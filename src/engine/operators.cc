@@ -110,26 +110,42 @@ QueryResult RunScan(const StoredColumn& column, ThreadPool& pool,
 
 QueryResult RunSum(const StoredColumn& column, ThreadPool& pool,
                    const OpContext* ctx) {
-  const double* raw0 = column.RowgroupPointer(0);
-  if (raw0 != nullptr) {
-    // Uncompressed columns aggregate in place (no buffer-pool copy).
-    return RunParallel(column, pool, ctx,
-                       [&](size_t rg, double*, double* acc) {
-                         const double* data = column.RowgroupPointer(rg);
-                         const unsigned len = column.RowgroupLength(rg);
-                         double sum = 0.0;
-                         for (unsigned i = 0; i < len; ++i) sum += data[i];
-                         *acc += sum;
-                         return Status::Ok();
-                       });
+  const ColumnReader<double>* alp_reader = column.AlpReader();
+  if (alp_reader != nullptr && column.Seekable() == nullptr) {
+    // In-memory ALP/ALP_rd: decode one vector into the buffer's first
+    // kVectorSize slots and reduce it before decoding the next, so the sum
+    // reads 8 KB from L1 rather than a whole rowgroup buffer from L2.
+    return RunParallel(
+        column, pool, ctx, [&](size_t rg, double* buffer, double* acc) {
+          const size_t first_vector = rg * kRowgroupVectors;
+          const size_t vectors =
+              (column.RowgroupLength(rg) + kVectorSize - 1) / kVectorSize;
+          double sum = 0.0;
+          for (size_t v = first_vector; v < first_vector + vectors; ++v) {
+            alp_reader->DecodeVector(v, buffer);
+            sum += pushdown::StripedSumAll(buffer, alp_reader->VectorLength(v));
+          }
+          *acc += sum;
+          return Status::Ok();
+        });
   }
+  // Uncompressed columns sum in place (no buffer-pool copy); seekable and
+  // block-codec columns decode the rowgroup first. Either way the fold is
+  // the same per-vector striped sum as above.
   return RunParallel(
       column, pool, ctx, [&](size_t rg, double* buffer, double* acc) {
+        const double* data = column.RowgroupPointer(rg);
+        if (data == nullptr) {
+          Status s = column.TryDecodeRowgroup(rg, buffer, ctx);
+          if (!s.ok()) return s;
+          data = buffer;
+        }
         const unsigned len = column.RowgroupLength(rg);
-        Status s = column.TryDecodeRowgroup(rg, buffer, ctx);
-        if (!s.ok()) return s;
         double sum = 0.0;
-        for (unsigned i = 0; i < len; ++i) sum += buffer[i];
+        for (unsigned v0 = 0; v0 < len; v0 += kVectorSize) {
+          sum += pushdown::StripedSumAll(
+              data + v0, std::min<unsigned>(kVectorSize, len - v0));
+        }
         *acc += sum;
         return Status::Ok();
       });

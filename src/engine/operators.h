@@ -12,10 +12,11 @@
 /// \file operators.h
 /// The vectorized query operators of the end-to-end experiments (paper
 /// Section 4.3): SCAN decompresses every vector of a column; SUM pipes the
-/// scan vector-at-a-time into an aggregation. Both parallelize over
-/// rowgroup morsels claimed from a shared counter, and report elapsed
-/// cycles so the harness can compute the paper's tuples-per-cycle-per-core
-/// metric.
+/// scan vector-at-a-time into an aggregation (in-memory ALP columns decode
+/// one vector into L1 and reduce it before decoding the next). Both
+/// parallelize over rowgroup morsels claimed from a shared counter, and
+/// report elapsed cycles so the harness can compute the paper's
+/// tuples-per-cycle-per-core metric.
 
 namespace alp::engine {
 
@@ -65,7 +66,13 @@ struct QueryResult {
 QueryResult RunScan(const StoredColumn& column, ThreadPool& pool,
                     const OpContext* ctx = nullptr);
 
-/// SUM: scan + aggregate each vector into a per-thread accumulator.
+/// SUM: scan + aggregate. One definition for every storage kind: a
+/// vector's sum is pushdown::StripedSumAll (the FILTER-SUM oracle with
+/// every value selected), vector sums are added in index order into their
+/// rowgroup's partial, and each rowgroup partial is added into its worker's
+/// accumulator. On a 1-worker pool SUM of NaN-free data therefore equals,
+/// bit for bit and on any storage, FILTER-SUM over a range holding every
+/// value; and no vector pays a serial FP-add chain.
 QueryResult RunSum(const StoredColumn& column, ThreadPool& pool,
                    const OpContext* ctx = nullptr);
 

@@ -465,10 +465,8 @@ Response Server::ExecuteOnColumn(const Request& request,
           seekable->TryDecodeVector(request.vector_index, buffer, &ctx);
       if (!response.status.ok()) return response;
       const unsigned len = seekable->VectorLength(request.vector_index);
-      double sum = 0.0;
-      for (unsigned i = 0; i < len; ++i) sum += buffer[i];
       response.values.assign(buffer, buffer + len);
-      response.sum = sum;
+      response.sum = pushdown::StripedSumAll(buffer, len);
       response.tuples = len;
       return response;
     }
@@ -505,16 +503,23 @@ Response Server::ExecuteOnColumn(const Request& request,
         return response;
       }
       // Unfiltered SUM: streaming scan, polling ctx and the decode fault
-      // site per vector like the in-memory TryDecodeVector loop.
+      // site per vector like the in-memory TryDecodeVector loop. The fold
+      // is engine::RunSum's: each vector's striped sum goes into its
+      // rowgroup's partial, so the answer equals RunSum on one worker.
+      double rowgroup_sum = 0.0;
       response.status = seekable->Scan(
-          [&](size_t, const double* values, unsigned len) {
-            for (unsigned i = 0; i < len; ++i) sum += values[i];
+          [&](size_t v, const double* values, unsigned len) {
+            if (v % kRowgroupVectors == 0) {
+              sum += rowgroup_sum;
+              rowgroup_sum = 0.0;
+            }
+            rowgroup_sum += pushdown::StripedSumAll(values, len);
             tuples += len;
             return Status::Ok();
           },
           &ctx);
       if (!response.status.ok()) return response;
-      response.sum = sum;
+      response.sum = sum + rowgroup_sum;
       response.tuples = tuples;
       return response;
     }

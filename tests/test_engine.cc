@@ -4,13 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <initializer_list>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "data/datasets.h"
 #include "engine/operators.h"
+#include "util/bits.h"
 
 namespace alp::engine {
 namespace {
@@ -26,7 +30,8 @@ std::vector<double> TestData(size_t n) {
 
 double ExactSum(const std::vector<double>& data) {
   // The engine sums per rowgroup then across threads; summing per rowgroup
-  // here keeps float association comparable.
+  // here keeps float association close, though not bit for bit (SUM
+  // stripes each vector).
   double total = 0.0;
   for (size_t off = 0; off < data.size(); off += kRowgroupSize) {
     const size_t len = std::min<size_t>(kRowgroupSize, data.size() - off);
@@ -123,9 +128,60 @@ TEST(Operators, SumMatchesUncompressed) {
   for (const StoredColumn* column : {&uncompressed, &alp_col, &gorilla}) {
     const QueryResult result = RunSum(*column, pool);
     EXPECT_EQ(result.tuples, data.size()) << column->scheme();
-    // ALP decoding is bit-exact so the sum matches to rounding order only;
-    // per-rowgroup partials make it exactly comparable.
+    // ALP decoding is bit-exact so the sum differs from a serial sum by
+    // rounding order only.
     EXPECT_NEAR(result.sum, expected, std::abs(expected) * 1e-12) << column->scheme();
+  }
+
+  // On one worker the summation order is fixed, and it is the same for
+  // every storage kind: in place, vector-at-a-time, chunked or block codec.
+  auto seekable = StoredColumn::MakeAlp(data.data(), data.size());
+  ASSERT_TRUE(seekable.EnableSeekable(nullptr).ok());
+  ASSERT_NE(seekable.Seekable(), nullptr);
+  ThreadPool pool1(1);
+  const uint64_t bits = BitsOf(RunSum(uncompressed, pool1).sum);
+  for (const StoredColumn* column :
+       std::initializer_list<const StoredColumn*>{&alp_col, &seekable,
+                                                  &gorilla}) {
+    EXPECT_EQ(BitsOf(RunSum(*column, pool1).sum), bits) << column->scheme();
+  }
+}
+
+TEST(Operators, SumEqualsFilterSumOverFullRange) {
+  // SUM and FILTER-SUM share one summation order: a range holding every
+  // value selects every lane, so the striped survivor sums are SUM's.
+  const auto temp = data::Generate(*data::FindDataset("City-Temp"),
+                                   kRowgroupSize * 2 + 777);
+  const auto lat = data::Generate(*data::FindDataset("POI-lat"),
+                                  kRowgroupSize + 1500);
+  const auto uncompressed = StoredColumn::MakeUncompressed(temp);
+  const auto alp_col = StoredColumn::MakeAlp(temp.data(), temp.size());
+  const auto rd_col = StoredColumn::MakeAlp(lat.data(), lat.size());
+  auto seekable = StoredColumn::MakeAlp(temp.data(), temp.size());
+  ASSERT_TRUE(seekable.EnableSeekable(nullptr).ok());
+  ASSERT_EQ(rd_col.AlpReader()->VectorScheme(0), Scheme::kAlpRd);
+
+  ThreadPool pool(1);
+  const std::vector<std::pair<const StoredColumn*, const std::vector<double>*>>
+      cases = {{&uncompressed, &temp},
+               {&alp_col, &temp},
+               {&rd_col, &lat},
+               {&seekable, &temp}};
+  for (const auto& [column, values] : cases) {
+    double lo = (*values)[0];
+    double hi = lo;
+    for (double v : *values) {
+      ASSERT_FALSE(std::isnan(v));
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+    const QueryResult sum = RunSum(*column, pool);
+    const QueryResult filtered =
+        RunFilterSum(*column, Predicate::Between(lo, hi), pool);
+    ASSERT_TRUE(sum.status.ok() && filtered.status.ok());
+    EXPECT_EQ(BitsOf(sum.sum), BitsOf(filtered.sum))
+        << column->scheme() << (column->Seekable() ? " (seekable)" : "")
+        << ": sum=" << sum.sum << " filter-sum=" << filtered.sum;
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -15,9 +16,11 @@
 #include <vector>
 
 #include "alp/alp.h"
+#include "alp/pushdown.h"
 #include "engine/column_store.h"
 #include "engine/operators.h"
 #include "server/server.h"
+#include "util/bits.h"
 #include "util/cancellation.h"
 #include "util/fault_injection.h"
 #include "util/status.h"
@@ -52,6 +55,24 @@ std::vector<double> ServingData(size_t n) {
     v = static_cast<double>(d) / 100.0;
   }
   return data;
+}
+
+/// SUM's definition (engine/operators.h): each vector's striped sum, added
+/// in index order into its rowgroup's partial, the partials added in order.
+/// The server's unfiltered aggregate must return exactly these bits.
+double StripedSum(const std::vector<double>& values) {
+  double total = 0.0;
+  for (size_t rg = 0; rg < values.size(); rg += kRowgroupSize) {
+    const size_t rg_end = std::min(values.size(), rg + kRowgroupSize);
+    double partial = 0.0;
+    for (size_t v = rg; v < rg_end; v += kVectorSize) {
+      const size_t len = std::min<size_t>(kVectorSize, rg_end - v);
+      partial += pushdown::StripedSumAll(values.data() + v,
+                                         static_cast<unsigned>(len));
+    }
+    total += partial;
+  }
+  return total;
 }
 
 /// Completion accounting lands *after* a request's future resolves (the
@@ -344,6 +365,9 @@ TEST(Server, PointLookupReturnsTheExactVector) {
   EXPECT_EQ(std::memcmp(r.values.data(), values.data() + 3 * kVectorSize,
                         kVectorSize * sizeof(double)),
             0);
+  EXPECT_EQ(BitsOf(r.sum),
+            BitsOf(pushdown::StripedSumAll(values.data() + 3 * kVectorSize,
+                                           kVectorSize)));
 
   Request out_of_range;
   out_of_range.column = "col";
@@ -353,19 +377,25 @@ TEST(Server, PointLookupReturnsTheExactVector) {
             StatusCode::kNotFound);
 }
 
-TEST(Server, AggregateMatchesSerialSumAndUsesZoneMaps) {
-  const auto values = ServingData(2 * kRowgroupSize);
+TEST(Server, AggregateMatchesStripedSumAndUsesZoneMaps) {
+  const auto values = ServingData(2 * kRowgroupSize + 2 * kVectorSize);
   Server server({.workers = 2});
   ASSERT_TRUE(server.AddColumn("col", values.data(), values.size()).ok());
 
-  double expected = 0.0;
-  for (const double v : values) expected += v;
+  // Bit-exact against SUM's definition and against the engine's SUM on
+  // one worker, which folds in the same order.
+  const double expected = StripedSum(values);
+  ThreadPool pool(1);
+  const engine::StoredColumn column =
+      engine::StoredColumn::MakeAlp(values.data(), values.size());
+  EXPECT_EQ(BitsOf(engine::RunSum(column, pool).sum), BitsOf(expected));
   Request request;
   request.column = "col";
   request.query_class = QueryClass::kAggregate;
   const Response r = server.Execute(std::move(request));
   ASSERT_TRUE(r.status.ok());
-  EXPECT_DOUBLE_EQ(r.sum, expected);
+  EXPECT_EQ(BitsOf(r.sum), BitsOf(expected))
+      << "sum=" << r.sum << " expected=" << expected;
   EXPECT_EQ(r.tuples, values.size());
 
   // A filter that excludes every value must skip every vector via the zone
@@ -715,8 +745,7 @@ TEST(Server, StressMixedClassesManySubmittersTSanClean) {
   Server server({.workers = 4, .queue_capacity = 128, .tenant_quota = 64});
   ASSERT_TRUE(server.AddColumn("col", values.data(), values.size()).ok());
 
-  double expected_sum = 0.0;
-  for (const double v : values) expected_sum += v;
+  const double expected_sum = StripedSum(values);
 
   constexpr int kSubmitters = 4;
   constexpr int kPerThread = 50;
@@ -742,7 +771,7 @@ TEST(Server, StressMixedClassesManySubmittersTSanClean) {
         const Response r = server.Execute(std::move(request));
         if (r.status.ok()) {
           if (r.query_class == QueryClass::kAggregate &&
-              r.sum != expected_sum) {
+              BitsOf(r.sum) != BitsOf(expected_sum)) {
             bad.fetch_add(1);
           }
         } else if (r.status.code() != StatusCode::kCancelled &&
