@@ -87,15 +87,20 @@ Status StoredColumn::EnableSeekable(io::DecodedVectorCache* cache,
   return Status::Ok();
 }
 
-Status StoredColumn::TryDecodeRowgroup(size_t rg, double* out,
-                                       const OpContext* ctx) const {
-  if (seekable_ != nullptr) return seekable_->TryDecodeRowgroup(rg, out, ctx);
-  if (ctx != nullptr) {
-    Status s = ctx->Check();
-    if (!s.ok()) return s;
+VectorSource::VectorSource(const StoredColumn& column, const OpContext* ctx)
+    : column_(column),
+      reader_(column.Seekable() == nullptr ? column.AlpReader() : nullptr),
+      seekable_(column.Seekable()),
+      raw_(column.RowgroupPointer(0)),
+      ctx_(ctx) {}
+
+Status VectorSource::Materialize(size_t v, Vector* out) {
+  Status s = Values(v, out);
+  if (s.ok() && out->values != buffer_.data()) {
+    std::memcpy(buffer_.data(), out->values, out->len * sizeof(double));
+    out->values = buffer_.data();
   }
-  DecodeRowgroup(rg, out);
-  return Status::Ok();
+  return s;
 }
 
 }  // namespace alp::engine

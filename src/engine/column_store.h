@@ -1,15 +1,18 @@
 #ifndef ALP_ENGINE_COLUMN_STORE_H_
 #define ALP_ENGINE_COLUMN_STORE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "alp/column.h"
 #include "codecs/codec.h"
 #include "io/seekable_reader.h"
+#include "util/aligned_buffer.h"
 #include "util/cancellation.h"
 #include "util/status.h"
 
@@ -17,8 +20,8 @@
 /// Compressed column storage for the Tectorwise-style engine (Section 4.3):
 /// a column is stored uncompressed, as an ALP column, or as per-rowgroup
 /// blocks of any baseline codec, behind one scan-oriented interface that
-/// surfaces data one rowgroup at a time (the scan operator then feeds it
-/// vector-at-a-time to its consumer).
+/// surfaces data one rowgroup at a time, and VectorSource, the one
+/// vector-at-a-time reader every query operator consumes.
 
 namespace alp::engine {
 
@@ -72,14 +75,6 @@ class StoredColumn {
   /// fetch → verify → open → decode path and the shared cache.
   const io::SeekableReader<double>* Seekable() const { return seekable_.get(); }
 
-  /// Fallible rowgroup decode: seekable columns go through the chunked
-  /// reader (cache, checksum verify, io.chunk_read fault site) with \p ctx
-  /// polled per vector; others fall back to the trusted DecodeRowgroup after
-  /// one ctx poll. Engine operators use this so the same scan code serves
-  /// both in-memory and out-of-core columns.
-  Status TryDecodeRowgroup(size_t rg, double* out,
-                           const OpContext* ctx = nullptr) const;
-
  private:
   StoredColumn() = default;
 
@@ -98,6 +93,117 @@ class StoredColumn {
   // MemorySource points at alp_buffer_'s heap storage, which is stable
   // across moves of this StoredColumn (the class is move-only).
   std::shared_ptr<io::SeekableReader<double>> seekable_;
+};
+
+/// Per-worker, vector-at-a-time view of one StoredColumn: the one way the
+/// engine operators and the server's aggregates read a column, whatever
+/// its storage (in-memory ALP/ALP_rd, seekable ALP, Uncompressed, block
+/// codec). Not thread-safe: each worker builds its own. The per-vector
+/// calls are defined here so that in-memory vectors cost the operator loops
+/// no call and no Status round trip.
+class VectorSource {
+ public:
+  /// One vector: its values when they are already in memory (an
+  /// Uncompressed slice, a slice of a decoded codec block, a seekable cache
+  /// hit), otherwise the ColumnReader that owns it (the column's reader, or
+  /// a seekable rowgroup's verified chunk) and its index there, for packed
+  /// evaluation or Decode.
+  struct Vector {
+    const double* values = nullptr;
+    const ColumnReader<double>* reader = nullptr;
+    size_t local = 0;
+    unsigned len = 0;
+  };
+
+  /// \p ctx is polled once per fetched vector of a seekable column (other
+  /// storage does no I/O; the operators poll it per rowgroup morsel).
+  explicit VectorSource(const StoredColumn& column,
+                        const OpContext* ctx = nullptr);
+
+  size_t vector_count() const {
+    return (column_.value_count() + kVectorSize - 1) / kVectorSize;
+  }
+
+  /// Zone stats of vector \p v, from the ALP reader or the seekable index;
+  /// null for Uncompressed and block-codec columns (no zone map).
+  const VectorStats* Stats(size_t v) const {
+    if (seekable_ != nullptr) return &seekable_->Stats(v);
+    return reader_ != nullptr ? &reader_->Stats(v) : nullptr;
+  }
+
+  /// Starts vector \p v. A block-codec column decompresses v's rowgroup
+  /// into an 800 KB buffer on first touch; a seekable column walks the
+  /// rowgroup through one io::SeekableReader::RowgroupCursor (cache probe,
+  /// then chunk fetch, verify and open on the first miss). *out stays
+  /// valid until the next Fetch.
+  Status Fetch(size_t v, Vector* out) {
+    const size_t rg = v / kRowgroupVectors;
+    const size_t local = v % kRowgroupVectors;
+    *out = Vector{};
+    out->len = static_cast<unsigned>(
+        std::min<size_t>(kVectorSize, column_.value_count() - v * kVectorSize));
+    if (raw_ != nullptr) {
+      out->values = raw_ + v * kVectorSize;
+    } else if (reader_ != nullptr) {
+      out->reader = reader_;
+      out->local = v;
+    } else if (seekable_ != nullptr) {
+      if (rg != rg_) {
+        cursor_.emplace(*seekable_, rg, ctx_);
+        rg_ = rg;
+      }
+      Status s = cursor_->Fetch(v, &out->values);
+      if (!s.ok()) return s;
+      if (out->values == nullptr) {
+        out->reader = &cursor_->chunk();
+        out->local = local;
+      }
+    } else {
+      if (rg != rg_) {
+        if (block_.empty()) block_ = AlignedBuffer<double>(kRowgroupSize);
+        column_.DecodeRowgroup(rg, block_.data());
+        rg_ = rg;
+      }
+      out->values = block_.data() + local * kVectorSize;
+    }
+    return Status::Ok();
+  }
+
+  /// Decodes a fetched vector that is not in memory into this source's
+  /// 8 KB buffer and points out->values at it. A seekable miss is
+  /// published to the decoded-vector cache unless \p publish is false.
+  Status Decode(size_t v, Vector* out, bool publish = true) {
+    if (out->values != nullptr) return Status::Ok();
+    if (seekable_ != nullptr) {
+      Status s = cursor_->Decode(v, buffer_.data(), publish);
+      if (!s.ok()) return s;
+    } else {
+      out->reader->DecodeVector(out->local, buffer_.data());
+    }
+    out->values = buffer_.data();
+    return Status::Ok();
+  }
+
+  /// Fetch, then Decode when needed: vector \p v's values in memory.
+  Status Values(size_t v, Vector* out) {
+    Status s = Fetch(v, out);
+    return s.ok() ? Decode(v, out) : s;
+  }
+
+  /// Values, then copied into the 8 KB buffer if they are not there yet:
+  /// SCAN's hand-off, which models the buffer-pool read of in-memory data.
+  Status Materialize(size_t v, Vector* out);
+
+ private:
+  const StoredColumn& column_;
+  const ColumnReader<double>* reader_;  ///< In-memory ALP only.
+  const io::SeekableReader<double>* seekable_;
+  const double* raw_;
+  const OpContext* ctx_;
+  size_t rg_ = ~size_t{0};  ///< Rowgroup held by cursor_ or block_.
+  std::optional<io::SeekableReader<double>::RowgroupCursor> cursor_;
+  AlignedBuffer<double> block_;  ///< Block codecs: one decoded rowgroup.
+  AlignedBuffer<double> buffer_{kVectorSize};
 };
 
 }  // namespace alp::engine

@@ -2,24 +2,29 @@
 
 #include <atomic>
 #include <bit>
+#include <cstring>
 #include <limits>
 #include <mutex>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "alp/pushdown.h"
+#include "engine/table.h"
 #include "obs/flight_recorder.h"
-#include "util/aligned_buffer.h"
 #include "util/cycle_clock.h"
 #include "util/fault_injection.h"
 
 namespace alp::engine {
 namespace {
 
-/// Runs \p per_rowgroup over all rowgroups with morsel-driven parallelism
-/// and returns the per-thread double results summed together. The callback
-/// signature is Status(rg, buffer, acc): it adds its contribution to *acc
-/// and reports decode failures (the out-of-core path is fallible — chunk
-/// reads can hit I/O errors, checksum mismatches and fault sites).
+/// Runs \p per_rowgroup over all rowgroups of \p column with morsel-driven
+/// parallelism and returns the per-thread double results summed together.
+/// Each worker builds its own state with \p make_worker (a VectorSource or
+/// several); the callback signature is Status(state, rg, acc): it adds its
+/// contribution to *acc and reports read failures (the out-of-core path is
+/// fallible — chunk reads can hit I/O errors, checksum mismatches and fault
+/// sites).
 ///
 /// Cancellation/faults: before claiming each morsel a worker polls \p ctx
 /// and the engine.rowgroup fault site, and the morsel body's own Status
@@ -27,9 +32,10 @@ namespace {
 /// the abort flag so the others stop claiming morsels; when several morsels
 /// fail in one sweep the lowest-indexed one's Status is reported (matching
 /// the first failure a serial scan would see).
-template <typename PerRowgroup>
+template <typename MakeWorker, typename PerRowgroup>
 QueryResult RunParallel(const StoredColumn& column, ThreadPool& pool,
-                        const OpContext* ctx, const PerRowgroup& per_rowgroup) {
+                        const OpContext* ctx, const MakeWorker& make_worker,
+                        const PerRowgroup& per_rowgroup) {
   const size_t rowgroups = column.rowgroup_count();
   std::atomic<size_t> next{0};
   std::vector<double> partials(pool.size(), 0.0);
@@ -41,17 +47,13 @@ QueryResult RunParallel(const StoredColumn& column, ThreadPool& pool,
   const uint64_t start = CycleNow();
   pool.Run([&](unsigned worker) {
     double local = 0.0;
-    // Each worker gets a private decode buffer (vector-at-a-time consumers
-    // in Tectorwise own their vector chunk). Cache-line aligned so the
-    // dispatched decode kernels take their aligned-store path: every
-    // vector lands at a multiple of 1024 values from the aligned start.
-    AlignedBuffer<double> buffer(kRowgroupSize);
+    auto state = make_worker();
     while (!abort.load(std::memory_order_relaxed)) {
       const size_t rg = next.fetch_add(1, std::memory_order_relaxed);
       if (rg >= rowgroups) break;
       Status s = ctx != nullptr ? ctx->Check() : Status::Ok();
       if (s.ok()) s = fault::Check("engine.rowgroup");
-      if (s.ok()) s = per_rowgroup(rg, buffer.data(), &local);
+      if (s.ok()) s = per_rowgroup(state, rg, &local);
       if (!s.ok()) {
         std::lock_guard<std::mutex> lock(fail_mu);
         if (rg < fail_rg) {
@@ -90,64 +92,131 @@ QueryResult RunParallel(const StoredColumn& column, ThreadPool& pool,
   return result;
 }
 
+/// The single-column form: one VectorSource per worker.
+template <typename PerRowgroup>
+QueryResult RunParallel(const StoredColumn& column, ThreadPool& pool,
+                        const OpContext* ctx, const PerRowgroup& per_rowgroup) {
+  return RunParallel(
+      column, pool, ctx, [&] { return VectorSource(column, ctx); },
+      per_rowgroup);
+}
+
+/// One past rowgroup \p rg's last vector.
+size_t EndVector(const VectorSource& source, size_t rg) {
+  return std::min((rg + 1) * kRowgroupVectors, source.vector_count());
+}
+
+/// Late materialization: compacts vector \p v's survivors per \p bitmap
+/// into out[] in ascending index order — straight from memory when the
+/// values are there, else through the gather kernel on the owning reader.
+Status GatherSurvivors(VectorSource& source, size_t v, const uint64_t* bitmap,
+                       pushdown::EvalScratch* scratch, double* out,
+                       pushdown::VectorCounters* counters) {
+  VectorSource::Vector vec;
+  Status s = source.Fetch(v, &vec);
+  if (!s.ok()) return s;
+  if (vec.values == nullptr) {
+    pushdown::GatherVector(*vec.reader, vec.local, bitmap, scratch, out,
+                           counters);
+    return Status::Ok();
+  }
+  unsigned count = 0;
+  for (unsigned i = 0; i < vec.len; ++i) {
+    if (bitmap[i / 64] & (uint64_t{1} << (i % 64))) out[count++] = vec.values[i];
+  }
+  return Status::Ok();
+}
+
 }  // namespace
+
+Status RowgroupSum(VectorSource& source, size_t rg, double* sum) {
+  for (size_t v = rg * kRowgroupVectors, end = EndVector(source, rg); v < end;
+       ++v) {
+    VectorSource::Vector vec;
+    Status s = source.Values(v, &vec);
+    if (!s.ok()) return s;
+    *sum += pushdown::StripedSumAll(vec.values, vec.len);
+  }
+  return Status::Ok();
+}
+
+Status RowgroupFilterSum(VectorSource& source, size_t rg,
+                         const TranslatedPredicate& pred, FilterMode mode,
+                         double* sum, pushdown::VectorCounters* counters) {
+  const Predicate& p = pred.pred();
+  pushdown::EvalScratch scratch;
+  size_t skipped = 0;
+  Status s;
+  for (size_t v = rg * kRowgroupVectors, end = EndVector(source, rg);
+       s.ok() && v < end; ++v) {
+    // The zone map is consulted with the closed envelope [lo, hi] — a
+    // superset of the open variants, so skipping stays conservative. A
+    // skipped vector is never fetched, let alone decoded.
+    const VectorStats* stats = source.Stats(v);
+    if (stats != nullptr && !stats->MayContain(p.lo, p.hi)) {
+      ++skipped;
+      continue;
+    }
+    VectorSource::Vector vec;
+    s = source.Fetch(v, &vec);
+    if (!s.ok()) break;
+    if (vec.values == nullptr && mode == FilterMode::kAuto) {
+      const ColumnReader<double>& reader = *vec.reader;
+      if (reader.VectorScheme(vec.local) == Scheme::kAlp &&
+          pushdown::ZoneFullInside(*stats, p) &&
+          reader.VectorExceptionCount(vec.local) == 0) {
+        // The zone map proves every value qualifies (ALP, no exceptions):
+        // striped sum with no predicate, bit-identical to the oracle.
+        ++counters->full_inside;
+        pushdown::NoteFullInsideVector();
+        s = source.Decode(v, &vec, /*publish=*/false);
+        if (s.ok()) *sum += pushdown::StripedSumAll(vec.values, vec.len);
+      } else {
+        pushdown::FilterSumVector(reader, vec.local, pred, &scratch, sum,
+                                  counters);
+      }
+      continue;
+    }
+    // Values in memory, or the oracle mode: the predicated striped loop.
+    s = source.Decode(v, &vec);
+    if (!s.ok()) break;
+    pushdown::SurvivorSum ss;
+    for (unsigned i = 0; i < vec.len; ++i) {
+      const double x = vec.values[i];
+      ss.AddPredicated(x, pred.Matches(x));
+    }
+    *sum += ss.Reduce();
+  }
+  counters->skipped += skipped;
+  pushdown::NoteSkippedVectors(skipped);
+  return s;
+}
 
 QueryResult RunScan(const StoredColumn& column, ThreadPool& pool,
                     const OpContext* ctx) {
   return RunParallel(
-      column, pool, ctx, [&](size_t rg, double* buffer, double* acc) {
-        const unsigned len = column.RowgroupLength(rg);
-        Status s = column.TryDecodeRowgroup(rg, buffer, ctx);
-        if (!s.ok()) return s;
-        // Touch one value per vector so the decode cannot be elided; this
-        // is the "scan operator produced a vector" hand-off point.
-        double checksum = 0.0;
-        for (unsigned v = 0; v < len; v += kVectorSize) checksum += buffer[v];
-        *acc += checksum;
+      column, pool, ctx, [](VectorSource& source, size_t rg, double* acc) {
+        for (size_t v = rg * kRowgroupVectors, end = EndVector(source, rg);
+             v < end; ++v) {
+          VectorSource::Vector vec;
+          Status s = source.Materialize(v, &vec);
+          if (!s.ok()) return s;
+          // Touch one value per vector so the decode cannot be elided; this
+          // is the "scan operator produced a vector" hand-off point.
+          *acc += vec.values[0];
+        }
         return Status::Ok();
       });
 }
 
 QueryResult RunSum(const StoredColumn& column, ThreadPool& pool,
                    const OpContext* ctx) {
-  const ColumnReader<double>* alp_reader = column.AlpReader();
-  if (alp_reader != nullptr && column.Seekable() == nullptr) {
-    // In-memory ALP/ALP_rd: decode one vector into the buffer's first
-    // kVectorSize slots and reduce it before decoding the next, so the sum
-    // reads 8 KB from L1 rather than a whole rowgroup buffer from L2.
-    return RunParallel(
-        column, pool, ctx, [&](size_t rg, double* buffer, double* acc) {
-          const size_t first_vector = rg * kRowgroupVectors;
-          const size_t vectors =
-              (column.RowgroupLength(rg) + kVectorSize - 1) / kVectorSize;
-          double sum = 0.0;
-          for (size_t v = first_vector; v < first_vector + vectors; ++v) {
-            alp_reader->DecodeVector(v, buffer);
-            sum += pushdown::StripedSumAll(buffer, alp_reader->VectorLength(v));
-          }
-          *acc += sum;
-          return Status::Ok();
-        });
-  }
-  // Uncompressed columns sum in place (no buffer-pool copy); seekable and
-  // block-codec columns decode the rowgroup first. Either way the fold is
-  // the same per-vector striped sum as above.
   return RunParallel(
-      column, pool, ctx, [&](size_t rg, double* buffer, double* acc) {
-        const double* data = column.RowgroupPointer(rg);
-        if (data == nullptr) {
-          Status s = column.TryDecodeRowgroup(rg, buffer, ctx);
-          if (!s.ok()) return s;
-          data = buffer;
-        }
-        const unsigned len = column.RowgroupLength(rg);
+      column, pool, ctx, [](VectorSource& source, size_t rg, double* acc) {
         double sum = 0.0;
-        for (unsigned v0 = 0; v0 < len; v0 += kVectorSize) {
-          sum += pushdown::StripedSumAll(
-              data + v0, std::min<unsigned>(kVectorSize, len - v0));
-        }
+        Status s = RowgroupSum(source, rg, &sum);
         *acc += sum;
-        return Status::Ok();
+        return s;
       });
 }
 
@@ -159,166 +228,22 @@ QueryResult RunFilterSum(const StoredColumn& column, double lo, double hi,
 QueryResult RunFilterSum(const StoredColumn& column, const Predicate& pred,
                          ThreadPool& pool, const OpContext* ctx,
                          FilterMode mode) {
-  const ColumnReader<double>* alp_reader = column.AlpReader();
   std::atomic<size_t> skipped{0};
   std::atomic<size_t> packed_eval{0};
   std::atomic<size_t> full_inside{0};
-  // Translated once per query (immutable, shared by all workers). The zone
-  // map is still consulted with the closed envelope [lo, hi] — a superset
-  // of the open variants, so skipping stays conservative.
+  // Translated once per query (immutable, shared by all workers).
   const TranslatedPredicate tp(pred);
-
-  QueryResult result;
-  const io::SeekableReader<double>* seekable = column.Seekable();
-  if (seekable != nullptr && mode == FilterMode::kAuto) {
-    // Out-of-core compressed-domain push-down: the zone map (resident
-    // index region) drops vectors before any chunk is fetched, and the
-    // fetched chunk's surviving vectors are filtered on their packed lanes
-    // without decoding (cache hits filter the already-decoded values).
-    result = RunParallel(
-        column, pool, ctx, [&](size_t rg, double*, double* acc) {
-          double sum = 0.0;
-          pushdown::VectorCounters counters;
-          Status s = seekable->FilterSumRowgroup(rg, tp, &sum, &counters, ctx);
-          if (!s.ok()) return s;
-          skipped.fetch_add(counters.skipped, std::memory_order_relaxed);
-          packed_eval.fetch_add(counters.packed_eval,
-                                std::memory_order_relaxed);
-          full_inside.fetch_add(counters.full_inside,
-                                std::memory_order_relaxed);
-          *acc += sum;
-          return Status::Ok();
-        });
-  } else if (seekable != nullptr) {
-    // Oracle mode over the out-of-core path: decode every surviving vector
-    // through the chunked reader and run the predicated loop.
-    result = RunParallel(
-        column, pool, ctx, [&](size_t rg, double*, double* acc) {
-          const size_t first_vector = rg * kRowgroupVectors;
-          const size_t vectors =
-              (column.RowgroupLength(rg) + kVectorSize - 1) / kVectorSize;
-          size_t local_skipped = 0;
-          for (size_t v = first_vector; v < first_vector + vectors; ++v) {
-            if (!seekable->VectorMayContain(v, pred.lo, pred.hi)) {
-              ++local_skipped;
-            }
-          }
-          skipped.fetch_add(local_skipped, std::memory_order_relaxed);
-          pushdown::NoteSkippedVectors(local_skipped);
-          double sum = 0.0;
-          const io::SeekableReader<double>::VectorFilter want = [&](size_t v) {
-            return seekable->VectorMayContain(v, pred.lo, pred.hi);
-          };
-          Status s = seekable->VisitRowgroup(
-              rg,
-              [&](size_t, const double* values, unsigned len) {
-                pushdown::SurvivorSum ss;
-                for (unsigned i = 0; i < len; ++i) {
-                  const double x = values[i];
-                  ss.AddPredicated(x, pred.Matches(x));
-                }
-                sum += ss.Reduce();
-                return Status::Ok();
-              },
-              ctx, &want);
-          if (!s.ok()) return s;
-          *acc += sum;
-          return Status::Ok();
-        });
-  } else if (alp_reader != nullptr) {
-    // In-memory push-down: the zone map skips disjoint vectors; survivors
-    // are evaluated on their packed lanes (kAuto) or decoded into the
-    // oracle's predicated loop (kDecodeThenFilter).
-    result = RunParallel(
-        column, pool, ctx, [&](size_t rg, double* buffer, double* acc) {
-          const size_t first_vector = rg * kRowgroupVectors;
-          const size_t vectors =
-              (column.RowgroupLength(rg) + kVectorSize - 1) / kVectorSize;
-          double sum = 0.0;
-          size_t local_skipped = 0;
-          pushdown::VectorCounters counters;
-          pushdown::EvalScratch scratch;
-          for (size_t v = 0; v < vectors; ++v) {
-            const size_t vec = first_vector + v;
-            if (!alp_reader->VectorMayContain(vec, pred.lo, pred.hi)) {
-              ++local_skipped;
-              continue;
-            }
-            if (mode == FilterMode::kAuto) {
-              if (pushdown::CanSumWholeVector(*alp_reader, vec, pred)) {
-                // Zone map proves every value qualifies: striped sum with
-                // no predicate (bit-identical — the oracle would select
-                // every value, giving the same survivor sequence).
-                ++counters.full_inside;
-                alp_reader->DecodeVector(vec, buffer);
-                const unsigned len = alp_reader->VectorLength(vec);
-                sum += pushdown::StripedSumAll(buffer, len);
-                continue;
-              }
-              pushdown::FilterSumVector(*alp_reader, vec, tp, &scratch, &sum,
-                                        &counters);
-              continue;
-            }
-            alp_reader->DecodeVector(vec, buffer);
-            const unsigned len = alp_reader->VectorLength(vec);
-            pushdown::SurvivorSum ss;
-            for (unsigned i = 0; i < len; ++i) {
-              const double x = buffer[i];
-              ss.AddPredicated(x, pred.Matches(x));  // Predicated.
-            }
-            sum += ss.Reduce();
-          }
-          skipped.fetch_add(local_skipped, std::memory_order_relaxed);
-          pushdown::NoteSkippedVectors(local_skipped);
-          packed_eval.fetch_add(counters.packed_eval,
-                                std::memory_order_relaxed);
-          full_inside.fetch_add(counters.full_inside,
-                                std::memory_order_relaxed);
-          *acc += sum;
-          return Status::Ok();
-        });
-  } else if (column.RowgroupPointer(0) != nullptr) {
-    result = RunParallel(
-        column, pool, ctx, [&](size_t rg, double*, double* acc) {
-          const double* data = column.RowgroupPointer(rg);
-          const unsigned len = column.RowgroupLength(rg);
-          double sum = 0.0;
-          // The oracle stripes per vector, so every storage scheme chunks
-          // the same way regardless of rowgroup shape.
-          for (unsigned v0 = 0; v0 < len; v0 += kVectorSize) {
-            const unsigned n = std::min<unsigned>(kVectorSize, len - v0);
-            pushdown::SurvivorSum ss;
-            for (unsigned i = 0; i < n; ++i) {
-              const double x = data[v0 + i];
-              ss.AddPredicated(x, pred.Matches(x));
-            }
-            sum += ss.Reduce();
-          }
-          *acc += sum;
-          return Status::Ok();
-        });
-  } else {
-    // Block-based storage: the whole rowgroup must be decompressed before
-    // the predicate can run (the paper's Zstd disadvantage).
-    result = RunParallel(
-        column, pool, ctx, [&](size_t rg, double* buffer, double* acc) {
-          Status s = column.TryDecodeRowgroup(rg, buffer, ctx);
-          if (!s.ok()) return s;
-          const unsigned len = column.RowgroupLength(rg);
-          double sum = 0.0;
-          for (unsigned v0 = 0; v0 < len; v0 += kVectorSize) {
-            const unsigned n = std::min<unsigned>(kVectorSize, len - v0);
-            pushdown::SurvivorSum ss;
-            for (unsigned i = 0; i < n; ++i) {
-              const double x = buffer[v0 + i];
-              ss.AddPredicated(x, pred.Matches(x));
-            }
-            sum += ss.Reduce();
-          }
-          *acc += sum;
-          return Status::Ok();
-        });
-  }
+  QueryResult result = RunParallel(
+      column, pool, ctx, [&](VectorSource& source, size_t rg, double* acc) {
+        double sum = 0.0;
+        pushdown::VectorCounters counters;
+        Status s = RowgroupFilterSum(source, rg, tp, mode, &sum, &counters);
+        skipped.fetch_add(counters.skipped, std::memory_order_relaxed);
+        packed_eval.fetch_add(counters.packed_eval, std::memory_order_relaxed);
+        full_inside.fetch_add(counters.full_inside, std::memory_order_relaxed);
+        *acc += sum;
+        return s;
+      });
   result.vectors_skipped = skipped.load();
   result.vectors_packed_eval = packed_eval.load();
   result.vectors_full_inside = full_inside.load();
@@ -374,19 +299,19 @@ QueryResult RunMinMax(const StoredColumn& column, ThreadPool& pool, double* min_
   };
 
   QueryResult result = RunParallel(
-      column, pool, ctx, [&](size_t rg, double* buffer, double*) {
-        const double* data = column.RowgroupPointer(rg);
-        if (data == nullptr) {
-          Status s = column.TryDecodeRowgroup(rg, buffer, ctx);
-          if (!s.ok()) return s;
-          data = buffer;
-        }
-        const unsigned len = column.RowgroupLength(rg);
+      column, pool, ctx, [&](VectorSource& source, size_t rg, double*) {
         double local_min = std::numeric_limits<double>::infinity();
         double local_max = -local_min;
-        for (unsigned i = 0; i < len; ++i) {
-          local_min = data[i] < local_min ? data[i] : local_min;
-          local_max = data[i] > local_max ? data[i] : local_max;
+        for (size_t v = rg * kRowgroupVectors, end = EndVector(source, rg);
+             v < end; ++v) {
+          VectorSource::Vector vec;
+          Status s = source.Values(v, &vec);
+          if (!s.ok()) return s;
+          for (unsigned i = 0; i < vec.len; ++i) {
+            const double x = vec.values[i];
+            local_min = x < local_min ? x : local_min;
+            local_max = x > local_max ? x : local_max;
+          }
         }
         fold(min_cell, local_min, true);
         fold(max_cell, local_max, false);
@@ -398,6 +323,106 @@ QueryResult RunMinMax(const StoredColumn& column, ThreadPool& pool, double* min_
   *max_out = max;
   result.sum = min;
   return result;
+}
+
+QueryResult RunFilteredDotSum(const Table& table, std::string_view filter_column,
+                              const Predicate& pred, std::string_view a_column,
+                              std::string_view b_column, ThreadPool& pool,
+                              FilterMode mode) {
+  const StoredColumn* filter = table.Column(filter_column);
+  const StoredColumn* a = table.Column(a_column);
+  const StoredColumn* b = table.Column(b_column);
+  QueryResult result;
+  for (const auto& [column, name] : {std::pair{filter, filter_column},
+                                     std::pair{a, a_column},
+                                     std::pair{b, b_column}}) {
+    if (column == nullptr) {
+      result.status = Status::NotFound("unknown column: " + std::string(name));
+      return result;
+    }
+    if (column->value_count() != filter->value_count()) {
+      result.status = Status::InvalidArgument(
+          "column length differs from the filter column's: " +
+          std::string(name));
+      return result;
+    }
+  }
+
+  // One translation serves every vector of the query: the integer bounds
+  // depend only on (e, f), not on vector contents.
+  const TranslatedPredicate tp(pred);
+  std::atomic<size_t> skipped{0};
+  std::atomic<size_t> packed_eval{0};
+  struct Worker {
+    VectorSource f, a, b;
+    pushdown::EvalScratch scratch;
+  };
+  result = RunParallel(
+      *filter, pool, nullptr,
+      [&] {
+        return Worker{VectorSource(*filter), VectorSource(*a), VectorSource(*b), {}};
+      },
+      [&](Worker& w, size_t rg, double* acc) {
+        pushdown::VectorCounters counters;
+        uint64_t bitmap[kVectorSize / 64];
+        alignas(64) double a_buf[kVectorSize];
+        alignas(64) double b_buf[kVectorSize];
+        Status s;
+        for (size_t v = rg * kRowgroupVectors, end = EndVector(w.f, rg);
+             s.ok() && v < end; ++v) {
+          // The closed [lo, hi] envelope check is a superset of the open
+          // variants, so skipping on it is safe for any bound shape.
+          const VectorStats* stats = w.f.Stats(v);
+          if (stats != nullptr && !stats->MayContain(pred.lo, pred.hi)) {
+            ++counters.skipped;  // No column decodes at all for this vector.
+            continue;
+          }
+          // FILTER: selection bitmap over the filter column — on packed
+          // lanes when possible, else from the values (the oracle).
+          VectorSource::Vector fv;
+          s = w.f.Fetch(v, &fv);
+          if (!s.ok()) break;
+          unsigned count = 0;
+          if (mode == FilterMode::kAuto && fv.values == nullptr) {
+            pushdown::SelectVector(*fv.reader, fv.local, tp, &w.scratch, bitmap,
+                                   &count, &counters);
+          } else {
+            s = w.f.Decode(v, &fv);
+            if (!s.ok()) break;
+            std::memset(bitmap, 0, sizeof(bitmap));
+            for (unsigned i = 0; i < fv.len; ++i) {
+              if (pred.Matches(fv.values[i])) {
+                bitmap[i / 64] |= uint64_t{1} << (i % 64);
+                ++count;
+              }
+            }
+          }
+          if (count == 0) continue;  // Nothing survives: a/b never touched.
+          // PROJECT: late-materialize only the survivors of each projected
+          // column, in ascending index order (the bit-identity contract).
+          s = GatherSurvivors(w.a, v, bitmap, &w.scratch, a_buf, &counters);
+          if (s.ok()) {
+            s = GatherSurvivors(w.b, v, bitmap, &w.scratch, b_buf, &counters);
+          }
+          // AGGREGATE over the compacted survivor arrays: the striped
+          // per-vector oracle (pushdown.h), fed survivor products.
+          if (s.ok()) *acc += pushdown::StripedDotAll(a_buf, b_buf, count);
+        }
+        skipped.fetch_add(counters.skipped, std::memory_order_relaxed);
+        packed_eval.fetch_add(counters.packed_eval, std::memory_order_relaxed);
+        pushdown::NoteSkippedVectors(counters.skipped);
+        return s;
+      });
+  result.vectors_skipped = skipped.load();
+  result.vectors_packed_eval = packed_eval.load();
+  return result;
+}
+
+QueryResult RunFilteredDotSum(const Table& table, std::string_view filter_column,
+                              double lo, double hi, std::string_view a_column,
+                              std::string_view b_column, ThreadPool& pool) {
+  return RunFilteredDotSum(table, filter_column, Predicate::Between(lo, hi),
+                           a_column, b_column, pool);
 }
 
 QueryResult RunCompression(const StoredColumn& column, const double* data, size_t n) {

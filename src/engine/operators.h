@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "alp/predicate.h"
+#include "alp/pushdown.h"
 #include "engine/column_store.h"
 #include "util/cancellation.h"
 #include "util/status.h"
@@ -12,8 +13,11 @@
 /// \file operators.h
 /// The vectorized query operators of the end-to-end experiments (paper
 /// Section 4.3): SCAN decompresses every vector of a column; SUM pipes the
-/// scan vector-at-a-time into an aggregation (in-memory ALP columns decode
-/// one vector into L1 and reduce it before decoding the next). Both
+/// scan vector-at-a-time into an aggregation; FILTER-SUM, MIN/MAX and the
+/// two-column dot-sum (engine/table.h) push predicates down to zone maps
+/// and packed lanes. Each is written once, over a per-worker VectorSource
+/// (engine/column_store.h), so one body serves every storage kind: ALP
+/// vectors decode one at a time into an 8 KB, L1-resident buffer. All
 /// parallelize over rowgroup morsels claimed from a shared counter, and
 /// report elapsed cycles so the harness can compute the paper's
 /// tuples-per-cycle-per-core metric.
@@ -61,8 +65,9 @@ struct QueryResult {
 /// several workers stop at once, the lowest-indexed morsel's Status wins —
 /// the same one a serial scan would have hit first.
 
-/// SCAN: decompress every rowgroup (vector-at-a-time consumption is modeled
-/// by a per-vector checksum touch so the compiler cannot elide the work).
+/// SCAN: decompress every vector into the worker's buffer (in-memory values
+/// are copied there); consumption is modeled by a per-vector checksum touch
+/// so the compiler cannot elide the work.
 QueryResult RunScan(const StoredColumn& column, ThreadPool& pool,
                     const OpContext* ctx = nullptr);
 
@@ -92,6 +97,25 @@ enum class FilterMode {
   /// against.
   kDecodeThenFilter,
 };
+
+/// SUM's per-rowgroup body: adds each vector's StripedSumAll into *sum, in
+/// index order. RunSum passes a fresh rowgroup partial; so does the
+/// server's unfiltered aggregate.
+Status RowgroupSum(VectorSource& source, size_t rg, double* sum);
+
+/// FILTER-SUM's per-rowgroup body. A vector whose zone map misses the
+/// closed envelope [lo, hi] is skipped unfetched. Values already in memory
+/// (and every vector under kDecodeThenFilter) go through the oracle's
+/// predicated striped loop. Otherwise (kAuto) a vector the zone map proves
+/// full-inside is decoded and summed whole, and the rest go to
+/// pushdown::FilterSumVector on the owning reader's packed lanes; neither
+/// path inserts into a decoded-vector cache. Each vector's survivor sum is
+/// added into *sum in index order: RunFilterSum passes a fresh rowgroup
+/// partial, while the server's filtered aggregate passes one running sum
+/// for the whole column. \p counters accumulates the per-vector outcomes.
+Status RowgroupFilterSum(VectorSource& source, size_t rg,
+                         const TranslatedPredicate& pred, FilterMode mode,
+                         double* sum, pushdown::VectorCounters* counters);
 
 /// FILTER + SUM: SUM(x) WHERE lo <= x <= hi. ALP columns push the predicate
 /// down to the per-vector zone maps and skip decoding disjoint vectors (the

@@ -21,7 +21,8 @@ namespace alp::engine {
 /// A named collection of equal-length stored columns.
 class Table {
  public:
-  /// Adds a column; all columns must have the same value count.
+  /// Adds a column. Queries over columns of different value counts fail
+  /// with kInvalidArgument.
   void AddColumn(std::string name, StoredColumn column) {
     columns_.emplace_back(std::move(name), std::move(column));
   }
@@ -55,7 +56,10 @@ class Table {
 /// costs one packed compare and no decode in any column. Results are
 /// bit-identical to the decode-then-filter loop (survivor products are
 /// accumulated in ascending index order; see pushdown.h for the proof).
-/// Columns must be ALP or Uncompressed (vector-addressable storage).
+/// Each column is read through its own VectorSource, so any storage kind
+/// serves. An unknown column name yields kNotFound and a column whose
+/// value count differs from the filter column's kInvalidArgument, in
+/// QueryResult::status. Defined in operators.cc with the other operators.
 /// `vectors_skipped` counts vectors never decoded in any column;
 /// `vectors_packed_eval` counts filter vectors evaluated on packed lanes.
 QueryResult RunFilteredDotSum(const Table& table, std::string_view filter_column,

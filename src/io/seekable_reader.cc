@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 
 #include "alp/constants.h"
@@ -237,102 +236,119 @@ bool SeekableReader<T>::RowgroupWanted(size_t rg,
 }
 
 template <typename T>
+SeekableReader<T>::RowgroupCursor::RowgroupCursor(
+    const SeekableReader& reader, size_t rg, const OpContext* ctx,
+    std::shared_ptr<PrefetchSlot> prefetched)
+    : reader_(reader),
+      rg_(rg),
+      ctx_(ctx),
+      prefetched_(std::move(prefetched)),
+      caching_(reader.options_.cache != nullptr &&
+               reader.options_.cache->capacity_bytes() > 0) {
+  // Per-request attribution: every cache decision, chunk fetch and decode
+  // on this path is credited to the owning request's flight recorder.
+  if (ctx != nullptr && ctx->request != nullptr) {
+    recorder_ = ctx->request->recorder;
+  }
+}
+
+template <typename T>
+Status SeekableReader<T>::RowgroupCursor::Fetch(size_t v, const T** values) {
+  *values = nullptr;
+  if (ctx_ != nullptr) {
+    Status cs = ctx_->Check();
+    if (!cs.ok()) return cs;
+  }
+  if (caching_) {
+    hit_ = reader_.options_.cache->Lookup(reader_.column_id_, v);
+    if (hit_ != nullptr) {
+      ALP_OBS_ONLY({
+        if (reader_.labeled_cache_hits_ != nullptr) {
+          reader_.labeled_cache_hits_->Increment();
+        }
+        if (recorder_ != nullptr) recorder_->Count("io.cache.hit");
+      });
+      *values = reinterpret_cast<const T*>(hit_->data());
+      return Status::Ok();
+    }
+    ALP_OBS_ONLY({
+      if (reader_.labeled_cache_misses_ != nullptr) {
+        reader_.labeled_cache_misses_->Increment();
+      }
+      if (recorder_ != nullptr) recorder_->Count("io.cache.miss");
+    });
+  }
+  if (chunk_reader_.has_value()) return Status::Ok();
+  Status s = reader_.LoadChunk(rg_, prefetched_, &chunk_);
+  if (!s.ok()) return s;
+  ALP_OBS_ONLY({
+    if (recorder_ != nullptr) {
+      recorder_->Count("io.chunk.reads");
+      recorder_->Count("io.chunk.bytes", chunk_.size());
+    }
+  });
+  StatusOr<ColumnReader<T>> opened = ColumnReader<T>::OpenRowgroupChunk(
+      chunk_.data(), chunk_.size(), reader_.RowgroupValueCount(rg_));
+  if (!opened.ok()) {
+    return RebaseOffset(opened.status(), reader_.index_.rowgroup_offsets[rg_]);
+  }
+  chunk_reader_.emplace(std::move(*opened));
+  return Status::Ok();
+}
+
+template <typename T>
+Status SeekableReader<T>::RowgroupCursor::Decode(size_t v, T* out,
+                                                 bool publish) {
+  // Fetch polled ctx for this vector; the decode does not poll it again.
+  const size_t lv = v % kRowgroupVectors;
+  Status ds = chunk_reader_->TryDecodeVector(lv, out);
+  if (!ds.ok()) {
+    return RebaseOffset(std::move(ds), reader_.index_.rowgroup_offsets[rg_]);
+  }
+  ALP_OBS_ONLY({
+    if (recorder_ != nullptr) {
+      // ALP exceptions patched in this vector — the per-request cousin of
+      // the aggregate exceptions-per-vector histogram. The header is
+      // re-read only for recorded requests.
+      recorder_->Count("decode.exceptions",
+                       chunk_reader_->VectorExceptionCount(lv));
+    }
+  });
+  if (publish && caching_) {
+    // Published only after a fully successful decode: the cache never
+    // holds bytes that did not verify end-to-end.
+    const uint8_t* raw = reinterpret_cast<const uint8_t*>(out);
+    reader_.options_.cache->Insert(
+        reader_.column_id_, v,
+        std::make_shared<const std::vector<uint8_t>>(
+            raw, raw + size_t{reader_.VectorLength(v)} * sizeof(T)));
+  }
+  return Status::Ok();
+}
+
+template <typename T>
 Status SeekableReader<T>::VisitRowgroupImpl(
     size_t rg, const std::shared_ptr<PrefetchSlot>& prefetched,
     const Visitor& visit, const OpContext* ctx,
     const VectorFilter* want) const {
-  const uint64_t rg_values = RowgroupValueCount(rg);
-  if (rg_values == 0) return Status::Ok();
   const size_t first_vector = rg * kRowgroupVectors;
-  const size_t vectors =
-      static_cast<size_t>((rg_values + kVectorSize - 1) / kVectorSize);
-  uint64_t chunk_base, chunk_end;
-  ChunkExtent(rg, &chunk_base, &chunk_end);
-
-  DecodedVectorCache* cache = options_.cache;
-  const bool caching = cache != nullptr && cache->capacity_bytes() > 0;
-
-  // Per-request attribution: every cache decision, chunk fetch and decode
-  // on this path is credited to the owning request's flight recorder.
-  // Compiled out with the rest of the IO instrumentation under
-  // -DALP_OBS=OFF; one null check per vector otherwise.
-#if ALP_OBS
-  obs::FlightRecorder* recorder =
-      ctx != nullptr && ctx->request != nullptr ? ctx->request->recorder
-                                                : nullptr;
-#endif
-
-  std::vector<uint8_t> chunk;
-  std::optional<ColumnReader<T>> chunk_reader;
+  const size_t end_vector =
+      first_vector + (RowgroupValueCount(rg) + kVectorSize - 1) / kVectorSize;
+  RowgroupCursor cursor(*this, rg, ctx, prefetched);
+  // Full-width scratch: tail vectors still unpack kVectorSize lanes.
   std::vector<T> scratch;
-
-  for (size_t lv = 0; lv < vectors; ++lv) {
-    const size_t v = first_vector + lv;
+  for (size_t v = first_vector; v < end_vector; ++v) {
     if (want != nullptr && !(*want)(v)) continue;
-    if (ctx != nullptr) {
-      Status cs = ctx->Check();
-      if (!cs.ok()) return cs;
+    const T* values;
+    Status s = cursor.Fetch(v, &values);
+    if (s.ok() && values == nullptr) {
+      scratch.resize(kVectorSize);
+      s = cursor.Decode(v, scratch.data());
+      values = scratch.data();
     }
-    const unsigned len = VectorLength(v);
-    if (caching) {
-      if (DecodedVectorCache::Value hit = cache->Lookup(column_id_, v)) {
-        ALP_OBS_ONLY({
-          if (labeled_cache_hits_ != nullptr) labeled_cache_hits_->Increment();
-          if (recorder != nullptr) recorder->Count("io.cache.hit");
-        });
-        Status vs = visit(v, reinterpret_cast<const T*>(hit->data()), len);
-        if (!vs.ok()) return vs;
-        continue;
-      }
-      ALP_OBS_ONLY({
-        if (labeled_cache_misses_ != nullptr) {
-          labeled_cache_misses_->Increment();
-        }
-        if (recorder != nullptr) recorder->Count("io.cache.miss");
-      });
-    }
-    if (!chunk_reader.has_value()) {
-      Status s = LoadChunk(rg, prefetched, &chunk);
-      if (!s.ok()) return s;
-      ALP_OBS_ONLY({
-        if (recorder != nullptr) {
-          recorder->Count("io.chunk.reads");
-          recorder->Count("io.chunk.bytes", chunk.size());
-        }
-      });
-      StatusOr<ColumnReader<T>> opened = ColumnReader<T>::OpenRowgroupChunk(
-          chunk.data(), chunk.size(), rg_values);
-      if (!opened.ok()) return RebaseOffset(opened.status(), chunk_base);
-      chunk_reader.emplace(std::move(*opened));
-    }
-    // Decode into a full-width scratch vector (tail vectors still unpack
-    // kVectorSize lanes), then publish exactly len values.
-    scratch.resize(kVectorSize);
-    Status ds = chunk_reader->TryDecodeVector(lv, scratch.data(), ctx);
-    if (!ds.ok()) return RebaseOffset(std::move(ds), chunk_base);
-    ALP_OBS_ONLY({
-      if (recorder != nullptr) {
-        // ALP exceptions patched in this vector — the per-request cousin of
-        // the aggregate exceptions-per-vector histogram. The header is
-        // re-read only for recorded requests.
-        recorder->Count("decode.exceptions",
-                        chunk_reader->VectorExceptionCount(lv));
-      }
-    });
-    if (caching) {
-      const uint8_t* raw = reinterpret_cast<const uint8_t*>(scratch.data());
-      auto entry = std::make_shared<const std::vector<uint8_t>>(
-          raw, raw + size_t{len} * sizeof(T));
-      // Publish after a fully successful decode and before the visitor:
-      // the cache never holds bytes that did not verify end-to-end, and a
-      // visitor error does not un-decode the vector.
-      cache->Insert(column_id_, v, entry);
-      Status vs = visit(v, reinterpret_cast<const T*>(entry->data()), len);
-      if (!vs.ok()) return vs;
-    } else {
-      Status vs = visit(v, scratch.data(), len);
-      if (!vs.ok()) return vs;
-    }
+    // A visitor error does not un-decode (or un-publish) the vector.
+    if (s.ok()) s = visit(v, values, VectorLength(v));
+    if (!s.ok()) return s;
   }
   return Status::Ok();
 }
@@ -345,122 +361,6 @@ Status SeekableReader<T>::VisitRowgroup(size_t rg, const Visitor& visit,
     return Status::Corrupt("rowgroup index out of range");
   }
   return VisitRowgroupImpl(rg, nullptr, visit, ctx, want);
-}
-
-template <typename T>
-Status SeekableReader<T>::FilterSumRowgroup(size_t rg,
-                                            const TranslatedPredicate& pred,
-                                            double* sum,
-                                            pushdown::VectorCounters* counters,
-                                            const OpContext* ctx) const {
-  if (rg >= rowgroup_count()) {
-    return Status::Corrupt("rowgroup index out of range");
-  }
-  if constexpr (sizeof(T) != 8) {
-    (void)pred;
-    (void)sum;
-    (void)counters;
-    (void)ctx;
-    return Status::InvalidArgument(
-        "compressed-domain filter requires a double column");
-  } else {
-    const uint64_t rg_values = RowgroupValueCount(rg);
-    if (rg_values == 0) return Status::Ok();
-    const size_t first_vector = rg * kRowgroupVectors;
-    const size_t vectors =
-        static_cast<size_t>((rg_values + kVectorSize - 1) / kVectorSize);
-    uint64_t chunk_base, chunk_end;
-    ChunkExtent(rg, &chunk_base, &chunk_end);
-
-    DecodedVectorCache* cache = options_.cache;
-    const bool caching = cache != nullptr && cache->capacity_bytes() > 0;
-#if ALP_OBS
-    obs::FlightRecorder* recorder =
-        ctx != nullptr && ctx->request != nullptr ? ctx->request->recorder
-                                                  : nullptr;
-#endif
-
-    std::vector<uint8_t> chunk;
-    std::optional<ColumnReader<T>> chunk_reader;
-    pushdown::EvalScratch scratch;
-
-    for (size_t lv = 0; lv < vectors; ++lv) {
-      const size_t v = first_vector + lv;
-      if (ctx != nullptr) {
-        Status cs = ctx->Check();
-        if (!cs.ok()) return cs;
-      }
-      const unsigned len = VectorLength(v);
-      // Zone-map push-down from the resident index region: a vector (or a
-      // whole rowgroup) whose [min, max] misses the closed envelope is
-      // never fetched, let alone decoded.
-      if (!index_.stats[v].MayContain(pred.pred().lo, pred.pred().hi)) {
-        ++counters->skipped;
-        pushdown::NoteSkippedVectors(1);
-        continue;
-      }
-      if (caching) {
-        if (DecodedVectorCache::Value hit = cache->Lookup(column_id_, v)) {
-          ALP_OBS_ONLY({
-            if (labeled_cache_hits_ != nullptr) {
-              labeled_cache_hits_->Increment();
-            }
-            if (recorder != nullptr) recorder->Count("io.cache.hit");
-          });
-          // Already materialized: filter the cached doubles (the oracle
-          // loop, so the result cannot depend on cache state).
-          const double* values = reinterpret_cast<const double*>(hit->data());
-          ++counters->decoded;
-          pushdown::SurvivorSum ss;
-          for (unsigned i = 0; i < len; ++i) {
-            const double x = values[i];
-            ss.AddPredicated(x, pred.Matches(x));
-          }
-          *sum += ss.Reduce();
-          continue;
-        }
-        ALP_OBS_ONLY({
-          if (labeled_cache_misses_ != nullptr) {
-            labeled_cache_misses_->Increment();
-          }
-          if (recorder != nullptr) recorder->Count("io.cache.miss");
-        });
-      }
-      if (!chunk_reader.has_value()) {
-        Status s = LoadChunk(rg, nullptr, &chunk);
-        if (!s.ok()) return s;
-        ALP_OBS_ONLY({
-          if (recorder != nullptr) {
-            recorder->Count("io.chunk.reads");
-            recorder->Count("io.chunk.bytes", chunk.size());
-          }
-        });
-        StatusOr<ColumnReader<T>> opened = ColumnReader<T>::OpenRowgroupChunk(
-            chunk.data(), chunk.size(), rg_values);
-        if (!opened.ok()) return RebaseOffset(opened.status(), chunk_base);
-        chunk_reader.emplace(std::move(*opened));
-      }
-      // Full-inside fast path: the resident zone map proves every value
-      // qualifies (valid only for ALP vectors with zero exceptions — see
-      // pushdown::ZoneFullInside); decode and sum without the predicate.
-      if (chunk_reader->VectorScheme(lv) == Scheme::kAlp &&
-          pushdown::ZoneFullInside(index_.stats[v], pred.pred()) &&
-          chunk_reader->VectorExceptionCount(lv) == 0) {
-        ++counters->full_inside;
-        pushdown::NoteFullInsideVector();
-        Status ds = chunk_reader->TryDecodeVector(lv, scratch.values, ctx);
-        if (!ds.ok()) return RebaseOffset(std::move(ds), chunk_base);
-        *sum += pushdown::StripedSumAll(scratch.values, len);
-        continue;
-      }
-      // Packed-lane evaluation (or per-vector decode-then-filter fallback)
-      // inside the verified chunk, through the same checked per-vector
-      // parser OpenRowgroupChunk already walked.
-      pushdown::FilterSumVector(*chunk_reader, lv, pred, &scratch, sum,
-                                counters);
-    }
-    return Status::Ok();
-  }
 }
 
 template <typename T>

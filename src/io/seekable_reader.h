@@ -6,12 +6,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "alp/column.h"
-#include "alp/predicate.h"
-#include "alp/pushdown.h"
 #include "io/decoded_vector_cache.h"
 #include "io/random_access_source.h"
 #include "obs/metrics.h"
@@ -29,16 +28,19 @@
 /// column far larger than RAM scan to completion and a point lookup touch
 /// only the one rowgroup it needs.
 ///
-/// Chunk lifecycle (DESIGN.md "Out-of-core reads"):
-///   fetch (ReadAt)  →  verify (XXH64 vs the indexed checksum, v3)
+/// Chunk lifecycle (DESIGN.md "Out-of-core reads"), run by one
+/// RowgroupCursor per rowgroup visit:
+///   probe (the DecodedVectorCache; a hit needs no chunk at all)
+///     →  fetch (ReadAt)  →  verify (XXH64 vs the indexed checksum, v3)
 ///     →  open (ColumnReader::OpenRowgroupChunk: the ParseRowgroup +
 ///              ParseVector walk that ColumnReader::Open runs per rowgroup)
 ///     →  decode (TryDecodeVector: the one checked decode body)
-///     →  publish (decoded vectors inserted into the DecodedVectorCache)
+///     →  publish (the decoded vector inserted into the cache)
 /// A failure at any stage aborts before the next one, so nothing
 /// unverified is ever decoded and nothing undecoded is ever cached —
 /// corruption surfaces as the same Status class the in-memory validator
-/// would report and can never poison the cache.
+/// would report and can never poison the cache. Consumers that evaluate a
+/// vector on its packed lanes instead (engine::VectorSource) stop at open.
 ///
 /// The per-rowgroup checksum is what makes this shape possible at all:
 /// rowgroups are position-independent, individually verifiable split
@@ -66,6 +68,10 @@
 /// lives in DecodedVectorCache::Insert. Obs: `io.chunk_fetch` spans wrap
 /// every source read, `io.cache.*` counters track the cache, and the
 /// `io.prefetch.depth` gauge tracks outstanding prefetched chunks.
+
+namespace alp::obs {
+class FlightRecorder;
+}  // namespace alp::obs
 
 namespace alp::io {
 
@@ -100,6 +106,8 @@ struct SeekableReaderOptions {
 
 template <typename T>
 class SeekableReader {
+  struct PrefetchSlot;
+
  public:
   /// Fetches and fully verifies the header/index region (same checks and
   /// Statuses as ValidateColumnEx's header/index/zone-map phases; rowgroup
@@ -169,26 +177,50 @@ class SeekableReader {
                        const OpContext* ctx = nullptr,
                        const VectorFilter* want = nullptr) const;
 
-  /// Compressed-domain FILTER+SUM over rowgroup \p rg (double columns
-  /// only; non-double readers return kInvalidArgument). The resident zone
-  /// map drops disjoint vectors before any chunk fetch — a rowgroup none
-  /// of whose vectors qualify is never read — and surviving vectors are
-  /// evaluated on their FFOR-packed lanes inside the fetched chunk
-  /// (alp/pushdown.h), adding qualifying values to *sum in index order,
-  /// bit-identical to filtering the decoded values. Cache hits are
-  /// filtered in the double domain; the packed path does not insert into
-  /// the cache (it never materializes whole vectors). \p counters
-  /// accumulates the per-vector outcome mix.
-  Status FilterSumRowgroup(size_t rg, const TranslatedPredicate& pred,
-                           double* sum, pushdown::VectorCounters* counters,
-                           const OpContext* ctx = nullptr) const;
+  /// One rowgroup's chunk lifecycle, vector by vector (see the file
+  /// comment). The reader's scans and the engine's VectorSource both walk
+  /// rowgroups through it, so cache probes, fetches, checksum checks,
+  /// structural opens, offset rebasing and flight-recorder counts live
+  /// here only. Per-visit state: use one cursor per rowgroup per thread.
+  class RowgroupCursor {
+   public:
+    /// \p rg must be < rowgroup_count(). \p prefetched, when set, holds
+    /// the chunk bytes a scan's prefetcher is reading.
+    RowgroupCursor(const SeekableReader& reader, size_t rg,
+                   const OpContext* ctx,
+                   std::shared_ptr<PrefetchSlot> prefetched = nullptr);
+
+    /// Starts vector \p v (global index, in this rowgroup): polls ctx,
+    /// then probes the cache. On a hit *values points at the cached
+    /// values (valid until the next Fetch). On a miss *values is null and
+    /// the verified, opened chunk is available from chunk().
+    Status Fetch(size_t v, const T** values);
+
+    /// The opened chunk after a Fetch that missed; vector v is chunk-local
+    /// index v % kRowgroupVectors.
+    const ColumnReader<T>& chunk() const { return *chunk_reader_; }
+
+    /// Decodes vector \p v from the chunk into \p out (room for
+    /// kVectorSize values) and, when \p publish, inserts it into the
+    /// cache. Call only after a Fetch(v) that missed.
+    Status Decode(size_t v, T* out, bool publish = true);
+
+   private:
+    const SeekableReader& reader_;
+    size_t rg_;
+    const OpContext* ctx_;
+    std::shared_ptr<PrefetchSlot> prefetched_;
+    bool caching_;
+    obs::FlightRecorder* recorder_ = nullptr;
+    DecodedVectorCache::Value hit_;
+    std::vector<uint8_t> chunk_;
+    std::optional<ColumnReader<T>> chunk_reader_;
+  };
 
   /// Logical values stored in rowgroup \p rg.
   uint64_t RowgroupValueCount(size_t rg) const;
 
  private:
-  struct PrefetchSlot;
-
   SeekableReader(std::shared_ptr<RandomAccessSource> source,
                  SeekableReaderOptions options,
                  alp::internal::ColumnIndex index);

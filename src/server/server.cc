@@ -8,6 +8,7 @@
 #include "alp/kernel_dispatch.h"
 #include "alp/predicate.h"
 #include "alp/pushdown.h"
+#include "engine/operators.h"
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "util/fault_injection.h"
@@ -471,56 +472,45 @@ Response Server::ExecuteOnColumn(const Request& request,
       return response;
     }
     case QueryClass::kAggregate: {
+      // The engine's per-rowgroup SUM and FILTER-SUM bodies, driven
+      // rowgroup by rowgroup on this thread. The source polls ctx once per
+      // fetched vector; this loop once per rowgroup, like RunParallel.
+      engine::VectorSource source(column, &ctx);
+      const TranslatedPredicate tp(
+          Predicate::Between(request.filter_lo, request.filter_hi));
+      pushdown::VectorCounters counters;
       double sum = 0.0;
-      size_t tuples = 0;
+      for (size_t rg = 0; rg < column.rowgroup_count(); ++rg) {
+        response.status = ctx.Check();
+        if (!response.status.ok()) return response;
+        if (request.has_filter) {
+          // One running sum across the column: every vector's survivor sum
+          // is added straight into it, in index order.
+          response.status = engine::RowgroupFilterSum(
+              source, rg, tp, engine::FilterMode::kAuto, &sum, &counters);
+        } else {
+          // Rowgroup partials, as in engine::RunSum on one worker.
+          double partial = 0.0;
+          response.status = engine::RowgroupSum(source, rg, &partial);
+          sum += partial;
+        }
+        if (!response.status.ok()) return response;
+      }
+      response.sum = sum;
+      response.tuples = column.value_count();
       if (request.has_filter) {
-        // Compressed-domain FILTER+SUM: one predicate translation serves
-        // the whole request; each rowgroup is then evaluated through
-        // FilterSumRowgroup — the resident zone map drops disjoint vectors
-        // before any chunk fetch, survivors are compared on their
-        // FFOR-packed lanes, and the result is bit-identical to the
-        // decode-then-filter loop this replaced.
-        const TranslatedPredicate tp(
-            Predicate::Between(request.filter_lo, request.filter_hi));
-        // `tuples` keeps its historical meaning: values in vectors that
-        // passed the zone map (counted from the resident index, no I/O).
-        for (size_t v = 0; v < seekable->vector_count(); ++v) {
-          if (seekable->VectorMayContain(v, request.filter_lo,
-                                         request.filter_hi)) {
-            tuples += seekable->VectorLength(v);
-          }
-        }
-        pushdown::VectorCounters counters;
-        for (size_t rg = 0; rg < seekable->rowgroup_count(); ++rg) {
-          response.status =
-              seekable->FilterSumRowgroup(rg, tp, &sum, &counters, &ctx);
-          if (!response.status.ok()) return response;
-        }
-        response.sum = sum;
-        response.tuples = tuples;
         response.vectors_skipped = counters.skipped;
         response.vectors_packed_eval = counters.packed_eval;
-        return response;
+        // `tuples` counts the values in vectors that passed the zone map;
+        // every vector but the last is full.
+        const size_t vectors = seekable->vector_count();
+        response.tuples = (vectors - counters.skipped) * kVectorSize;
+        if (vectors > 0 && seekable->VectorMayContain(vectors - 1,
+                                                      request.filter_lo,
+                                                      request.filter_hi)) {
+          response.tuples -= kVectorSize - seekable->VectorLength(vectors - 1);
+        }
       }
-      // Unfiltered SUM: streaming scan, polling ctx and the decode fault
-      // site per vector like the in-memory TryDecodeVector loop. The fold
-      // is engine::RunSum's: each vector's striped sum goes into its
-      // rowgroup's partial, so the answer equals RunSum on one worker.
-      double rowgroup_sum = 0.0;
-      response.status = seekable->Scan(
-          [&](size_t v, const double* values, unsigned len) {
-            if (v % kRowgroupVectors == 0) {
-              sum += rowgroup_sum;
-              rowgroup_sum = 0.0;
-            }
-            rowgroup_sum += pushdown::StripedSumAll(values, len);
-            tuples += len;
-            return Status::Ok();
-          },
-          &ctx);
-      if (!response.status.ok()) return response;
-      response.sum = sum + rowgroup_sum;
-      response.tuples = tuples;
       return response;
     }
     case QueryClass::kScan: {

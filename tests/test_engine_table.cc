@@ -112,11 +112,48 @@ TEST(Table, MixedStorageAgrees) {
   raw_table.AddColumn("p", StoredColumn::MakeUncompressed(data.price));
   raw_table.AddColumn("q", StoredColumn::MakeUncompressed(data.qty));
 
+  // Every storage kind serves: a block-codec filter column and a seekable
+  // projected column.
+  Table other_table;
+  other_table.AddColumn("t", StoredColumn::MakeCodec(codecs::MakeGorilla(),
+                                                     data.time.data(),
+                                                     data.time.size()));
+  auto seekable = StoredColumn::MakeAlp(data.price.data(), data.price.size());
+  ASSERT_TRUE(seekable.EnableSeekable(nullptr).ok());
+  other_table.AddColumn("p", std::move(seekable));
+  other_table.AddColumn("q", StoredColumn::MakeUncompressed(data.qty));
+
   const QueryResult a = RunFilteredDotSum(alp_table, "t", lo, hi, "p", "q", pool);
   const QueryResult b = RunFilteredDotSum(raw_table, "t", lo, hi, "p", "q", pool);
+  const QueryResult c = RunFilteredDotSum(other_table, "t", lo, hi, "p", "q", pool);
+  ASSERT_TRUE(c.status.ok()) << c.status.ToString();
   EXPECT_NEAR(a.sum, b.sum, std::abs(b.sum) * 1e-9);
+  EXPECT_NEAR(c.sum, b.sum, std::abs(b.sum) * 1e-9);
   // Uncompressed filter column has no zone maps: nothing skipped.
   EXPECT_EQ(b.vectors_skipped, 0u);
+}
+
+TEST(Table, RejectsUnknownAndShortColumns) {
+  const auto data = MakeData(3 * kVectorSize);
+  Table table;
+  table.AddColumn("f", StoredColumn::MakeAlp(data.time.data(), data.time.size()));
+  table.AddColumn("p", StoredColumn::MakeUncompressed(std::vector<double>(
+                           data.price.begin(), data.price.begin() + kVectorSize)));
+  table.AddColumn("q", StoredColumn::MakeUncompressed(data.qty));
+  ThreadPool pool(1);
+  EXPECT_EQ(RunFilteredDotSum(table, "f", 0.0, 1e9, "nope", "q", pool).status.code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(RunFilteredDotSum(table, "nope", 0.0, 1e9, "p", "q", pool).status.code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(RunFilteredDotSum(table, "f", 0.0, 1e9, "p", "q", pool).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(RunFilteredDotSum(table, "f", 0.0, 1e9, "q", "p", pool).status.code(),
+            StatusCode::kInvalidArgument);
+  const QueryResult ok = RunFilteredDotSum(table, "f", 0.0, 1e9, "q", "q", pool);
+  ASSERT_TRUE(ok.status.ok()) << ok.status.ToString();
+  double expected = 0.0;
+  for (double q : data.qty) expected += q * q;
+  EXPECT_NEAR(ok.sum, expected, expected * 1e-12);
 }
 
 }  // namespace

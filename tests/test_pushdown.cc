@@ -409,15 +409,26 @@ TEST(PushdownParity, UncompressedAndCodecChunkIdentically) {
   // All storage schemes share the per-vector striped oracle, so their
   // filtered sums are bitwise equal for bitwise-equal values.
   const auto data = Clustered(kRowgroupSize + 555, 41);
-  const auto alp_col = StoredColumn::MakeAlp(data.data(), data.size());
+  auto alp_col = StoredColumn::MakeAlp(data.data(), data.size());
   const auto raw_col = StoredColumn::MakeUncompressed(data);
+  auto codec_col =
+      StoredColumn::MakeCodec(codecs::MakeGorilla(), data.data(), data.size());
+  auto seekable_col = StoredColumn::MakeAlp(data.data(), data.size());
+  ASSERT_TRUE(seekable_col.EnableSeekable(nullptr).ok());
   ThreadPool pool(1);
   const Predicate pred = Predicate::Between(490.0, 515.0);
-  const QueryResult a = RunFilterSum(alp_col, pred, pool);
-  const QueryResult u = RunFilterSum(raw_col, pred, pool);
-  ASSERT_TRUE(a.status.ok());
-  ASSERT_TRUE(u.status.ok());
-  EXPECT_EQ(BitsOf(a.sum), BitsOf(u.sum));
+  for (const FilterMode mode :
+       {FilterMode::kAuto, FilterMode::kDecodeThenFilter}) {
+    const QueryResult u = RunFilterSum(raw_col, pred, pool, nullptr, mode);
+    ASSERT_TRUE(u.status.ok());
+    for (const StoredColumn* column : {&alp_col, &codec_col, &seekable_col}) {
+      const QueryResult r = RunFilterSum(*column, pred, pool, nullptr, mode);
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      EXPECT_EQ(BitsOf(r.sum), BitsOf(u.sum))
+          << column->scheme() << (column->Seekable() ? " (seekable)" : "")
+          << (mode == FilterMode::kAuto ? " auto" : " oracle");
+    }
+  }
 }
 
 TEST(PushdownParity, SeekablePathMatchesOracleAndCaches) {

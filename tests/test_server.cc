@@ -247,25 +247,35 @@ TEST(CancellationThreading, ExpiredDeadlineStopsDecodeAndValidate) {
 
 TEST(CancellationThreading, EngineOperatorsReportCancellation) {
   const auto values = ServingData(3 * kRowgroupSize);
-  engine::StoredColumn column =
+  engine::StoredColumn alp =
       engine::StoredColumn::MakeAlp(values.data(), values.size());
+  engine::StoredColumn seekable =
+      engine::StoredColumn::MakeAlp(values.data(), values.size());
+  ASSERT_TRUE(seekable.EnableSeekable(nullptr).ok());
+  engine::StoredColumn codec = engine::StoredColumn::MakeCodec(
+      codecs::MakeGorilla(), values.data(), values.size());
 
   CancelToken token;
   token.Cancel();
   OpContext ctx;
   ctx.cancel = &token;
-  for (unsigned threads : {1u, 3u}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(engine::RunScan(column, pool, &ctx).status.code(),
-              StatusCode::kCancelled);
-    EXPECT_EQ(engine::RunSum(column, pool, &ctx).status.code(),
-              StatusCode::kCancelled);
-    EXPECT_EQ(engine::RunFilterSum(column, 0.0, 1.0, pool, &ctx).status.code(),
-              StatusCode::kCancelled);
-    double lo = 0.0;
-    double hi = 0.0;
-    EXPECT_EQ(engine::RunMinMax(column, pool, &lo, &hi, &ctx).status.code(),
-              StatusCode::kCancelled);
+  for (const engine::StoredColumn* column : {&alp, &seekable, &codec}) {
+    SCOPED_TRACE(column->scheme() + (column->Seekable() ? " (seekable)" : ""));
+    for (unsigned threads : {1u, 3u}) {
+      ThreadPool pool(threads);
+      EXPECT_EQ(engine::RunScan(*column, pool, &ctx).status.code(),
+                StatusCode::kCancelled);
+      EXPECT_EQ(engine::RunSum(*column, pool, &ctx).status.code(),
+                StatusCode::kCancelled);
+      EXPECT_EQ(
+          engine::RunFilterSum(*column, 0.0, 1.0, pool, &ctx).status.code(),
+          StatusCode::kCancelled);
+      double lo = 0.0;
+      double hi = 0.0;
+      EXPECT_EQ(
+          engine::RunMinMax(*column, pool, &lo, &hi, &ctx).status.code(),
+          StatusCode::kCancelled);
+    }
   }
 }
 
@@ -410,6 +420,51 @@ TEST(Server, AggregateMatchesStripedSumAndUsesZoneMaps) {
   ASSERT_TRUE(f.status.ok());
   EXPECT_EQ(f.sum, 0.0);
   EXPECT_EQ(f.vectors_skipped, values.size() / kVectorSize);
+
+  // A band that cuts vectors in two rowgroups, over a noisy ramp whose zone
+  // maps discriminate. The filtered aggregate adds every vector's survivor
+  // sum into one running sum, in index order (no rowgroup partials).
+  std::vector<double> ramp(2 * kRowgroupSize + 2 * kVectorSize);
+  std::mt19937_64 rng(99);
+  for (size_t i = 0; i < ramp.size(); ++i) {
+    ramp[i] = static_cast<double>(i + rng() % 100) / 100.0;
+  }
+  ASSERT_TRUE(server.AddColumn("ramp", ramp.data(), ramp.size()).ok());
+  const double lo = 500.0;
+  const double hi = 1234.0;
+  double flat = 0.0;
+  size_t tuples = 0;
+  for (size_t v = 0; v < ramp.size(); v += kVectorSize) {
+    const size_t end = std::min(ramp.size(), v + kVectorSize);
+    pushdown::SurvivorSum ss;
+    for (size_t i = v; i < end; ++i) {
+      ss.AddPredicated(ramp[i], ramp[i] >= lo && ramp[i] <= hi);
+    }
+    flat += ss.Reduce();
+    const auto [min, max] = std::minmax_element(ramp.begin() + v, ramp.begin() + end);
+    if (*min <= hi && *max >= lo) tuples += end - v;
+  }
+  const engine::StoredColumn ramp_column =
+      engine::StoredColumn::MakeAlp(ramp.data(), ramp.size());
+  const engine::QueryResult engine_band =
+      engine::RunFilterSum(ramp_column, lo, hi, pool);
+  ASSERT_TRUE(engine_band.status.ok());
+  ASSERT_GT(engine_band.vectors_skipped, 0u);
+  ASSERT_GT(engine_band.vectors_packed_eval, 0u);
+  // The band tells the two summation orders apart.
+  EXPECT_NE(BitsOf(engine_band.sum), BitsOf(flat));
+  Request band;
+  band.column = "ramp";
+  band.query_class = QueryClass::kAggregate;
+  band.has_filter = true;
+  band.filter_lo = lo;
+  band.filter_hi = hi;
+  const Response b = server.Execute(std::move(band));
+  ASSERT_TRUE(b.status.ok()) << b.status.ToString();
+  EXPECT_EQ(BitsOf(b.sum), BitsOf(flat)) << "sum=" << b.sum << " flat=" << flat;
+  EXPECT_EQ(b.vectors_skipped, engine_band.vectors_skipped);
+  EXPECT_EQ(b.vectors_packed_eval, engine_band.vectors_packed_eval);
+  EXPECT_EQ(b.tuples, tuples);
 }
 
 TEST(Server, ByteIdenticalAcrossConcurrentLoadAtEveryWorkerCount) {
