@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <limits>
 
 #include "alp/encoder.h"
 #include "alp/kernel_dispatch.h"
@@ -160,6 +161,51 @@ void WriteRdVector(const RdEncodedVector<T>& enc, const RdParams<T>& params,
   out->AlignTo(8);
 }
 
+/// Zone-map entry of one vector: the serial fold `min = x < min ? x : min`
+/// (and the same for max) over its \p len values. NaNs fail both
+/// comparisons and are excluded. The fold runs in 8 independent local
+/// stripes over a fixed 1024 lanes (a tail is padded with NaN), so no step
+/// waits on the last one or on a store the compiler must assume aliases
+/// the input, then combines the stripes. That keeps every value but not
+/// which of two equal values wins. Only +0.0 and -0.0 compare equal with different bits, and
+/// the serial fold keeps the first zero in index order, so a zero result
+/// takes that zero's bits.
+template <typename T>
+VectorStats ZoneStats(const T* values, unsigned len) {
+  constexpr unsigned kStripes = 8;
+  alignas(64) T padded[kVectorSize];
+  const T* lanes = values;
+  if (len < kVectorSize) {
+    std::copy(values, values + len, padded);
+    std::fill(padded + len, padded + kVectorSize, std::numeric_limits<T>::quiet_NaN());
+    lanes = padded;
+  }
+  double lo[kStripes];
+  double hi[kStripes];
+  std::fill(lo, lo + kStripes, std::numeric_limits<double>::infinity());
+  std::fill(hi, hi + kStripes, -std::numeric_limits<double>::infinity());
+  for (unsigned i = 0; i < kVectorSize; i += kStripes) {
+    for (unsigned j = 0; j < kStripes; ++j) {
+      const double x = static_cast<double>(lanes[i + j]);
+      lo[j] = x < lo[j] ? x : lo[j];
+      hi[j] = x > hi[j] ? x : hi[j];
+    }
+  }
+  VectorStats stats;
+  for (unsigned j = 0; j < kStripes; ++j) {
+    stats.min = lo[j] < stats.min ? lo[j] : stats.min;
+    stats.max = hi[j] > stats.max ? hi[j] : stats.max;
+  }
+  const auto first_zero = [&] {
+    unsigned i = 0;
+    while (lanes[i] != 0) ++i;
+    return static_cast<double>(lanes[i]);
+  };
+  if (stats.min == 0) stats.min = first_zero();
+  if (stats.max == 0) stats.max = first_zero();
+  return stats;
+}
+
 /// Compresses one rowgroup (scheme analysis + per-vector encode) starting
 /// at the current, 8-aligned position of \p out. Rowgroup payloads are
 /// position-independent (vector offsets are relative to the rowgroup
@@ -223,13 +269,7 @@ void CompressRowgroupTo(const T* rg_data, size_t rg_len, const SamplerConfig& co
     vec_offsets[v] = static_cast<uint32_t>(out->size() - rg_begin);
     const size_t vec_header_at = out->size();
 
-    // Zone map entry (NaNs fail both comparisons and are excluded).
-    VectorStats& vs = stats[v];
-    for (unsigned i = 0; i < len; ++i) {
-      const double value = static_cast<double>(rg_data[off + i]);
-      vs.min = value < vs.min ? value : vs.min;
-      vs.max = value > vs.max ? value : vs.max;
-    }
+    stats[v] = ZoneStats(rg_data + off, len);
 
     if (analysis.scheme == Scheme::kAlp) {
       Combination c;

@@ -1,8 +1,7 @@
 #include "alp/encoder.h"
 
-#include <algorithm>
-#include <cstring>
-#include <limits>
+#include <type_traits>
+#include <utility>
 
 #include "alp/kernel_dispatch.h"
 #include "obs/trace.h"
@@ -10,16 +9,6 @@
 
 namespace alp {
 namespace {
-
-/// ALP_enc for one value (Formula 1). The arithmetic always runs at double
-/// precision: for the float port (Section 4.4) this is what makes the
-/// compressed representation identical to the 64-bit one - float-precision
-/// inverse powers of ten are too inaccurate for the round-trip to succeed.
-template <typename T>
-inline typename AlpTraits<T>::Int AlpEnc(T n, double f10_e, double if10_f) {
-  return static_cast<typename AlpTraits<T>::Int>(
-      FastRound(static_cast<double>(n) * f10_e * if10_f));
-}
 
 /// ALP_dec for one value (Formula 2). The two multiplications must stay
 /// separate (in this order) to reproduce the exact rounding the encoder
@@ -29,74 +18,56 @@ inline T AlpDec(typename AlpTraits<T>::Int d, double f10_f, double if10_e) {
   return static_cast<T>(static_cast<double>(d) * f10_f * if10_e);
 }
 
+/// The integer that exception slots are patched with: the first valid
+/// lane's (0 when all \p n lanes are exceptions). It lies inside the
+/// frame of the valid lanes, so patched slots never widen it.
+template <typename Int>
+Int FirstValid(const Int* encoded, const std::make_unsigned_t<Int>* exc, unsigned n,
+               unsigned exc_count) {
+  if (exc_count >= n) return 0;
+  unsigned i = 0;
+  while (exc[i] != 0) ++i;
+  return encoded[i];
+}
+
 }  // namespace
 
 template <typename T>
 void EncodeVector(const T* in, unsigned n, Combination c, EncodedVector<T>* out) {
-  using Traits = AlpTraits<T>;
-  using Int = typename Traits::Int;
+  using Int = typename AlpTraits<T>::Int;
+  using Uint = typename AlpTraits<T>::Uint;
 
-  const double f10_e = AlpTraits<double>::kF10[c.e];
-  const double if10_f = AlpTraits<double>::kIF10[c.f];
-  const double f10_f = AlpTraits<double>::kF10[c.f];
-  const double if10_e = AlpTraits<double>::kIF10[c.e];
   out->combination = c;
+  alignas(64) Uint exc[kVectorSize];
+  const unsigned exc_count = kernels::EncodeLanes(in, n, c, out->encoded, exc);
 
-  // Encode + immediately re-decode every value (both loops branch-free).
-  T decoded[kVectorSize];
-  for (unsigned i = 0; i < n; ++i) {
-    const Int d = AlpEnc(in[i], f10_e, if10_f);
-    out->encoded[i] = d;
-    decoded[i] = AlpDec<T>(d, f10_f, if10_e);
-  }
-
-  // Find exceptions with a predicated (branch-free) comparison - bitwise,
-  // so NaNs, infinities and -0.0 are never silently altered - and fold the
-  // FOR frame (min/max over the *valid* integers) into the same pass so
-  // bit-packing needs no further analysis.
-  unsigned exc_count = 0;
-  Int min = std::numeric_limits<Int>::max();
-  Int max = std::numeric_limits<Int>::min();
-  for (unsigned i = 0; i < n; ++i) {
-    const bool neq = BitsOf(decoded[i]) != BitsOf(in[i]);
-    out->exc_positions[exc_count] = static_cast<uint16_t>(i);
-    exc_count += neq;
-    // Valid slots participate in the frame; exception slots repeat the
-    // current min/max (branch-free select).
-    const Int d = out->encoded[i];
-    min = (!neq && d < min) ? d : min;
-    max = (!neq && d > max) ? d : max;
-  }
-
-  // First successfully encoded value (any non-exception slot); fall back to
-  // 0 when the entire vector is exceptional. The exception positions array
-  // is sorted, so the first gap in it is the first valid slot.
-  Int first_encoded = 0;
-  if (exc_count < n) {
-    unsigned p = 0;
-    for (unsigned i = 0; i < exc_count && out->exc_positions[i] == p; ++i) ++p;
-    first_encoded = out->encoded[p];
-  }
-
-  // Fetch exceptions and patch their slots.
-  for (unsigned i = 0; i < exc_count; ++i) {
-    const uint16_t pos = out->exc_positions[i];
-    out->exceptions[i] = in[pos];
-    out->encoded[pos] = first_encoded;
+  // Compact the exception positions 8 flags at a time, skipping all-zero
+  // groups (most of them); within a group, an unconditional store and a
+  // count += flag.
+  for (unsigned i = n; i % 8 != 0; ++i) exc[i] = 0;
+  unsigned k = 0;
+  for (unsigned i = 0; i < n; i += 8) {
+    Uint any = 0;
+    for (unsigned j = 0; j < 8; ++j) any |= exc[i + j];
+    if (any == 0) continue;
+    for (unsigned j = 0; j < 8; ++j) {
+      out->exc_positions[k] = static_cast<uint16_t>(i + j);
+      k += static_cast<unsigned>(exc[i + j]);
+    }
   }
   out->exc_count = static_cast<uint16_t>(exc_count);
 
-  // Pad a partial tail so it packs as a full block without widening FFOR.
-  for (unsigned i = n; i < kVectorSize; ++i) out->encoded[i] = first_encoded;
-
-  // The frame: all-exception vectors collapse to {first_encoded} = {0}.
-  if (exc_count >= n) {
-    min = first_encoded;
-    max = first_encoded;
+  // Fetch the exceptions and patch their slots; pad a partial tail so it
+  // packs as a full block. Then every slot holds a valid value and the
+  // frame over all 1024 equals the frame over the valid lanes.
+  const Int fill = FirstValid(out->encoded, exc, n, exc_count);
+  for (unsigned i = 0; i < exc_count; ++i) {
+    const uint16_t pos = out->exc_positions[i];
+    out->exceptions[i] = in[pos];
+    out->encoded[pos] = fill;
   }
-  using Uint = typename Traits::Uint;
-  out->ffor.base = static_cast<uint64_t>(static_cast<Uint>(min));
-  out->ffor.width = BitWidth(static_cast<Uint>(static_cast<Uint>(max) - static_cast<Uint>(min)));
+  for (unsigned i = n; i < kVectorSize; ++i) out->encoded[i] = fill;
+  out->ffor = kernels::ForFrame(out->encoded, kVectorSize, fill);
 
   ALP_OBS_ONLY({
     // Table 2's exceptions/vector as a live distribution.
@@ -170,47 +141,19 @@ uint64_t EstimateCompressedBits(const T* in, unsigned n, Combination c,
                                 unsigned* exc_count_out, uint64_t abort_above) {
   using Traits = AlpTraits<T>;
   using Int = typename Traits::Int;
-  using Uint = typename Traits::Uint;
 
-  const double f10_e = AlpTraits<double>::kF10[c.e];
-  const double if10_f = AlpTraits<double>::kIF10[c.f];
-  const double f10_f = AlpTraits<double>::kF10[c.f];
-  const double if10_e = AlpTraits<double>::kIF10[c.e];
-
+  alignas(64) Int encoded[kVectorSize];
+  alignas(64) typename Traits::Uint exc[kVectorSize];
+  const unsigned exc_count = kernels::EncodeLanes(in, n, c, encoded, exc);
+  if (exc_count_out != nullptr) *exc_count_out = exc_count;
   // Exceptions alone disqualify a combination once they cost more than the
   // best candidate seen so far.
-  const unsigned abort_exceptions =
-      abort_above == UINT64_MAX
-          ? n + 1
-          : static_cast<unsigned>(
-                std::min<uint64_t>(abort_above / Traits::kExceptionBits + 1, n + 1));
+  if (exc_count > abort_above / Traits::kExceptionBits) return UINT64_MAX;
 
-  unsigned exc_count = 0;
-  Int min = 0;
-  Int max = 0;
-  bool any = false;
-  for (unsigned i = 0; i < n; ++i) {
-    const Int d = AlpEnc(in[i], f10_e, if10_f);
-    const T dec = AlpDec<T>(d, f10_f, if10_e);
-    if (BitsOf(dec) != BitsOf(in[i])) {
-      if (++exc_count >= abort_exceptions) {
-        if (exc_count_out != nullptr) *exc_count_out = exc_count;
-        return UINT64_MAX;
-      }
-      continue;
-    }
-    if (!any) {
-      min = max = d;
-      any = true;
-    } else {
-      min = d < min ? d : min;
-      max = d > max ? d : max;
-    }
-  }
-  const unsigned width =
-      any ? BitWidth(static_cast<Uint>(static_cast<Uint>(max) - static_cast<Uint>(min)))
-          : 0;
-  if (exc_count_out != nullptr) *exc_count_out = exc_count;
+  // The encoder's frame: exception slots patched with the first valid lane.
+  const Int fill = FirstValid(encoded, exc, n, exc_count);
+  for (unsigned i = 0; i < n; ++i) encoded[i] = exc[i] != 0 ? fill : encoded[i];
+  const unsigned width = kernels::ForFrame(encoded, n, fill).width;
   return static_cast<uint64_t>(n) * width +
          static_cast<uint64_t>(exc_count) * Traits::kExceptionBits;
 }

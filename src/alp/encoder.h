@@ -11,15 +11,21 @@
 /// (Algorithms 1 and 2 of the paper). Given a per-vector (exponent e,
 /// factor f) combination chosen by the sampler, the encoder:
 ///
-///   1. computes d = fast_round(n * 10^e * 10^-f) for every value,
-///   2. verifies each d by decoding it back and comparing bitwise,
-///   3. turns verification failures into *exceptions* (raw value + 16-bit
+///   1. computes d = fast_round(n * 10^e * 10^-f) for every value and
+///      verifies it by decoding it back and comparing bitwise, writing a
+///      0/1 exception flag per lane,
+///   2. compacts the flagged lanes into *exceptions* (raw value + 16-bit
 ///      position) and patches their encoded slots with the first
 ///      successfully-encoded integer so the FFOR bit width is unaffected,
-///   4. hands the int64 vector to FFOR (fused FOR + bit-packing).
+///   3. takes the FOR frame as a plain min/max over the patched slots and
+///      hands the int vector to FFOR (fused FOR + bit-packing).
 ///
-/// Everything in the hot loops is free of data-dependent control flow so
-/// the compiler auto-vectorizes (the paper's central design point).
+/// Steps 1 and 3 are the dispatched encode kernels (kernels::EncodeLanes,
+/// kernels::ForFrame in alp/kernel_dispatch.h): branch-free lane loops
+/// with no data-dependent stores, compiled per ISA tier. The sampler's
+/// EstimateCompressedBits runs the same two kernels. Step 2 is scalar and
+/// branches per exception, which is cheap because exceptions are rare: it
+/// reads the flags 8 at a time and skips all-zero groups.
 
 namespace alp {
 
@@ -71,10 +77,11 @@ void PatchExceptions(T* out, const T* exceptions, const uint16_t* positions,
 /// Estimated compressed size, in bits, of encoding \p n sampled values with
 /// combination \p c: bit-packed width for the successfully encoded integers
 /// plus the fixed per-exception cost. This is the metric both sampler
-/// levels minimize (Section 3.2). When the accumulated exception cost alone
-/// already exceeds \p abort_above, the search for this combination is
-/// hopeless and UINT64_MAX is returned early - this prunes most of the
-/// 190-combination level-1 space after a handful of samples.
+/// levels minimize (Section 3.2). When the exception cost alone already
+/// exceeds \p abort_above, the combination is hopeless and UINT64_MAX is
+/// returned instead of a size - this prunes most of the 190-combination
+/// level-1 space. \p exc_count_out receives the full exception count of
+/// the \p n values, also when the estimate is abandoned.
 template <typename T>
 uint64_t EstimateCompressedBits(const T* in, unsigned n, Combination c,
                                 unsigned* exc_count_out = nullptr,

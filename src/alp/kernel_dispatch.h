@@ -8,10 +8,13 @@
 #include "fastlanes/ffor.h"
 
 /// \file kernel_dispatch.h
-/// Runtime ISA dispatch for the decode hot path.
+/// Runtime ISA dispatch for the hot loops of both directions: the decode
+/// kernels (fused unFFOR -> int->double convert -> e/f multiply, exception
+/// patching, ALP_rd glue, compressed-domain compare and gather) and the
+/// encode kernels (ALP_enc + verify and the FOR frame fold, shared by the
+/// encoder and the sampler).
 ///
-/// The paper's decompression speed rests on the fused
-/// unFFOR -> int->double convert -> e/f multiply kernel compiling to wide
+/// The paper's speed rests on these 1024-lane loops compiling to wide
 /// SIMD. Instead of baking one ISA into the binary at build time
 /// (-march=native), every ISA variant is compiled into its own translation
 /// unit with per-file target flags (-mavx2, -mavx512f -mavx512dq; see
@@ -34,7 +37,10 @@
 /// narrowing for float columns) is IEEE correctly rounded on every ISA, so
 /// decode bytes never depend on the dispatched tier. tests/test_kernels.cc
 /// sweeps all widths x tiers against the scalar reference to keep that
-/// claim checked.
+/// claim checked. The same holds for encode: the build disables FMA
+/// contraction (-ffp-contract=off), so n * 10^e * 10^-f + magic rounds
+/// after every step on every tier, and tests/test_alp_encoder.cc checks
+/// that every tier writes the scalar tier's column bytes.
 ///
 /// Overriding: set ALP_FORCE_KERNEL=scalar|avx2|avx512|neon|auto in the
 /// environment (unsupported values warn on stderr and fall back), or pass
@@ -112,6 +118,28 @@ struct DecodeKernels {
   /// filter oracle.
   unsigned (*gather64)(const uint64_t* lanes, uint64_t base, double f10_f,
                        double if10_e, const uint64_t* bitmap, double* out);
+
+  /// ALP_enc + verify over lanes [0, n), n <= 1024 (Algorithm 1):
+  /// encoded[i] = FastRound(in[i] * f10_e * if10_f), and exc[i] = 1 when
+  /// decoding encoded[i] (the two ordered multiplies by f10_f, if10_e, then
+  /// narrowing to the column type) does not give back in[i]'s exact bits,
+  /// else 0. Returns the number of exception lanes. No branches and no
+  /// data-dependent stores; the caller compacts exception positions. The
+  /// flags are as wide as the lanes: byte flags made the loop pack every
+  /// compare result and ran ~1.9x slower under AVX-512 (GCC 12).
+  unsigned (*encode64)(const double* in, unsigned n, double f10_e,
+                       double if10_f, double f10_f, double if10_e,
+                       int64_t* encoded, uint64_t* exc);
+  unsigned (*encode32)(const float* in, unsigned n, double f10_e,
+                       double if10_f, double f10_f, double if10_e,
+                       int32_t* encoded, uint32_t* exc);
+
+  /// The encoder's FOR frame: base = min and width = bit width of
+  /// max - min over {seed} and v[0, n), as in fastlanes::FforAnalyze.
+  /// The caller has patched exception slots with a valid value (the seed),
+  /// so they never widen the frame.
+  fastlanes::FforParams (*frame64)(const int64_t* v, unsigned n, int64_t seed);
+  fastlanes::FforParams (*frame32)(const int32_t* v, unsigned n, int32_t seed);
 };
 
 /// Whether the running CPU can execute \p tier (hardware probe only).
@@ -156,8 +184,36 @@ bool ForceTierByName(std::string_view name);
 void ResetForTesting();
 
 // ---------------------------------------------------------------------------
-// Typed convenience wrappers over Active() for the templated decode paths.
+// Typed convenience wrappers over Active() for the templated paths.
 // ---------------------------------------------------------------------------
+
+/// Active-tier ALP_enc + verify with combination \p c (see
+/// DecodeKernels::encode64). The multipliers are the double-precision
+/// ones for both column types (Section 4.4).
+template <typename T>
+inline unsigned EncodeLanes(const T* in, unsigned n, Combination c,
+                            typename AlpTraits<T>::Int* encoded,
+                            typename AlpTraits<T>::Uint* exc) {
+  const double f10_e = AlpTraits<double>::kF10[c.e];
+  const double if10_f = AlpTraits<double>::kIF10[c.f];
+  const double f10_f = AlpTraits<double>::kF10[c.f];
+  const double if10_e = AlpTraits<double>::kIF10[c.e];
+  if constexpr (sizeof(T) == 8) {
+    return Active().encode64(in, n, f10_e, if10_f, f10_f, if10_e, encoded, exc);
+  } else {
+    return Active().encode32(in, n, f10_e, if10_f, f10_f, if10_e, encoded, exc);
+  }
+}
+
+/// Active-tier FOR frame (see DecodeKernels::frame64).
+template <typename Int>
+inline fastlanes::FforParams ForFrame(const Int* v, unsigned n, Int seed) {
+  if constexpr (sizeof(Int) == 8) {
+    return Active().frame64(v, n, seed);
+  } else {
+    return Active().frame32(v, n, seed);
+  }
+}
 
 template <typename T>
 inline void DecodeAlpFused(const typename AlpTraits<T>::Uint* packed,

@@ -14,6 +14,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 
 #include "fastlanes/bitpack.h"

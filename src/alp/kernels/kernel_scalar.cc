@@ -154,9 +154,51 @@ unsigned Gather64(const uint64_t* lanes, uint64_t base, double f10_f,
   return k;
 }
 
+// ALP_enc + verify in the encoder's reference formula: FastRound, then the
+// native int->double convert and the two ordered multiplies (Formulas 1
+// and 2). The arithmetic runs at double precision for float columns too
+// (Section 4.4). The SIMD tiers' AlpEncode (kernel_body.inc) is tested
+// bit-exact against this loop.
+template <typename T, typename Int>
+unsigned AlpEncode(const T* in, unsigned n, double f10_e, double if10_f,
+                   double f10_f, double if10_e, Int* encoded,
+                   std::make_unsigned_t<Int>* exc) {
+  using Uint = std::make_unsigned_t<Int>;
+  Uint count = 0;
+  for (unsigned i = 0; i < n; ++i) {
+    const Int d =
+        static_cast<Int>(FastRound(static_cast<double>(in[i]) * f10_e * if10_f));
+    const T decoded = static_cast<T>(static_cast<double>(d) * f10_f * if10_e);
+    const Uint miss = std::bit_cast<Uint>(decoded) != std::bit_cast<Uint>(in[i]);
+    encoded[i] = d;
+    exc[i] = miss;
+    count += miss;
+  }
+  return static_cast<unsigned>(count);
+}
+
+// The encoder's FOR frame: a plain min/max fold over patched slots.
+template <typename Int>
+alp::fastlanes::FforParams FrameFold(const Int* v, unsigned n, Int seed) {
+  using Uint = std::make_unsigned_t<Int>;
+  Int min = seed;
+  Int max = seed;
+  for (unsigned i = 0; i < n; ++i) {
+    min = v[i] < min ? v[i] : min;
+    max = v[i] > max ? v[i] : max;
+  }
+  alp::fastlanes::FforParams ffor;
+  ffor.base = static_cast<uint64_t>(static_cast<Uint>(min));
+  ffor.width = alp::BitWidth(
+      static_cast<Uint>(static_cast<Uint>(max) - static_cast<Uint>(min)));
+  return ffor;
+}
+
 constexpr DecodeKernels kKernels = {
     Tier::kScalar, AlpFused64, AlpFused32, Patch64,  Patch32,
     RdFused64,     RdFused32,  RdGlue64,   RdGlue32, CmpRange64, Gather64,
+    AlpEncode<double, int64_t>,   AlpEncode<float, int32_t>,
+    FrameFold<int64_t>,           FrameFold<int32_t>,
 };
 
 }  // namespace

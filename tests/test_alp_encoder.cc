@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <random>
 #include <vector>
 
+#include "alp/column.h"
 #include "alp/encoder.h"
+#include "alp/kernel_dispatch.h"
+#include "alp/sampler.h"
 #include "util/bits.h"
 
 namespace alp {
@@ -334,6 +338,137 @@ TEST(Estimate, ConstantVectorIsTiny) {
   std::vector<double> in(64, 9.5);
   const uint64_t bits = EstimateCompressedBits(in.data(), 64, Combination{14, 13});
   EXPECT_EQ(bits, 0u);  // Width 0, no exceptions.
+}
+
+// ---------------------------------------------------------------------------
+// Every kernel tier encodes identically.
+// ---------------------------------------------------------------------------
+
+/// Restores the global kernel selection when a test forces a tier.
+struct TierGuard {
+  ~TierGuard() { kernels::ResetForTesting(); }
+};
+
+/// A column that walks every encode path: decimal vectors sprinkled with
+/// +-0.0, NaNs, +-inf, subnormals and values whose scaled form passes
+/// +-2^51, a vector of full-precision bits (mostly exceptions), a vector of
+/// NaN payloads (all exceptions) and a tail vector of 300 values.
+template <typename T>
+std::vector<T> EveryPathCorpus(uint64_t seed) {
+  using Lim = std::numeric_limits<T>;
+  using Uint = typename AlpTraits<T>::Uint;
+  std::mt19937_64 rng(seed);
+  const int64_t range = sizeof(T) == 8 ? 2000000 : 2000;
+  std::vector<T> values(8 * kVectorSize + 300);
+  for (auto& v : values) {
+    v = static_cast<T>(
+        static_cast<double>(static_cast<int64_t>(rng() % range) - range / 2) / 100.0);
+  }
+  const T specials[] = {
+      T(0.0), T(-0.0), Lim::quiet_NaN(), -Lim::quiet_NaN(), Lim::infinity(),
+      -Lim::infinity(), Lim::denorm_min(), -Lim::denorm_min(), Lim::min(),
+      Lim::max(), -Lim::max(), T(2251799813685248.0), T(-2251799813685248.0),
+      T(4503599627370497.0), T(-9007199254740993.0), T(123456789012.34),
+      T(-98765432109.87), T(4194304.5), T(-8388607.25), T(0.1)};
+  // Specials land in the first vector, in the tail and on stride 97.
+  const size_t tail = 8 * kVectorSize;
+  for (size_t i = 0; i < std::size(specials); ++i) {
+    values[3 * i + 1] = specials[i];
+    values[tail + 7 * i] = specials[i];
+  }
+  for (size_t i = 0; i < values.size(); i += 97) {
+    values[i] = specials[(i / 97) % std::size(specials)];
+  }
+  constexpr unsigned kTop = sizeof(T) * 8 - 1;
+  for (size_t i = 0; i < kVectorSize; ++i) {
+    // Vector 5: positive values with random mantissas, |v| in [2^-(bias/2), 2).
+    Uint bits = static_cast<Uint>(rng()) & ~(Uint{3} << (kTop - 1));
+    bits |= Uint{1} << (kTop - 2);
+    std::memcpy(&values[5 * kVectorSize + i], &bits, sizeof(T));
+    // Vector 6: NaNs with distinct payloads.
+    bits = BitsOf(Lim::quiet_NaN()) | static_cast<Uint>(i + 1);
+    std::memcpy(&values[6 * kVectorSize + i], &bits, sizeof(T));
+  }
+  return values;
+}
+
+template <typename T>
+void ExpectEveryTierEncodesLikeScalar() {
+  TierGuard guard;
+  const std::vector<T> data = EveryPathCorpus<T>(sizeof(T));
+  const unsigned n_vectors = (data.size() + kVectorSize - 1) / kVectorSize;
+
+  struct Run {
+    std::vector<uint8_t> column;
+    CompressionInfo info;
+    std::vector<Combination> best;
+    std::vector<uint64_t> bits;    // Estimate, then exception count, per case.
+    std::vector<uint8_t> encoded;  // The EncodedVector fields the writer reads.
+  };
+  const auto run_on = [&](kernels::Tier tier) {
+    EXPECT_TRUE(kernels::ForceTier(tier));
+    Run run;
+    run.column = CompressColumn(data.data(), data.size(), {}, &run.info);
+    for (unsigned v = 0; v < n_vectors; ++v) {
+      const T* vec = data.data() + size_t{v} * kVectorSize;
+      const unsigned len = static_cast<unsigned>(
+          std::min<size_t>(kVectorSize, data.size() - size_t{v} * kVectorSize));
+      // The sampler's two entry points, on the full vector and on 32- and
+      // 13-value prefixes, over every combination and three abort bounds.
+      for (unsigned n : {len, std::min(len, 32u), std::min(len, 13u)}) {
+        uint64_t best_bits = 0;
+        run.best.push_back(FindBestCombination(vec, n, &best_bits));
+        run.bits.push_back(best_bits);
+        for (int e = AlpTraits<T>::kMaxExponent; e >= 0; --e) {
+          for (int f = e; f >= 0; --f) {
+            const Combination c{static_cast<uint8_t>(e), static_cast<uint8_t>(f)};
+            for (uint64_t abort : {UINT64_MAX, uint64_t{4000}, uint64_t{0}}) {
+              unsigned exc = 0;
+              run.bits.push_back(EstimateCompressedBits(vec, n, c, &exc, abort));
+              run.bits.push_back(exc);
+            }
+          }
+        }
+      }
+      // EncodeVector with the vector's own best combination.
+      EncodedVector<T> enc;
+      EncodeVector(vec, len, FindBestCombination(vec, len), &enc);
+      const auto append = [&](const void* p, size_t bytes) {
+        const auto* b = static_cast<const uint8_t*>(p);
+        run.encoded.insert(run.encoded.end(), b, b + bytes);
+      };
+      append(enc.encoded, sizeof(enc.encoded));
+      append(enc.exceptions, enc.exc_count * sizeof(T));
+      append(enc.exc_positions, enc.exc_count * sizeof(uint16_t));
+      append(&enc.ffor.base, sizeof(enc.ffor.base));
+      append(&enc.ffor.width, sizeof(enc.ffor.width));
+    }
+    return run;
+  };
+
+  const Run scalar = run_on(kernels::Tier::kScalar);
+  // The corpus reaches every path: ALP rowgroups, an all-exception vector.
+  EXPECT_EQ(scalar.info.rowgroups_rd, 0u);
+  EXPECT_GE(scalar.info.exceptions, kVectorSize);
+  EncodedVector<T> nans;
+  EncodeVector(data.data() + 6 * kVectorSize, kVectorSize, Combination{0, 0}, &nans);
+  EXPECT_EQ(nans.exc_count, kVectorSize);
+  for (unsigned t = 0; t < kernels::kTierCount; ++t) {
+    const auto tier = static_cast<kernels::Tier>(t);
+    if (tier == kernels::Tier::kScalar || !kernels::TierAvailable(tier)) continue;
+    SCOPED_TRACE(kernels::TierName(tier));
+    const Run got = run_on(tier);
+    EXPECT_TRUE(got.column == scalar.column) << "column bytes differ";
+    EXPECT_EQ(got.info.exceptions, scalar.info.exceptions);
+    EXPECT_TRUE(got.best == scalar.best) << "FindBestCombination differs";
+    EXPECT_TRUE(got.bits == scalar.bits) << "EstimateCompressedBits differs";
+    EXPECT_TRUE(got.encoded == scalar.encoded) << "EncodeVector differs";
+  }
+}
+
+TEST(Encoder, EveryTierEncodesIdentically) {
+  ExpectEveryTierEncodesLikeScalar<double>();
+  ExpectEveryTierEncodesLikeScalar<float>();
 }
 
 }  // namespace

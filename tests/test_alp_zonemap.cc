@@ -8,6 +8,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alp/column.h"
@@ -39,6 +40,49 @@ TEST(ZoneMap, MinMaxMatchData) {
     }
     EXPECT_EQ(stats.min, min) << v;
     EXPECT_EQ(stats.max, max) << v;
+  }
+}
+
+TEST(ZoneMap, SignedZerosMatchSerialFold) {
+  // The zone map must equal the serial fold `min = x < min ? x : min` bit
+  // for bit. +0.0 and -0.0 compare equal, so the serial fold keeps the
+  // first zero in index order. Each case puts two zeros of opposite sign
+  // at positions whose later one has the smaller index modulo every
+  // power-of-two stripe count, so a striped fold that combines its stripes
+  // in stripe order picks the wrong zero unless it fixes the sign up.
+  const double zero_pairs[][2] = {{-0.0, 0.0}, {0.0, -0.0}};
+  const std::pair<unsigned, unsigned> positions[] = {{7, 8}, {63, 64}, {5, 514}, {1, 1022}};
+  for (const double sign : {1.0, -1.0}) {  // Zeros are the min, then the max.
+    for (const auto& zeros : zero_pairs) {
+      for (const auto& [first, second] : positions) {
+        for (const size_t len : {size_t{kVectorSize}, size_t{kVectorSize} + 1023}) {
+          std::vector<double> data(len);
+          for (size_t i = 0; i < len; ++i) data[i] = sign * (1.0 + static_cast<double>(i % 50));
+          // The second vector is a tail of 1023 values; it gets the zeros too.
+          for (const size_t base : {size_t{0}, size_t{kVectorSize}}) {
+            if (base + second >= len) continue;
+            data[base + first] = zeros[0];
+            data[base + second] = zeros[1];
+          }
+          const auto buffer = CompressColumn(data.data(), data.size());
+          ColumnReader<double> reader(buffer.data(), buffer.size());
+          for (size_t v = 0; v < reader.vector_count(); ++v) {
+            double min = std::numeric_limits<double>::infinity();
+            double max = -min;
+            for (unsigned i = 0; i < reader.VectorLength(v); ++i) {
+              const double x = data[v * kVectorSize + i];
+              min = x < min ? x : min;
+              max = x > max ? x : max;
+            }
+            SCOPED_TRACE(testing::Message() << "sign " << sign << " zeros at "
+                                            << first << "," << second << " len "
+                                            << len << " vector " << v);
+            EXPECT_EQ(BitsOf(reader.Stats(v).min), BitsOf(min));
+            EXPECT_EQ(BitsOf(reader.Stats(v).max), BitsOf(max));
+          }
+        }
+      }
+    }
   }
 }
 

@@ -11,8 +11,10 @@
 //      (so the corruption/parallel suites keep testing the same corpora
 //      the golden files were built from).
 //
-// A v2 file is committed alongside the v3 ones so the legacy-format read
-// path keeps its own golden coverage.
+// The double fixtures come from test_fixtures.h; a float ALP column built
+// from the in-tree dataset generator pins the float encoding too. A v2
+// file is committed alongside the v3 ones so the legacy-format read path
+// keeps its own golden coverage.
 //
 // Set ALP_GOLDEN_REGEN=1 to rewrite the files after an *intentional*
 // format change (bump kColumnFormatVersion first; the committed history
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "alp/alp.h"
+#include "data/datasets.h"
 #include "test_fixtures.h"
 #include "util/file_io.h"
 #include "util/thread_pool.h"
@@ -40,7 +43,6 @@ namespace alp {
 namespace {
 
 using testutil::AlpSmall;
-using testutil::Corpus;
 using testutil::RdSmall;
 using testutil::StripToV2;
 
@@ -57,10 +59,18 @@ std::string GoldenPath(const std::string& name) {
   return std::string(ALP_GOLDEN_DIR) + "/" + name;
 }
 
-std::vector<uint8_t> DoubleBytes(const std::vector<double>& values) {
-  std::vector<uint8_t> bytes(values.size() * sizeof(double));
+template <typename T>
+std::vector<uint8_t> ValueBytes(const std::vector<T>& values) {
+  std::vector<uint8_t> bytes(values.size() * sizeof(T));
   std::memcpy(bytes.data(), values.data(), bytes.size());
   return bytes;
+}
+
+template <typename T>
+std::vector<T> ValuesOf(const std::vector<uint8_t>& bytes) {
+  std::vector<T> values(bytes.size() / sizeof(T));
+  std::memcpy(values.data(), bytes.data(), values.size() * sizeof(T));
+  return values;
 }
 
 /// Loads golden file \p name; in regen mode writes \p fresh there first, so
@@ -79,83 +89,114 @@ std::vector<uint8_t> LoadGolden(const std::string& name,
   return bytes.value_or(std::vector<uint8_t>{});
 }
 
+/// A float ALP column (Section 4.4): the Btc-Price generator's values,
+/// narrowed to float. Float encoding runs its arithmetic at double
+/// precision, and on these values an encoder built with FMA contraction
+/// writes different bytes, so this fixture pins float bytes against
+/// build-flag drift.
+const std::vector<float>& FloatSmall() {
+  static const std::vector<float> values = [] {
+    const std::vector<double> wide =
+        data::Generate(*data::FindDataset("Btc-Price"), 2 * kVectorSize + 77, 1);
+    return std::vector<float>(wide.begin(), wide.end());
+  }();
+  return values;
+}
+
 struct GoldenCase {
   const char* values_file;
   const char* column_file;
-  const Corpus* fixture;
+  bool is_float;
+  std::vector<uint8_t> values;  ///< The fixture generator's values.
+  std::vector<uint8_t> column;  ///< Today's encoding of them.
 };
 
-const GoldenCase kCases[] = {
-    {"alp_small.bin", "alp_small.alp", &AlpSmall()},
-    {"rd_small.bin", "rd_small.alp", &RdSmall()},
-};
+const std::vector<GoldenCase>& Cases() {
+  static const std::vector<GoldenCase> cases = {
+      {"alp_small.bin", "alp_small.alp", false, ValueBytes(AlpSmall().values),
+       AlpSmall().buffer},
+      {"rd_small.bin", "rd_small.alp", false, ValueBytes(RdSmall().values),
+       RdSmall().buffer},
+      {"alp_small_float.bin", "alp_small_float.alp", true, ValueBytes(FloatSmall()),
+       CompressColumn(FloatSmall().data(), FloatSmall().size())},
+  };
+  return cases;
+}
 
 TEST(Golden, FixtureGeneratorsMatchCommittedValues) {
   if (!HostIsLittleEndian()) GTEST_SKIP() << "golden files are little-endian";
-  for (const GoldenCase& c : kCases) {
+  for (const GoldenCase& c : Cases()) {
     SCOPED_TRACE(c.values_file);
-    const std::vector<uint8_t> committed =
-        LoadGolden(c.values_file, DoubleBytes(c.fixture->values));
-    ASSERT_EQ(committed.size(), c.fixture->values.size() * sizeof(double));
-    EXPECT_EQ(std::memcmp(committed.data(), c.fixture->values.data(),
-                          committed.size()),
-              0)
+    const std::vector<uint8_t> committed = LoadGolden(c.values_file, c.values);
+    EXPECT_EQ(committed, c.values)
         << "fixture generator drifted from committed golden values";
   }
 }
 
+template <typename T>
+void ExpectDecodesTo(const std::vector<uint8_t>& column,
+                     const std::vector<uint8_t>& raw) {
+  ASSERT_EQ(raw.size() % sizeof(T), 0u);
+  const size_t n = raw.size() / sizeof(T);
+
+  StatusOr<ColumnReader<T>> reader = ColumnReader<T>::Open(column.data(), column.size());
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(reader->format_version(), kColumnFormatVersion);
+  ASSERT_EQ(reader->value_count(), n);
+  std::vector<T> out(n);
+  const Status decode = reader->TryDecodeAll(out.data());
+  ASSERT_TRUE(decode.ok()) << decode.ToString();
+  EXPECT_EQ(std::memcmp(out.data(), raw.data(), raw.size()), 0);
+
+  // The parallel pipeline reads the same golden bytes to the same values.
+  ThreadPool pool(2);
+  StatusOr<ColumnReader<T>> preader =
+      ColumnReader<T>::OpenParallel(column.data(), column.size(), &pool);
+  ASSERT_TRUE(preader.ok()) << preader.status().ToString();
+  std::vector<T> pout(n);
+  const Status pdecode = preader->TryDecodeAllParallel(pout.data(), &pool);
+  ASSERT_TRUE(pdecode.ok()) << pdecode.ToString();
+  EXPECT_EQ(std::memcmp(pout.data(), raw.data(), raw.size()), 0);
+}
+
 TEST(Golden, CommittedColumnsDecodeBitExactly) {
   if (!HostIsLittleEndian()) GTEST_SKIP() << "golden files are little-endian";
-  for (const GoldenCase& c : kCases) {
+  for (const GoldenCase& c : Cases()) {
     SCOPED_TRACE(c.column_file);
-    const std::vector<uint8_t> column =
-        LoadGolden(c.column_file, c.fixture->buffer);
-    const std::vector<uint8_t> raw =
-        LoadGolden(c.values_file, DoubleBytes(c.fixture->values));
-    ASSERT_EQ(raw.size() % sizeof(double), 0u);
-    const size_t n = raw.size() / sizeof(double);
-
-    StatusOr<ColumnReader<double>> reader =
-        ColumnReader<double>::Open(column.data(), column.size());
-    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    EXPECT_EQ(reader->format_version(), kColumnFormatVersion);
-    ASSERT_EQ(reader->value_count(), n);
-    std::vector<double> out(n);
-    const Status decode = reader->TryDecodeAll(out.data());
-    ASSERT_TRUE(decode.ok()) << decode.ToString();
-    EXPECT_EQ(std::memcmp(out.data(), raw.data(), raw.size()), 0);
-
-    // The parallel pipeline reads the same golden bytes to the same values.
-    ThreadPool pool(2);
-    StatusOr<ColumnReader<double>> preader =
-        ColumnReader<double>::OpenParallel(column.data(), column.size(), &pool);
-    ASSERT_TRUE(preader.ok()) << preader.status().ToString();
-    std::vector<double> pout(n);
-    const Status pdecode = preader->TryDecodeAllParallel(pout.data(), &pool);
-    ASSERT_TRUE(pdecode.ok()) << pdecode.ToString();
-    EXPECT_EQ(std::memcmp(pout.data(), raw.data(), raw.size()), 0);
+    const std::vector<uint8_t> column = LoadGolden(c.column_file, c.column);
+    const std::vector<uint8_t> raw = LoadGolden(c.values_file, c.values);
+    if (c.is_float) {
+      ExpectDecodesTo<float>(column, raw);
+    } else {
+      ExpectDecodesTo<double>(column, raw);
+    }
   }
+}
+
+template <typename T>
+void ExpectReencodesTo(const std::vector<uint8_t>& column,
+                       const std::vector<uint8_t>& raw) {
+  const std::vector<T> values = ValuesOf<T>(raw);
+  EXPECT_EQ(CompressColumn(values.data(), values.size()), column)
+      << "serial encoder no longer reproduces the committed bytes";
+
+  ThreadPool pool(3);
+  EXPECT_EQ(CompressColumnParallel(values.data(), values.size(), {}, nullptr, &pool),
+            column)
+      << "parallel encoder no longer reproduces the committed bytes";
 }
 
 TEST(Golden, ReencodingReproducesCommittedBytes) {
   if (!HostIsLittleEndian()) GTEST_SKIP() << "golden files are little-endian";
-  for (const GoldenCase& c : kCases) {
+  for (const GoldenCase& c : Cases()) {
     SCOPED_TRACE(c.column_file);
-    const std::vector<uint8_t> column =
-        LoadGolden(c.column_file, c.fixture->buffer);
-    const std::vector<uint8_t> raw =
-        LoadGolden(c.values_file, DoubleBytes(c.fixture->values));
-    std::vector<double> values(raw.size() / sizeof(double));
-    std::memcpy(values.data(), raw.data(), raw.size());
-
-    EXPECT_EQ(CompressColumn(values.data(), values.size()), column)
-        << "serial encoder no longer reproduces the committed bytes";
-
-    ThreadPool pool(3);
-    EXPECT_EQ(CompressColumnParallel(values.data(), values.size(), {}, nullptr,
-                                     &pool),
-              column)
-        << "parallel encoder no longer reproduces the committed bytes";
+    const std::vector<uint8_t> column = LoadGolden(c.column_file, c.column);
+    const std::vector<uint8_t> raw = LoadGolden(c.values_file, c.values);
+    if (c.is_float) {
+      ExpectReencodesTo<float>(column, raw);
+    } else {
+      ExpectReencodesTo<double>(column, raw);
+    }
   }
 }
 
@@ -169,7 +210,7 @@ TEST(Golden, CommittedV2ColumnStillDecodes) {
   EXPECT_EQ(v2, StripToV2(AlpSmall().buffer));
 
   const std::vector<uint8_t> raw =
-      LoadGolden("alp_small.bin", DoubleBytes(AlpSmall().values));
+      LoadGolden("alp_small.bin", ValueBytes(AlpSmall().values));
   StatusOr<ColumnReader<double>> reader =
       ColumnReader<double>::Open(v2.data(), v2.size());
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
