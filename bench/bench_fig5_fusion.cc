@@ -1,5 +1,7 @@
 // Regenerates Figure 5: decompression speed with ALP_dec and FFOR fused
 // into one kernel vs. two separate kernels (unpack+add, then multiply).
+// The fused arm is the scalar dispatch tier, built with the same baseline
+// flags as the unfused arm, so the two differ only in fusion.
 // Top panel: all dataset surrogates. Bottom panel: synthetic vectors at
 // every bit width 0..52, since the datasets do not exercise all widths.
 
@@ -26,8 +28,14 @@ FusionResult Measure(const alp::bench::AlpMicroVector& vec) {
   int64_t scratch[alp::kVectorSize];
   FusionResult r;
   const auto c = vec.enc.combination;
+  const auto* fused = alp::kernels::TierKernels(alp::kernels::Tier::kScalar);
+  const double f10_f = alp::AlpTraits<double>::kF10[c.f];
+  const double if10_e = alp::AlpTraits<double>::kIF10[c.e];
   r.fused = alp::bench::TuplesPerCycle(
-      [&] { alp::DecodeVectorFused<double>(vec.packed, vec.ffor, c, out); },
+      [&] {
+        fused->alp_fused64(vec.packed, vec.ffor.base, vec.ffor.width, f10_f,
+                           if10_e, out);
+      },
       alp::kVectorSize, kBudget);
   r.unfused = alp::bench::TuplesPerCycle(
       [&] { alp::DecodeVectorUnfused(vec.packed, vec.ffor, c, scratch, out); },

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "alp/encoder.h"
+#include "alp/kernel_dispatch.h"
 #include "bench_common.h"
 #include "fastlanes/bitpack.h"
 #include "fastlanes/ffor.h"
@@ -78,9 +79,13 @@ void BM_AlpFusedDecode(benchmark::State& state) {
   std::vector<uint64_t> packed(kBlockSize);
   alp::fastlanes::FforEncode(encoded.data(), packed.data(), ffor);
   const alp::Combination c{14, 12};
+  const double f10_f = alp::AlpTraits<double>::kF10[c.f];
+  const double if10_e = alp::AlpTraits<double>::kIF10[c.e];
+  const auto* kernels = alp::kernels::TierKernels(alp::kernels::Tier::kScalar);
   std::vector<double> out(kBlockSize);
   for (auto _ : state) {
-    alp::DecodeVectorFused<double>(packed.data(), ffor, c, out.data());
+    kernels->alp_fused64(packed.data(), ffor.base, ffor.width, f10_f, if10_e,
+                         out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * kBlockSize);

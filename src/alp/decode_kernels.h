@@ -7,16 +7,18 @@
 #include "fastlanes/ffor.h"
 
 /// \file decode_kernels.h
-/// The three implementation flavours of the fused ALP+FFOR decode kernel
-/// compared in Figure 4 of the paper:
+/// The one Figure 4 flavour of the fused ALP+FFOR decode kernel that is not
+/// a dispatch tier. The figure compares the same kernel built several ways:
 ///
-///   - *Auto-vectorized*: DecodeVectorFused in encoder.h, plain scalar C++
-///     compiled at -O3 (the compiler vectorizes it). This is ALP's default.
-///   - *Scalar*: the identical source compiled in a separate translation
-///     unit with -fno-tree-vectorize -fno-tree-slp-vectorize.
-///   - *SIMDized*: the explicit-intrinsics kernel selected by the runtime
-///     dispatcher (alp/kernel_dispatch.h) — AVX-512DQ, AVX2 or NEON
-///     depending on the host, scalar only as the last resort.
+///   - *Scalar*: this file's kernel, compiled in its own library with
+///     -fno-tree-vectorize -fno-tree-slp-vectorize.
+///   - *Auto-vectorized*: the scalar dispatch tier's `alp_fused64`
+///     (alp/kernel_dispatch.h), the same plain C++ compiled at -O3 for the
+///     build's baseline target.
+///   - One column per dispatch tier the host can run (avx2, avx512, neon).
+///     The avx512 ALP decode is plain C++ under AVX-512 flags; intrinsics
+///     remain only where the compiler's loop measured slower (see
+///     alp/kernels/).
 
 namespace alp::scalar {
 
@@ -25,22 +27,5 @@ void DecodeAlpFused(const uint64_t* packed, const fastlanes::FforParams& ffor,
                     Combination c, double* out);
 
 }  // namespace alp::scalar
-
-namespace alp::simd {
-
-/// Fused decode with explicit SIMD intrinsics: delegates to the kernel
-/// tier the runtime dispatcher selected (alp/kernel_dispatch.h).
-void DecodeAlpFused(const uint64_t* packed, const fastlanes::FforParams& ffor,
-                    Combination c, double* out);
-
-/// Whether the dispatched kernel actually uses SIMD intrinsics (i.e. the
-/// selected tier is not scalar).
-bool Available();
-
-/// Name of the dispatched kernel tier ("avx512", "avx2", "neon", "scalar")
-/// — what benchmark reports should print instead of assuming AVX-512.
-const char* KernelName();
-
-}  // namespace alp::simd
 
 #endif  // ALP_ALP_DECODE_KERNELS_H_

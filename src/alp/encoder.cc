@@ -1,7 +1,6 @@
 #include "alp/encoder.h"
 
 #include <type_traits>
-#include <utility>
 
 #include "alp/kernel_dispatch.h"
 #include "obs/trace.h"
@@ -88,35 +87,6 @@ void DecodeVector(const typename AlpTraits<T>::Int* encoded, Combination c, T* o
   }
 }
 
-template <typename T>
-void DecodeVectorFused(const typename AlpTraits<T>::Uint* packed,
-                       const fastlanes::FforParams& ffor, Combination c, T* out) {
-  using Traits = AlpTraits<T>;
-  using Int = typename Traits::Int;
-  using Uint = typename Traits::Uint;
-  const double f10_f = AlpTraits<double>::kF10[c.f];
-  const double if10_e = AlpTraits<double>::kIF10[c.e];
-  const Uint base = static_cast<Uint>(ffor.base);
-
-  // One fused kernel: unpack, add the FOR base and apply ALP_dec per value
-  // without materializing the intermediate integer vector.
-  auto dispatch = [&]<unsigned... W>(std::integer_sequence<unsigned, W...>) {
-    using Fn = void (*)(const Uint*, Uint, double, double, T*);
-    static constexpr Fn kTable[] = {+[](const Uint* p, Uint b, double ff, double ife,
-                                        T* o) {
-      fastlanes::detail::UnpackBlockImpl<Uint, W>(p, [&](unsigned i, Uint v) {
-        o[i] = static_cast<T>(static_cast<double>(static_cast<Int>(v + b)) * ff * ife);
-      });
-    }...};
-    kTable[ffor.width](packed, base, f10_f, if10_e, out);
-  };
-  if constexpr (sizeof(T) == 8) {
-    dispatch(std::make_integer_sequence<unsigned, 65>{});
-  } else {
-    dispatch(std::make_integer_sequence<unsigned, 33>{});
-  }
-}
-
 void DecodeVectorUnfused(const uint64_t* packed, const fastlanes::FforParams& ffor,
                          Combination c, int64_t* scratch, double* out) {
   uint64_t tmp[kVectorSize];
@@ -165,10 +135,6 @@ template void EncodeVector<float>(const float*, unsigned, Combination,
                                   EncodedVector<float>*);
 template void DecodeVector<double>(const int64_t*, Combination, double*);
 template void DecodeVector<float>(const int32_t*, Combination, float*);
-template void DecodeVectorFused<double>(const uint64_t*, const fastlanes::FforParams&,
-                                        Combination, double*);
-template void DecodeVectorFused<float>(const uint32_t*, const fastlanes::FforParams&,
-                                       Combination, float*);
 template void PatchExceptions<double>(double*, const double*, const uint16_t*, unsigned);
 template void PatchExceptions<float>(float*, const float*, const uint16_t*, unsigned);
 template uint64_t EstimateCompressedBits<double>(const double*, unsigned, Combination,

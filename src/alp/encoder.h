@@ -58,12 +58,6 @@ void EncodeVector(const T* in, unsigned n, Combination c, EncodedVector<T>* out)
 template <typename T>
 void DecodeVector(const typename AlpTraits<T>::Int* encoded, Combination c, T* out);
 
-/// Fused decode: bit-unpacks (FFOR) and applies ALP_dec in one kernel pass.
-/// This is the fast path benchmarked in Figure 5 ("fused").
-template <typename T>
-void DecodeVectorFused(const typename AlpTraits<T>::Uint* packed,
-                       const fastlanes::FforParams& ffor, Combination c, T* out);
-
 /// Unfused decode used as the Figure 5 baseline: FFOR-decode into
 /// \p scratch, then multiply in a second pass.
 void DecodeVectorUnfused(const uint64_t* packed, const fastlanes::FforParams& ffor,

@@ -22,15 +22,22 @@
 /// all of them. The CPU is probed once on first use (cpuid on x86-64,
 /// getauxval on AArch64) and the best supported tier is selected.
 ///
-/// Tiers:
+/// Tiers. Each SIMD tier compiles the shared plain-C++ body
+/// (kernels/kernel_body.inc) under its flags; a primitive is intrinsics
+/// only where the compiler's plain loop measured slower, and the tier
+/// notes the numbers beside it.
 ///   - scalar: portable C++ (the compiler may still auto-vectorize it for
 ///     the build's baseline target). Always present; the bit-exactness
 ///     reference.
-///   - avx2:   AVX2 intrinsics; exact full-range int64->double conversion
-///     via the 2^52/2^84 magic-constant split (AVX2 has no vcvtqq2pd).
-///   - avx512: AVX-512F+DQ intrinsics; native vcvtqq2pd, in-register
-///     dictionary via vpermq, scatter-based exception patching.
-///   - neon:   AArch64 ASIMD intrinsics.
+///   - avx2:   plain C++ under -mavx2, plus intrinsics for the exact
+///     full-range int64->double conversion (the 2^52/2^84 magic-constant
+///     split; AVX2 has no vcvtqq2pd), the range-compare bitmap and the
+///     ALP_rd dictionary glue.
+///   - avx512: plain C++ under AVX-512F+DQ flags for the whole ALP decode
+///     (GCC emits vcvtqq2pd itself), plus intrinsics for the range-compare
+///     bitmap, the in-register vpermq dictionary and scatter patching.
+///   - neon:   AArch64 ASIMD intrinsics (not yet measured against plain
+///     loops).
 ///
 /// Every tier is bit-exact: each step of the fused pipeline (int->double
 /// conversion, the two ordered multiplies, the final double->float
@@ -63,9 +70,7 @@ const char* TierName(Tier tier);
 bool ParseTier(std::string_view name, Tier* out);
 
 /// One tier's kernel set. All kernels operate on a full 1024-value block
-/// and are safe for any `out` alignment (each picks aligned stores at
-/// runtime when the destination allows it, e.g. util/aligned_buffer.h
-/// allocations or alignas(64) stack buffers).
+/// and are safe for any `out` alignment.
 struct DecodeKernels {
   Tier tier;
 
@@ -220,7 +225,7 @@ inline void DecodeAlpFused(const typename AlpTraits<T>::Uint* packed,
                            const fastlanes::FforParams& ffor, Combination c,
                            T* out) {
   // The e/f multiplier tables are always the double-precision ones, also
-  // for float columns (matches DecodeVectorFused in alp/encoder.h).
+  // for float columns (Section 4.4).
   const double f10_f = AlpTraits<double>::kF10[c.f];
   const double if10_e = AlpTraits<double>::kIF10[c.e];
   if constexpr (sizeof(T) == 8) {

@@ -2,9 +2,9 @@
 // target flags (the compiler may auto-vectorize it for the baseline ISA,
 // e.g. SSE2 on x86-64). Always available; every SIMD tier is tested
 // bit-exact against it. Unlike the .inc-based tiers this one fuses the
-// unpack emit with the arithmetic directly — the same single-pass shape as
-// DecodeVectorFused in alp/encoder.cc, whose output bytes it must (and
-// does) reproduce exactly.
+// unpack emit with the arithmetic directly. Its alp_fused64 is Figure 4's
+// "Auto-vectorized" flavour: the same source as alp::scalar::DecodeAlpFused
+// (alp/decode_kernels.h), built with vectorization on.
 
 #include <array>
 #include <bit>

@@ -1,7 +1,6 @@
 #include "io/random_access_source.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -39,46 +38,6 @@ Status OwnedMemorySource::ReadAt(uint64_t offset, size_t len,
     return OutOfRange(offset, len, bytes_.size());
   }
   std::memcpy(out, bytes_.data() + offset, len);
-  return Status::Ok();
-}
-
-StatusOr<std::shared_ptr<MmapSource>> MmapSource::Open(
-    const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return ErrnoStatus("open", path);
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    Status s = ErrnoStatus("fstat", path);
-    ::close(fd);
-    return s;
-  }
-  const uint64_t size = static_cast<uint64_t>(st.st_size);
-  const uint8_t* data = nullptr;
-  if (size > 0) {
-    void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (map == MAP_FAILED) {
-      Status s = ErrnoStatus("mmap", path);
-      ::close(fd);
-      return s;
-    }
-    data = static_cast<const uint8_t*>(map);
-  }
-  ::close(fd);  // The mapping keeps the file alive.
-  return std::shared_ptr<MmapSource>(
-      new MmapSource(data, size, "mmap:" + path));
-}
-
-MmapSource::~MmapSource() {
-  if (data_ != nullptr) {
-    ::munmap(const_cast<uint8_t*>(data_), size_);
-  }
-}
-
-Status MmapSource::ReadAt(uint64_t offset, size_t len, uint8_t* out) const {
-  if (offset > size_ || len > size_ - offset) {
-    return OutOfRange(offset, len, size_);
-  }
-  std::memcpy(out, data_ + offset, len);
   return Status::Ok();
 }
 

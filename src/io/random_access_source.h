@@ -12,20 +12,20 @@
 /// \file random_access_source.h
 /// Storage abstraction under the out-of-core column reader (seekable_reader.h).
 /// A RandomAccessSource is a positional byte store: fixed size, stateless
-/// ReadAt, safe to call from any number of threads concurrently. Three
+/// ReadAt, safe to call from any number of threads concurrently. Two
 /// implementations cover the deployment spectrum:
 ///
 ///  - MemorySource   — wraps an in-memory buffer (the serving catalog and
-///                     tests; ReadAt is a memcpy).
-///  - MmapSource     — read-only mmap of a file. Fastest when the file fits
-///                     comfortably in the page cache, but the mapping charges
-///                     the whole file against the process's virtual address
-///                     space — under an address-space rlimit, use pread.
+///                     tests; ReadAt is a memcpy). OwnedMemorySource is the
+///                     same over bytes it owns.
 ///  - PreadSource    — ::pread on a file descriptor. Each chunk read costs a
 ///                     syscall but the process only ever holds the chunks it
 ///                     is touching, which is what lets a column 4x larger
 ///                     than the RSS budget scan to completion (the CI
 ///                     out-of-core job runs exactly that under `ulimit -v`).
+///
+/// There is no mmap source: a file truncated under a mapping raises SIGBUS
+/// on the next touch, where pread returns a short read (kTruncated).
 ///
 /// Error model: syscall failures surface as Status::Io with errno text;
 /// reads beyond size() are Status::Truncated (the caller computed an extent
@@ -45,7 +45,7 @@ class RandomAccessSource {
   /// Total addressable bytes.
   virtual uint64_t size() const = 0;
 
-  /// Diagnostic name ("mmap:/path", "pread:/path", "memory").
+  /// Diagnostic name ("pread:/path", "memory").
   virtual const std::string& name() const = 0;
 };
 
@@ -77,32 +77,6 @@ class OwnedMemorySource final : public RandomAccessSource {
 
  private:
   std::vector<uint8_t> bytes_;
-  std::string name_;
-};
-
-/// Read-only mmap of a whole file.
-class MmapSource final : public RandomAccessSource {
- public:
-  /// Opens and maps \p path (Status::Io on open/fstat/mmap failure).
-  static StatusOr<std::shared_ptr<MmapSource>> Open(const std::string& path);
-
-  ~MmapSource() override;
-  MmapSource(const MmapSource&) = delete;
-  MmapSource& operator=(const MmapSource&) = delete;
-
-  Status ReadAt(uint64_t offset, size_t len, uint8_t* out) const override;
-  uint64_t size() const override { return size_; }
-  const std::string& name() const override { return name_; }
-
-  /// Zero-copy view of the whole mapping (valid while the source lives).
-  const uint8_t* data() const { return data_; }
-
- private:
-  MmapSource(const uint8_t* data, uint64_t size, std::string name)
-      : data_(data), size_(size), name_(std::move(name)) {}
-
-  const uint8_t* data_;
-  uint64_t size_;
   std::string name_;
 };
 

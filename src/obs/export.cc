@@ -7,8 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/sink.h"
-
 namespace alp::obs {
 
 namespace {
@@ -277,10 +275,6 @@ std::string PrometheusText(const MetricsSnapshot& snapshot) {
     }
   }
   return out;
-}
-
-std::string SnapshotJson(const MetricsSnapshot& snapshot) {
-  return TraceSink::ToJson(snapshot);
 }
 
 Status WriteTextFile(const std::string& path, const std::string& content,

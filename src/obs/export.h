@@ -7,12 +7,11 @@
 #include "util/status.h"
 
 /// \file export.h
-/// Snapshot exporters: the Prometheus text exposition format (for scrapers
-/// and the CI linter) and the JSON object TraceSink already renders (for
-/// bench_diff-style tooling). Both are pure functions of a MetricsSnapshot,
-/// so one snapshot can feed both artifacts consistently. Surfaced through
-/// `alp stats --prom`, the server's periodic snapshot thread, and
-/// `bench_serving_load --metrics-out=`.
+/// Snapshot exporter: the Prometheus text exposition format (for scrapers
+/// and the CI linter), a pure function of a MetricsSnapshot. The JSON
+/// rendering of the same snapshot is TraceSink::ToJson (obs/sink.h).
+/// Surfaced through `alp stats --prom`, the server's periodic snapshot
+/// thread, and `bench_serving_load --metrics-out=`.
 
 namespace alp::obs {
 
@@ -29,10 +28,6 @@ namespace alp::obs {
 /// One `# TYPE` line per metric family, families name-sorted. Ends with a
 /// trailing newline as the format requires.
 std::string PrometheusText(const MetricsSnapshot& snapshot);
-
-/// The JSON snapshot rendering (same object TraceSink::ToJson produces),
-/// kept here so exporter callers need one header.
-std::string SnapshotJson(const MetricsSnapshot& snapshot);
 
 /// Atomically-enough writes \p content to \p path (truncate; flush; close).
 /// The server's snapshot thread writes to `path + ".tmp"` and renames via

@@ -9,11 +9,11 @@
 
 /// \file aligned_buffer.h
 /// A 64-byte-aligned heap array for decode destinations. The dispatched
-/// SIMD kernels (alp/kernel_dispatch.h) check the destination pointer at
-/// runtime and use aligned stores when the cache-line alignment allows it,
-/// so decoding into an AlignedBuffer instead of a std::vector takes the
-/// aligned-store path on every vector. Elements are NOT value-initialized
-/// (decode targets are fully overwritten before being read).
+/// SIMD kernels (alp/kernel_dispatch.h) store whole registers, so a
+/// cache-line-aligned destination keeps every store within one line (and
+/// the AVX2 int64 convert switches to aligned stores on it). Elements are
+/// NOT value-initialized (decode targets are fully overwritten before
+/// being read).
 
 namespace alp {
 

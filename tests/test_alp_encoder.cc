@@ -276,6 +276,14 @@ INSTANTIATE_TEST_SUITE_P(Sweep, EncoderCombinationTest,
 // Fused decode path.
 // ---------------------------------------------------------------------------
 
+// The scalar dispatch tier's fused unFFOR + ALP_dec.
+void FusedDecode(const uint64_t* packed, const fastlanes::FforParams& ffor,
+                 Combination c, double* out) {
+  kernels::TierKernels(kernels::Tier::kScalar)
+      ->alp_fused64(packed, ffor.base, ffor.width, AlpTraits<double>::kF10[c.f],
+                    AlpTraits<double>::kIF10[c.e], out);
+}
+
 TEST(FusedDecode, MatchesUnfusedPath) {
   auto in = DecimalVector(4, 2, 21);
   EncodedVector<double> enc;
@@ -286,7 +294,7 @@ TEST(FusedDecode, MatchesUnfusedPath) {
   fastlanes::FforEncode(enc.encoded, packed.data(), ffor);
 
   std::vector<double> fused(kVectorSize);
-  DecodeVectorFused<double>(packed.data(), ffor, c, fused.data());
+  FusedDecode(packed.data(), ffor, c, fused.data());
 
   std::vector<double> unfused(kVectorSize);
   std::vector<int64_t> scratch(kVectorSize);
@@ -307,7 +315,7 @@ TEST(FusedDecode, FullPipelineBitExact) {
   fastlanes::FforEncode(enc.encoded, packed.data(), ffor);
 
   std::vector<double> out(kVectorSize);
-  DecodeVectorFused<double>(packed.data(), ffor, c, out.data());
+  FusedDecode(packed.data(), ffor, c, out.data());
   PatchExceptions(out.data(), enc.exceptions, enc.exc_positions, enc.exc_count);
   for (unsigned i = 0; i < kVectorSize; ++i) {
     ASSERT_EQ(BitsOf(out[i]), BitsOf(in[i])) << i;

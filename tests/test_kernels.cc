@@ -13,8 +13,8 @@
 //   - full column decodes of the committed golden files under every
 //     forced tier.
 //
-// Plus the original Figure-4 flavour checks (auto-vectorized vs
-// forced-scalar vs dispatched SIMD) and dispatcher unit tests.
+// Plus Figure 4's flavour checks (the unvectorized alp::scalar build vs
+// every tier) and dispatcher unit tests.
 
 #include <gtest/gtest.h>
 
@@ -505,9 +505,31 @@ TEST(KernelTiers, GoldenFilesDecodeIdenticallyOnEveryTier) {
 }
 
 // ---------------------------------------------------------------------------
-// The original Figure-4 flavour checks (auto-vectorized / forced-scalar /
-// dispatched SIMD agree bit-exactly).
+// Figure 4's flavours: the unvectorized build (alp::scalar) agrees bit-exactly
+// with every dispatch tier, the auto-vectorized scalar tier included.
 // ---------------------------------------------------------------------------
+
+/// Packs \p in's ALP encoding with combination \p c into \p packed.
+fastlanes::FforParams EncodeAndPack(const std::vector<double>& in, Combination c,
+                                    std::vector<uint64_t>* packed) {
+  EncodedVector<double> enc;
+  EncodeVector(in.data(), kVectorSize, c, &enc);
+  const auto ffor = fastlanes::FforAnalyze(enc.encoded, kVectorSize);
+  packed->assign(kVectorSize, 0);
+  fastlanes::FforEncode(enc.encoded, packed->data(), ffor);
+  return ffor;
+}
+
+/// \p tier's fused decode of one packed vector.
+std::vector<double> TierDecode(const DecodeKernels& tier,
+                               const std::vector<uint64_t>& packed,
+                               const fastlanes::FforParams& ffor, Combination c) {
+  std::vector<double> out(kVectorSize);
+  tier.alp_fused64(packed.data(), ffor.base, ffor.width,
+                   AlpTraits<double>::kF10[c.f], AlpTraits<double>::kIF10[c.e],
+                   out.data());
+  return out;
+}
 
 class KernelEquivalenceTest : public ::testing::TestWithParam<unsigned> {};
 
@@ -522,32 +544,21 @@ TEST_P(KernelEquivalenceTest, AllFlavoursAgree) {
 
   const Combination c{static_cast<uint8_t>(14),
                       static_cast<uint8_t>(14 - precision)};
-  EncodedVector<double> enc;
-  EncodeVector(in.data(), kVectorSize, c, &enc);
-  const auto ffor = fastlanes::FforAnalyze(enc.encoded, kVectorSize);
-  std::vector<uint64_t> packed(kVectorSize);
-  fastlanes::FforEncode(enc.encoded, packed.data(), ffor);
+  std::vector<uint64_t> packed;
+  const auto ffor = EncodeAndPack(in, c, &packed);
 
-  std::vector<double> autovec(kVectorSize);
-  DecodeVectorFused<double>(packed.data(), ffor, c, autovec.data());
   std::vector<double> scalar_out(kVectorSize);
   scalar::DecodeAlpFused(packed.data(), ffor, c, scalar_out.data());
-  std::vector<double> simd_out(kVectorSize);
-  simd::DecodeAlpFused(packed.data(), ffor, c, simd_out.data());
-
-  for (unsigned i = 0; i < kVectorSize; ++i) {
-    ASSERT_EQ(BitsOf(autovec[i]), BitsOf(scalar_out[i])) << i;
-    ASSERT_EQ(BitsOf(autovec[i]), BitsOf(simd_out[i])) << i;
+  for (const DecodeKernels* k : AvailableTiers()) {
+    const auto out = TierDecode(*k, packed, ffor, c);
+    for (unsigned i = 0; i < kVectorSize; ++i) {
+      ASSERT_EQ(BitsOf(out[i]), BitsOf(scalar_out[i]))
+          << kernels::TierName(k->tier) << " i " << i;
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(WidthSweep, KernelEquivalenceTest, ::testing::Range(0u, 40u, 3u));
-
-TEST(Kernels, SimdAvailabilityIsReported) {
-  // The answer depends on the host; it must agree with the dispatcher.
-  EXPECT_EQ(simd::Available(), kernels::ActiveTier() != Tier::kScalar);
-  EXPECT_STREQ(simd::KernelName(), kernels::ActiveTierName());
-}
 
 TEST(Kernels, NegativeBaseHandled) {
   std::vector<double> in(kVectorSize);
@@ -555,20 +566,20 @@ TEST(Kernels, NegativeBaseHandled) {
     in[i] = -500.0 + static_cast<double>(i) * 0.25;
   }
   const Combination c{14, 12};
-  EncodedVector<double> enc;
-  EncodeVector(in.data(), kVectorSize, c, &enc);
-  const auto ffor = fastlanes::FforAnalyze(enc.encoded, kVectorSize);
-  std::vector<uint64_t> packed(kVectorSize);
-  fastlanes::FforEncode(enc.encoded, packed.data(), ffor);
+  std::vector<uint64_t> packed;
+  const auto ffor = EncodeAndPack(in, c, &packed);
 
-  std::vector<double> a(kVectorSize), b(kVectorSize), s(kVectorSize);
-  DecodeVectorFused<double>(packed.data(), ffor, c, a.data());
-  scalar::DecodeAlpFused(packed.data(), ffor, c, b.data());
-  simd::DecodeAlpFused(packed.data(), ffor, c, s.data());
+  std::vector<double> scalar_out(kVectorSize);
+  scalar::DecodeAlpFused(packed.data(), ffor, c, scalar_out.data());
   for (unsigned i = 0; i < kVectorSize; ++i) {
-    ASSERT_EQ(BitsOf(a[i]), BitsOf(in[i]));
-    ASSERT_EQ(BitsOf(b[i]), BitsOf(in[i]));
-    ASSERT_EQ(BitsOf(s[i]), BitsOf(in[i]));
+    ASSERT_EQ(BitsOf(scalar_out[i]), BitsOf(in[i])) << i;
+  }
+  for (const DecodeKernels* k : AvailableTiers()) {
+    const auto out = TierDecode(*k, packed, ffor, c);
+    for (unsigned i = 0; i < kVectorSize; ++i) {
+      ASSERT_EQ(BitsOf(out[i]), BitsOf(in[i]))
+          << kernels::TierName(k->tier) << " i " << i;
+    }
   }
 }
 

@@ -5,7 +5,7 @@
 // The load-bearing invariants proved here:
 //  - Byte identity: every seekable read path (point lookup, rowgroup,
 //    filtered scan, full scan) returns exactly the bytes the in-memory
-//    ColumnReader oracle returns, over memory, mmap and pread sources,
+//    ColumnReader oracle returns, over memory and pread sources,
 //    for v3 and v2 columns, cached and uncached.
 //  - Status parity: a mutated or truncated file surfaces the same Status
 //    class through the seekable path as through the in-memory validator.
@@ -52,7 +52,6 @@ namespace {
 
 using io::DecodedVectorCache;
 using io::MemorySource;
-using io::MmapSource;
 using io::PreadSource;
 using io::RandomAccessSource;
 using io::SeekableReader;
@@ -85,12 +84,13 @@ std::string WriteTemp(const std::string& name,
   return path;
 }
 
-enum class SourceKind { kMemory, kMmap, kPread };
+// The values print in the parameterized test names; kPread keeps 2 so
+// those names stay stable.
+enum class SourceKind { kMemory = 0, kPread = 2 };
 
 const char* SourceKindName(SourceKind kind) {
   switch (kind) {
     case SourceKind::kMemory: return "memory";
-    case SourceKind::kMmap: return "mmap";
     case SourceKind::kPread: return "pread";
   }
   return "?";
@@ -104,11 +104,6 @@ std::shared_ptr<RandomAccessSource> MakeSource(
   switch (kind) {
     case SourceKind::kMemory:
       return std::make_shared<MemorySource>(buffer.data(), buffer.size());
-    case SourceKind::kMmap: {
-      auto source = MmapSource::Open(WriteTemp(name + ".mmap.alp", buffer));
-      EXPECT_TRUE(source.ok()) << source.status().ToString();
-      return source.ok() ? *source : nullptr;
-    }
     case SourceKind::kPread: {
       auto source = PreadSource::Open(WriteTemp(name + ".pread.alp", buffer));
       EXPECT_TRUE(source.ok()) << source.status().ToString();
@@ -146,10 +141,9 @@ Status OracleOutcome(const std::vector<uint8_t>& buffer) {
 // ---------------------------------------------------------------------------
 // RandomAccessSource contracts.
 
-TEST(RandomAccessSource, MemoryMmapPreadAgreeByteForByte) {
+TEST(RandomAccessSource, MemoryPreadAgreeByteForByte) {
   const Corpus& corpus = AlpSmall();
-  for (SourceKind kind :
-       {SourceKind::kMemory, SourceKind::kMmap, SourceKind::kPread}) {
+  for (SourceKind kind : {SourceKind::kMemory, SourceKind::kPread}) {
     SCOPED_TRACE(SourceKindName(kind));
     auto source = MakeSource(kind, corpus.buffer, "source_agree");
     ASSERT_NE(source, nullptr);
@@ -174,8 +168,6 @@ TEST(RandomAccessSource, MemoryMmapPreadAgreeByteForByte) {
 }
 
 TEST(RandomAccessSource, MissingFileIsIoError) {
-  EXPECT_EQ(MmapSource::Open(TempPath("nope.alp")).status().code(),
-            StatusCode::kIo);
   EXPECT_EQ(PreadSource::Open(TempPath("nope.alp")).status().code(),
             StatusCode::kIo);
 }
@@ -335,7 +327,6 @@ TEST_P(SeekableOracleTest, V2ColumnsDecodeIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(AllSources, SeekableOracleTest,
                          ::testing::Values(SourceKind::kMemory,
-                                           SourceKind::kMmap,
                                            SourceKind::kPread),
                          [](const auto& info) {
                            return SourceKindName(info.param);
@@ -720,9 +711,9 @@ TEST(SeekableGolden, CacheOffScansAreByteIdenticalOnGoldenFiles) {
     DecodedVectorCache cache(0);  // Capacity zero: caching fully disabled.
     SeekableReaderOptions options;
     options.cache = &cache;
-    auto mmap = MmapSource::Open(path);
-    ASSERT_TRUE(mmap.ok());
-    auto reader = OpenSeekable(*mmap, options);
+    auto pread = PreadSource::Open(path);
+    ASSERT_TRUE(pread.ok());
+    auto reader = OpenSeekable(*pread, options);
     ASSERT_NE(reader, nullptr);
 
     std::vector<double> first(expect.size());
@@ -1152,10 +1143,8 @@ TEST(LargeFile, ScanByteIdentical) {
     std::fclose(f);
   }
 
-  // PreadSource on purpose: mmap would charge the whole file against the
-  // CI job's `ulimit -v` budget, defeating the out-of-core point. Peak
-  // memory here is the index region + the prefetch window of chunks + the
-  // decoded-vector cache budget.
+  // Peak memory here is the index region + the prefetch window of chunks +
+  // the decoded-vector cache budget.
   auto source = PreadSource::Open(path);
   ASSERT_TRUE(source.ok()) << source.status().ToString();
 
