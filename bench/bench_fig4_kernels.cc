@@ -1,13 +1,14 @@
-// Regenerates Figure 4's software axis: decompression speed of the same
-// fused ALP+FFOR kernel compiled several ways - Scalar (auto-vectorization
-// disabled), Auto-vectorized (the scalar dispatch tier: the same plain C++
+// Regenerates Figure 4's software axis: decompression speed of the fused
+// ALP+FFOR kernel compiled several ways - Scalar (the paper's native
+// formula with auto-vectorization disabled), Auto-vectorized (the scalar
+// dispatch tier: the same fused loop with the exact int64->double convert,
 // at -O3 for the build's baseline target) and one column per SIMD dispatch
 // tier the host can run (avx2, avx512, neon; see
 // src/alp/kernel_dispatch.h). The paper runs this across five CPU
 // architectures; on one host the reproducible claim is the *ordering*:
-// Auto-vectorized matches or beats Scalar everywhere, and the avx512
-// column - plain C++ under AVX-512 flags, with no convert intrinsics -
-// shows what the compiler reaches when it may use wide registers.
+// Auto-vectorized matches or beats Scalar everywhere, and the SIMD
+// columns - plain C++ ALP decode under each tier's flags, with no convert
+// intrinsics - show what the compiler reaches with wider registers.
 
 #include <cstdio>
 #include <string>

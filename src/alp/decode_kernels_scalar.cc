@@ -1,7 +1,8 @@
 // Compiled with -fno-tree-vectorize -fno-tree-slp-vectorize (see
-// src/CMakeLists.txt): this is the "Scalar" series of Figure 4. The source
-// is the same fused unpack+FOR+ALP_dec kernel as the auto-vectorized
-// default; only the compiler flags differ.
+// src/CMakeLists.txt): this is the "Scalar" series of Figure 4, the fused
+// unpack+FOR+ALP_dec kernel with the paper's native int64->double convert.
+// The auto-vectorized default (the scalar dispatch tier) differs in its
+// flags and in its exact convert (alp/kernels/kernel_lanes.inc).
 
 #include "alp/decode_kernels.h"
 

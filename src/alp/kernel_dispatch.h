@@ -25,26 +25,25 @@
 /// Tiers. Each SIMD tier compiles the shared plain-C++ body
 /// (kernels/kernel_body.inc) under its flags; a primitive is intrinsics
 /// only where the compiler's plain loop measured slower, and the tier
-/// notes the numbers beside it.
+/// notes the numbers beside it. Every tier runs ALP_dec's one convert
+/// (kernels/kernel_lanes.inc): an exact integer-add/FP-subtract form for
+/// frames inside [-2^51, 2^51), the native int64->double otherwise.
 ///   - scalar: portable C++ (the compiler may still auto-vectorize it for
-///     the build's baseline target). Always present; the bit-exactness
-///     reference.
-///   - avx2:   plain C++ under -mavx2, plus intrinsics for the exact
-///     full-range int64->double conversion (the 2^52/2^84 magic-constant
-///     split; AVX2 has no vcvtqq2pd), the range-compare bitmap and the
-///     ALP_rd dictionary glue.
-///   - avx512: plain C++ under AVX-512F+DQ flags for the whole ALP decode
-///     (GCC emits vcvtqq2pd itself), plus intrinsics for the range-compare
-///     bitmap, the in-register vpermq dictionary and scatter patching.
-///   - neon:   AArch64 ASIMD intrinsics (not yet measured against plain
-///     loops).
+///     the build's baseline target). Always present.
+///   - avx2:   plain C++ under -mavx2, plus intrinsics for the
+///     range-compare bitmap and the ALP_rd dictionary glue.
+///   - avx512: plain C++ under AVX-512F+DQ flags, plus intrinsics for the
+///     range-compare bitmap, the in-register vpermq dictionary and
+///     scatter patching.
+///   - neon:   plain C++ on AArch64, plus intrinsics for the range-compare
+///     bitmap (unmeasured; CI has no AArch64 job).
 ///
 /// Every tier is bit-exact: each step of the fused pipeline (int->double
 /// conversion, the two ordered multiplies, the final double->float
 /// narrowing for float columns) is IEEE correctly rounded on every ISA, so
 /// decode bytes never depend on the dispatched tier. tests/test_kernels.cc
-/// sweeps all widths x tiers against the scalar reference to keep that
-/// claim checked. The same holds for encode: the build disables FMA
+/// sweeps all widths x tiers against the native-formula reference
+/// (alp::scalar::DecodeAlpFused) to keep that claim checked. The same holds for encode: the build disables FMA
 /// contraction (-ffp-contract=off), so n * 10^e * 10^-f + magic rounds
 /// after every step on every tier, and tests/test_alp_encoder.cc checks
 /// that every tier writes the scalar tier's column bytes.

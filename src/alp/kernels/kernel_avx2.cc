@@ -7,17 +7,8 @@
 // 1024-value block, GCC 12 -O3, median of 18 runs on a 4-vCPU AVX-512
 // Xeon guest, plain vs intrinsics.
 //
-// AVX2 has no int64->double instruction, so the conversion uses the
-// magic-constant split: the low 32 bits are blended into a double with a
-// 2^52 exponent, the high 32 bits (sign-flipped via xor) into one with a
-// 2^84 exponent, and one subtract + one add reassemble the value. Both
-// halves are exact and the final add rounds once, so the result is the
-// correctly-rounded double(v) for the *full* int64 range — required
-// because the width sweep in tests/test_kernels.cc drives values far
-// outside ALP's |d| < 2^51 encode invariant, and bit-exactness with the
-// scalar tier must hold even there. Plain `(double)int64` is 2.97 vs
-// 0.81. The same split written in plain C++ vectorizes (0.88 vs 0.81
-// alone), but the whole fused decode then runs at 1.18-1.27 vs 1.04-1.08.
+// The ALP decode is the body's plain C++: AVX2 has no int64->double
+// instruction, and the exact convert of kernel_lanes.inc needs none.
 
 #include "alp/kernels/kernel_tiers.h"
 
@@ -37,60 +28,6 @@ namespace alp::kernels {
 namespace {
 
 constexpr Tier kSelfTier = Tier::kAvx2;
-
-inline __m256d Int64ToDouble(__m256i v) {
-  const __m256i magic_lo = _mm256_set1_epi64x(0x4330000000000000);  // 2^52
-  const __m256i magic_hi = _mm256_set1_epi64x(0x4530000080000000);  // 2^84+2^63
-  const __m256d magic_all =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x4530000080100000));  // +2^52
-  const __m256i lo = _mm256_blend_epi32(magic_lo, v, 0x55);
-  const __m256i hi = _mm256_xor_si256(_mm256_srli_epi64(v, 32), magic_hi);
-  const __m256d hi_d = _mm256_sub_pd(_mm256_castsi256_pd(hi), magic_all);
-  return _mm256_add_pd(hi_d, _mm256_castsi256_pd(lo));
-}
-
-template <bool Aligned>
-inline void StorePd(double* p, __m256d v) {
-  if constexpr (Aligned) {
-    _mm256_store_pd(p, v);
-  } else {
-    _mm256_storeu_pd(p, v);
-  }
-}
-
-template <bool Aligned>
-void ConvertMul64Impl(const uint64_t* vals, uint64_t base, double f10_f,
-                      double if10_e, double* out) {
-  const __m256i b = _mm256_set1_epi64x(static_cast<long long>(base));
-  const __m256d ff = _mm256_set1_pd(f10_f);
-  const __m256d ife = _mm256_set1_pd(if10_e);
-  for (unsigned i = 0; i < kVectorSize; i += 4) {
-    const __m256i v = _mm256_add_epi64(
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(vals + i)), b);
-    const __m256d d = Int64ToDouble(v);
-    StorePd<Aligned>(out + i, _mm256_mul_pd(_mm256_mul_pd(d, ff), ife));
-  }
-}
-
-void ConvertMul64(const uint64_t* vals, uint64_t base, double f10_f,
-                  double if10_e, double* out) {
-  if ((reinterpret_cast<uintptr_t>(out) & 31) == 0) {
-    ConvertMul64Impl<true>(vals, base, f10_f, if10_e, out);
-  } else {
-    ConvertMul64Impl<false>(vals, base, f10_f, if10_e, out);
-  }
-}
-
-// Plain lane loop: vcvtdq2pd needs no emulation, and GCC 12 emits the
-// intrinsic loop it replaced (0.71 vs 0.71).
-void ConvertMul32(const uint32_t* vals, uint32_t base, double f10_f,
-                  double if10_e, float* out) {
-  for (unsigned i = 0; i < kVectorSize; ++i) {
-    out[i] = static_cast<float>(
-        static_cast<double>(static_cast<int32_t>(vals[i] + base)) * f10_f *
-        if10_e);
-  }
-}
 
 // ALP_rd glue: the left part comes from an 8-entry pre-shifted dictionary,
 // fetched in-register with a gather (64-bit) / lane permute (32-bit). The

@@ -1,14 +1,19 @@
 // AVX-512 dispatch tier, compiled with -mavx512f -mavx512dq (see
-// src/CMakeLists.txt). DQ supplies vcvtqq2pd, the native int64->double
-// conversion the AVX2 tier has to emulate, and the compiler emits it from
-// the plain ALP_dec loop; F supplies the 8-lane permute that keeps the
-// whole ALP_rd dictionary in one register and the scatter used for
-// exception patching.
+// src/CMakeLists.txt). The ALP decode is the body's plain C++; DQ's
+// vcvtqq2pd serves its native fallback for frames outside the exact
+// convert's range. F supplies the 8-lane permute that keeps the whole
+// ALP_rd dictionary in one register and the scatter used for exception
+// patching.
 //
 // A hook below is intrinsics only where the plain lane loop, compiled with
 // the same flags, measured slower. Numbers are cycles/value on one hot
 // 1024-value block, GCC 12 -O3, median of 18 runs on a 4-vCPU AVX-512
 // Xeon guest, plain vs intrinsics.
+//
+// The permute, broadcast and widening intrinsics are spelled in their
+// zero-masking form with an all-ones mask: GCC 12 emits the same unmasked
+// instruction, while the plain form's _mm512_undefined_* operand trips
+// -Wuninitialized.
 
 #include "alp/kernels/kernel_tiers.h"
 
@@ -29,27 +34,6 @@ namespace {
 
 constexpr Tier kSelfTier = Tier::kAvx512;
 
-// ALP_dec as plain lane loops. GCC 12 compiles the 64-bit one to
-// vpaddq; vcvtqq2pd; vmulpd; vmulpd; vmovupd, the intrinsic loop it
-// replaced but for the unaligned store: 0.31 vs 0.35 (32-bit: 0.50 vs
-// 0.50).
-void ConvertMul64(const uint64_t* vals, uint64_t base, double f10_f,
-                  double if10_e, double* out) {
-  for (unsigned i = 0; i < kVectorSize; ++i) {
-    out[i] = static_cast<double>(static_cast<int64_t>(vals[i] + base)) *
-             f10_f * if10_e;
-  }
-}
-
-void ConvertMul32(const uint32_t* vals, uint32_t base, double f10_f,
-                  double if10_e, float* out) {
-  for (unsigned i = 0; i < kVectorSize; ++i) {
-    out[i] = static_cast<float>(
-        static_cast<double>(static_cast<int32_t>(vals[i] + base)) * f10_f *
-        if10_e);
-  }
-}
-
 // ALP_rd glue: the whole 8-entry pre-shifted dictionary lives in one zmm
 // register; vpermq/vpermd turn the unpacked codes directly into left parts.
 // The plain loop gathers from memory instead: 64-bit 1.03 vs 0.33, 32-bit
@@ -59,7 +43,7 @@ void GlueJoin64(const uint64_t* codes, const uint64_t* right,
   const __m512i dict = _mm512_loadu_si512(dict_shifted);
   for (unsigned i = 0; i < kVectorSize; i += 8) {
     const __m512i c = _mm512_load_si512(codes + i);
-    const __m512i left = _mm512_permutexvar_epi64(c, dict);
+    const __m512i left = _mm512_maskz_permutexvar_epi64(0xFF, c, dict);
     const __m512i r = _mm512_loadu_si512(right + i);
     _mm512_storeu_si512(out + i, _mm512_or_si512(left, r));
   }
@@ -69,11 +53,12 @@ void GlueJoin32(const uint32_t* codes, const uint32_t* right,
                 const uint32_t* dict_shifted, float* out) {
   // Codes are < 8, so only the low 256-bit half matters; broadcast it so
   // any lane of the permute index is in range.
-  const __m512i dict = _mm512_broadcast_i32x8(
+  const __m512i dict = _mm512_maskz_broadcast_i32x8(
+      0xFFFF,
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dict_shifted)));
   for (unsigned i = 0; i < kVectorSize; i += 16) {
     const __m512i c = _mm512_load_si512(codes + i);
-    const __m512i left = _mm512_permutexvar_epi32(c, dict);
+    const __m512i left = _mm512_maskz_permutexvar_epi32(0xFFFF, c, dict);
     const __m512i r = _mm512_loadu_si512(right + i);
     _mm512_storeu_si512(out + i, _mm512_or_si512(left, r));
   }
@@ -100,8 +85,8 @@ void Patch32(float* out, const uint32_t* bits, const uint16_t* pos,
              unsigned count) {
   unsigned i = 0;
   for (; i + 16 <= count; i += 16) {
-    const __m512i p32 = _mm512_cvtepu16_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pos + i)));
+    const __m512i p32 = _mm512_maskz_cvtepu16_epi32(
+        0xFFFF, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pos + i)));
     const __m512 v = _mm512_castsi512_ps(_mm512_loadu_si512(bits + i));
     _mm512_i32scatter_ps(out, p32, v, 4);
   }

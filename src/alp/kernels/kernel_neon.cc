@@ -1,9 +1,8 @@
 // AArch64 NEON (ASIMD) dispatch tier. ASIMD is architecturally baseline on
-// AArch64, so this tier mostly guarantees the fused convert+multiply uses
-// the native scvtf int64->double conversion regardless of what the
-// compiler does with the portable loops; the integer glue/patch paths are
-// left to auto-vectorization. On non-AArch64 builds the TU degenerates to
-// a nullptr getter.
+// AArch64, so the body's plain C++ (the ALP decode included) compiles to
+// it as is; the glue and patch hooks are plain loops too, and only the
+// range-compare bitmap uses intrinsics. On non-AArch64 builds the TU
+// degenerates to a nullptr getter.
 
 #include "alp/kernels/kernel_tiers.h"
 
@@ -23,35 +22,6 @@ namespace alp::kernels {
 namespace {
 
 constexpr Tier kSelfTier = Tier::kNeon;
-
-void ConvertMul64(const uint64_t* vals, uint64_t base, double f10_f,
-                  double if10_e, double* out) {
-  const int64x2_t b = vdupq_n_s64(static_cast<int64_t>(base));
-  const float64x2_t ff = vdupq_n_f64(f10_f);
-  const float64x2_t ife = vdupq_n_f64(if10_e);
-  for (unsigned i = 0; i < kVectorSize; i += 2) {
-    const int64x2_t v = vaddq_s64(
-        vreinterpretq_s64_u64(vld1q_u64(vals + i)), b);
-    const float64x2_t d = vcvtq_f64_s64(v);
-    vst1q_f64(out + i, vmulq_f64(vmulq_f64(d, ff), ife));
-  }
-}
-
-void ConvertMul32(const uint32_t* vals, uint32_t base, double f10_f,
-                  double if10_e, float* out) {
-  const int32x4_t b = vdupq_n_s32(static_cast<int32_t>(base));
-  const float64x2_t ff = vdupq_n_f64(f10_f);
-  const float64x2_t ife = vdupq_n_f64(if10_e);
-  for (unsigned i = 0; i < kVectorSize; i += 4) {
-    const int32x4_t v = vaddq_s32(
-        vreinterpretq_s32_u32(vld1q_u32(vals + i)), b);
-    const float64x2_t lo = vcvtq_f64_s64(vmovl_s32(vget_low_s32(v)));
-    const float64x2_t hi = vcvtq_f64_s64(vmovl_s32(vget_high_s32(v)));
-    const float32x2_t flo = vcvt_f32_f64(vmulq_f64(vmulq_f64(lo, ff), ife));
-    const float32x2_t fhi = vcvt_f32_f64(vmulq_f64(vmulq_f64(hi, ff), ife));
-    vst1q_f32(out + i, vcombine_f32(flo, fhi));
-  }
-}
 
 void GlueJoin64(const uint64_t* codes, const uint64_t* right,
                 const uint64_t* dict_shifted, double* out) {

@@ -1,10 +1,12 @@
 // The scalar dispatch tier: portable C++ compiled with the build's base
 // target flags (the compiler may auto-vectorize it for the baseline ISA,
-// e.g. SSE2 on x86-64). Always available; every SIMD tier is tested
-// bit-exact against it. Unlike the .inc-based tiers this one fuses the
-// unpack emit with the arithmetic directly. Its alp_fused64 is Figure 4's
-// "Auto-vectorized" flavour: the same source as alp::scalar::DecodeAlpFused
-// (alp/decode_kernels.h), built with vectorization on.
+// e.g. SSE2 on x86-64). Always available. Unlike the .inc-based tiers this
+// one fuses the unpack emit with the arithmetic directly: under SSE2,
+// fused vs unpack-then-convert is 0.87-1.05 vs 1.22-1.38 cycles/value at
+// widths 8-40 (best of 4000 interleaved pairs).
+// Its alp_fused64 is Figure 4's "Auto-vectorized" flavour: the fused
+// kernel of alp::scalar::DecodeAlpFused (alp/decode_kernels.h) with the
+// exact convert of kernel_lanes.inc, built with vectorization on.
 
 #include <array>
 #include <bit>
@@ -18,12 +20,20 @@
 namespace alp::kernels {
 namespace {
 
+#include "alp/kernels/kernel_lanes.inc"
+
+// One fused unpack-and-decode loop per width. 64-bit frames fuse only
+// the exact convert, so widths 0-51; a frame outside its range (hostile,
+// at the range edges, or 52-64 bits wide) unpacks first and takes
+// ConvertMul64's native loop. That keeps one fused copy per width.
 template <typename T, typename U, unsigned W>
 void AlpFusedImpl(const U* packed, U base, double f10_f, double if10_e, T* out) {
-  using Int = std::make_signed_t<U>;
   fastlanes::detail::UnpackBlockImpl<U, W>(packed, [&](unsigned i, U v) {
-    out[i] = static_cast<T>(
-        static_cast<double>(static_cast<Int>(v + base)) * f10_f * if10_e);
+    if constexpr (sizeof(U) == 8) {
+      out[i] = DecodeLane64<true>(v, base, f10_f, if10_e);
+    } else {
+      out[i] = DecodeLane32(v, base, f10_f, if10_e);
+    }
   });
 }
 
@@ -33,14 +43,20 @@ constexpr auto MakeAlpTable(std::integer_sequence<unsigned, W...>) {
   return std::array<Fn, sizeof...(W)>{&AlpFusedImpl<T, U, W>...};
 }
 
-constexpr auto kAlp64 =
-    MakeAlpTable<double, uint64_t>(std::make_integer_sequence<unsigned, 65>{});
+constexpr auto kAlpExact64 =
+    MakeAlpTable<double, uint64_t>(std::make_integer_sequence<unsigned, 52>{});
 constexpr auto kAlp32 =
     MakeAlpTable<float, uint32_t>(std::make_integer_sequence<unsigned, 33>{});
 
 void AlpFused64(const uint64_t* packed, uint64_t base, unsigned width,
                 double f10_f, double if10_e, double* out) {
-  kAlp64[width](packed, base, f10_f, if10_e, out);
+  if (ExactFrame(base, width)) {
+    kAlpExact64[width](packed, base, f10_f, if10_e, out);
+    return;
+  }
+  alignas(64) uint64_t vals[kVectorSize];
+  kUnpack64[width](packed, vals);
+  ConvertMul64(vals, base, width, f10_f, if10_e, out);
 }
 
 void AlpFused32(const uint32_t* packed, uint32_t base, unsigned width,
@@ -60,23 +76,6 @@ void Patch32(float* out, const uint32_t* bits, const uint16_t* pos,
 
 // ALP_rd: unpack right parts and codes into scratch, then a branch-free
 // glue loop over the pre-shifted dictionary.
-template <typename T, typename U, unsigned W>
-void UnpackImpl(const U* __restrict packed, U* __restrict out) {
-  fastlanes::detail::UnpackBlockImpl<U, W>(packed,
-                                           [out](unsigned i, U v) { out[i] = v; });
-}
-
-template <typename T, typename U, unsigned... W>
-constexpr auto MakeUnpackTable(std::integer_sequence<unsigned, W...>) {
-  using Fn = void (*)(const U* __restrict, U* __restrict);
-  return std::array<Fn, sizeof...(W)>{&UnpackImpl<T, U, W>...};
-}
-
-constexpr auto kUnpack64 = MakeUnpackTable<double, uint64_t>(
-    std::make_integer_sequence<unsigned, 65>{});
-constexpr auto kUnpack32 = MakeUnpackTable<float, uint32_t>(
-    std::make_integer_sequence<unsigned, 33>{});
-
 template <typename T, typename U>
 void RdFusedImpl(const U* packed_right, const U* packed_codes,
                  unsigned right_bits, unsigned dict_width,
@@ -137,23 +136,6 @@ void CmpRange64(const uint64_t* packed, unsigned width, uint64_t t_lo,
   }
 }
 
-// Late materialization of bitmap survivors, in ascending lane order (the
-// engine's bit-identity contract; see kernel_dispatch.h).
-unsigned Gather64(const uint64_t* lanes, uint64_t base, double f10_f,
-                  double if10_e, const uint64_t* bitmap, double* out) {
-  unsigned k = 0;
-  for (unsigned w = 0; w < kVectorSize / 64; ++w) {
-    uint64_t bits = bitmap[w];
-    while (bits != 0) {
-      const unsigned i = w * 64 + static_cast<unsigned>(std::countr_zero(bits));
-      bits &= bits - 1;
-      out[k++] = static_cast<double>(static_cast<int64_t>(lanes[i] + base)) *
-                 f10_f * if10_e;
-    }
-  }
-  return k;
-}
-
 // ALP_enc + verify in the encoder's reference formula: FastRound, then the
 // native int->double convert and the two ordered multiplies (Formulas 1
 // and 2). The arithmetic runs at double precision for float columns too
@@ -175,23 +157,6 @@ unsigned AlpEncode(const T* in, unsigned n, double f10_e, double if10_f,
     count += miss;
   }
   return static_cast<unsigned>(count);
-}
-
-// The encoder's FOR frame: a plain min/max fold over patched slots.
-template <typename Int>
-alp::fastlanes::FforParams FrameFold(const Int* v, unsigned n, Int seed) {
-  using Uint = std::make_unsigned_t<Int>;
-  Int min = seed;
-  Int max = seed;
-  for (unsigned i = 0; i < n; ++i) {
-    min = v[i] < min ? v[i] : min;
-    max = v[i] > max ? v[i] : max;
-  }
-  alp::fastlanes::FforParams ffor;
-  ffor.base = static_cast<uint64_t>(static_cast<Uint>(min));
-  ffor.width = alp::BitWidth(
-      static_cast<Uint>(static_cast<Uint>(max) - static_cast<Uint>(min)));
-  return ffor;
 }
 
 constexpr DecodeKernels kKernels = {

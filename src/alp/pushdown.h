@@ -106,7 +106,8 @@ inline double StripedSumAll(const double* v, unsigned n) {
   for (; i + 8 <= n; i += 8) {
     for (unsigned j = 0; j < 8; ++j) acc[j] += v[i + j];
   }
-  for (; i < n; ++i) acc[i & 7] += v[i];
+  // The < 8 tail lanes: i is a multiple of 8, so lane i + j is stripe j.
+  for (unsigned j = 0; j < 8 && i + j < n; ++j) acc[j] += v[i + j];
   return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
          ((acc[4] + acc[5]) + (acc[6] + acc[7]));
 }
@@ -119,7 +120,7 @@ inline double StripedDotAll(const double* a, const double* b, unsigned n) {
   for (; i + 8 <= n; i += 8) {
     for (unsigned j = 0; j < 8; ++j) acc[j] += a[i + j] * b[i + j];
   }
-  for (; i < n; ++i) acc[i & 7] += a[i] * b[i];
+  for (unsigned j = 0; j < 8 && i + j < n; ++j) acc[j] += a[i + j] * b[i + j];
   return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
          ((acc[4] + acc[5]) + (acc[6] + acc[7]));
 }

@@ -16,7 +16,6 @@ namespace {
 template <typename T>
 double EvaluateCut(const typename AlpTraits<T>::Uint* sample_bits, unsigned n,
                    unsigned left_bits, RdParams<T>* params_out) {
-  using Uint = typename AlpTraits<T>::Uint;
   const unsigned right_bits = AlpTraits<T>::kValueBits - left_bits;
 
   std::unordered_map<uint16_t, unsigned> freq;

@@ -80,6 +80,8 @@ constexpr const char* QueryClassName(QueryClass qc) {
   return "unknown";
 }
 
+/// Every member has a default initializer, so designated initializers may
+/// name any subset of them.
 struct ServerConfig {
   unsigned workers = 0;        ///< 0 = ThreadPool::DefaultThreadCount().
   size_t queue_capacity = 256; ///< Hard bound on queued requests (all classes).
@@ -102,7 +104,7 @@ struct ServerConfig {
   /// Slow-query log: flight-recorder dumps are appended as JSON lines to
   /// this path (truncated at construction). Empty = dumps only surface in
   /// Response::flight_json. Setting it arms the recorder.
-  std::string slow_log_path;
+  std::string slow_log_path{};
   /// Arm a flight recorder for every request even without a threshold or
   /// log file; failed / cancelled / faulted requests then still dump into
   /// Response::flight_json (tests use this).
@@ -112,7 +114,7 @@ struct ServerConfig {
   /// (write-to-temp + rename, so scrapers never see a torn file; a final
   /// snapshot is written at shutdown). 0 or an empty path = off.
   unsigned snapshot_period_ms = 0;
-  std::string snapshot_path;
+  std::string snapshot_path{};
 };
 
 struct Request {

@@ -4,8 +4,9 @@
 //
 //   - the fused unFFOR + ALP_dec kernel at every FFOR width (0..64 for
 //     doubles, 0..32 for floats) and across FOR bases, including bases
-//     that push the signed integers past 2^52 (stresses the AVX2 exact
-//     int64->double conversion),
+//     that push the signed integers past 2^52 and bases at and one step
+//     past the edges of the exact convert's [-2^51, 2^51) range (doubles
+//     are checked against the native-formula alp::scalar kernel),
 //   - the ALP_rd fused unpack-left || unpack-right || OR kernel over the
 //     full (right_bits x dict_width) grid,
 //   - the exception patch kernel, including duplicate positions
@@ -146,6 +147,23 @@ constexpr uint64_t kBases64[] = {0, 0x1234, 0x7FF0'1234'5678'9ABCull,
                                  0xFFFF'FFFF'FFFF'0123ull};
 constexpr uint32_t kBases32[] = {0, 0x1234, 0x7FF0'1234u, 0xFFFF'0123u};
 
+/// kBases64 plus the edges of the exact convert's range at \p width: the
+/// lowest and highest frames whose lanes all lie in [-2^51, 2^51), which
+/// take the exact path, and one step past each, which must fall back to
+/// the native convert. From width 52 up every frame falls back.
+std::vector<uint64_t> BasesForWidth(unsigned width) {
+  constexpr int64_t kLimit = int64_t{1} << 51;
+  std::vector<uint64_t> bases(std::begin(kBases64), std::end(kBases64));
+  bases.push_back(static_cast<uint64_t>(-kLimit));
+  bases.push_back(static_cast<uint64_t>(-kLimit - 1));
+  if (width <= 51) {
+    const int64_t top = kLimit - (int64_t{1} << width);
+    bases.push_back(static_cast<uint64_t>(top));
+    bases.push_back(static_cast<uint64_t>(top + 1));
+  }
+  return bases;
+}
+
 class FusedWidthTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(FusedWidthTest, AllTiersMatchScalarDouble) {
@@ -156,6 +174,7 @@ TEST_P(FusedWidthTest, AllTiersMatchScalarDouble) {
   alignas(64) uint64_t deltas[kVectorSize];
   alignas(64) uint64_t packed[kVectorSize];
   for (auto& d : deltas) d = rng() & LowMask64(width);
+  deltas[3] = 0;                                // Exercise the bottom lane.
   if (width > 0) deltas[7] = LowMask64(width);  // Exercise the top bit.
   fastlanes::Pack(deltas, packed, width);
 
@@ -163,9 +182,9 @@ TEST_P(FusedWidthTest, AllTiersMatchScalarDouble) {
   for (const Combination c : combos) {
     const double f10_f = AlpTraits<double>::kF10[c.f];
     const double if10_e = AlpTraits<double>::kIF10[c.e];
-    for (const uint64_t base : kBases64) {
+    for (const uint64_t base : BasesForWidth(width)) {
       alignas(64) double ref[kVectorSize];
-      ScalarKernels().alp_fused64(packed, base, width, f10_f, if10_e, ref);
+      scalar::DecodeAlpFused(packed, {base, width}, c, ref);
       for (const DecodeKernels* k : tiers) {
         alignas(64) double out[kVectorSize];
         k->alp_fused64(packed, base, width, f10_f, if10_e, out);

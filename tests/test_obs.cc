@@ -658,7 +658,9 @@ TEST(PerfCountersTest, PerfScopeHonorsTheSpanGate) {
   EXPECT_EQ(open.armed(), PerfAvailable());
   const PerfSample delta = open.Finish();
   EXPECT_FALSE(open.armed());  // Single-shot.
-  if (!PerfAvailable()) EXPECT_FALSE(delta.valid);
+  if (!PerfAvailable()) {
+    EXPECT_FALSE(delta.valid);
+  }
 
   SetPerfSpansEnabled(was);
 }

@@ -40,6 +40,7 @@
 //   10 TRUNCATED                   16 DEADLINE_EXCEEDED
 //   11 CORRUPT                     17 RESOURCE_EXHAUSTED (admission reject)
 //   12 CHECKSUM_MISMATCH           18 NOT_FOUND
+//                                  19 INVALID_ARGUMENT
 //
 // Binary files are raw host-endian float64; ".csv"/".txt" files hold one
 // value per line. `compress --float32` narrows the input to float before
@@ -163,6 +164,7 @@ int ExitCodeFor(const alp::Status& status) {
     case alp::StatusCode::kDeadlineExceeded: return 16;
     case alp::StatusCode::kResourceExhausted: return 17;
     case alp::StatusCode::kNotFound: return 18;
+    case alp::StatusCode::kInvalidArgument: return 19;
   }
   return 1;
 }
