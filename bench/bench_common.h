@@ -69,40 +69,42 @@ struct PerfRates {
   double multiplex_scale = 1.0;  ///< >1 when the kernel's group multiplexed.
 };
 
-/// Runs \p fn under one perf_event group read using the same
+/// Per-tuple rates of one counter interval over \p tuples tuples; invalid
+/// when the interval is (counters unavailable or a read failed).
+inline PerfRates PerfRatesOf(const obs::PerfSample& delta, double tuples) {
+  PerfRates rates;
+  if (!delta.valid || tuples <= 0) return rates;
+  rates.valid = true;
+  rates.ipc = delta.Ipc();
+  rates.cache_misses_per_tuple =
+      static_cast<double>(delta.cache_misses) / tuples;
+  rates.cache_references_per_tuple =
+      static_cast<double>(delta.cache_references) / tuples;
+  rates.branch_misses_per_tuple =
+      static_cast<double>(delta.branch_misses) / tuples;
+  rates.multiplex_scale = delta.Scale();
+  return rates;
+}
+
+/// Runs \p fn under one perf_event interval using the same
 /// warm-up-then-budget loop shape as MeasureCycles, and returns per-tuple
 /// counter rates (multiplex-scaled). Returns an invalid PerfRates — never
 /// fails — when counters are unavailable.
 template <typename Fn>
 PerfRates MeasurePerfRates(const Fn& fn, size_t tuples,
                            uint64_t min_cycles = 40'000'000) {
-  PerfRates rates;
-  if (!obs::PerfAvailable()) return rates;
+  if (!obs::PerfAvailable()) return {};
   fn();  // Warm-up, as in MeasureCycles.
-  obs::PerfSample begin;
-  if (!obs::PerfReadCurrent(&begin)) return rates;
+  obs::PerfScope perf;
+  perf.Arm();
   uint64_t iters = 0;
   const uint64_t start = CycleNow();
   while (CycleNow() - start < min_cycles) {
     fn();
     ++iters;
   }
-  obs::PerfSample end;
-  if (!obs::PerfReadCurrent(&end)) return rates;
-  const obs::PerfSample delta = obs::PerfDelta(begin, end);
-  if (!delta.valid || iters == 0) return rates;
-  const double total_tuples =
-      static_cast<double>(tuples) * static_cast<double>(iters);
-  rates.valid = true;
-  rates.ipc = delta.Ipc();
-  rates.cache_misses_per_tuple =
-      static_cast<double>(delta.cache_misses) / total_tuples;
-  rates.cache_references_per_tuple =
-      static_cast<double>(delta.cache_references) / total_tuples;
-  rates.branch_misses_per_tuple =
-      static_cast<double>(delta.branch_misses) / total_tuples;
-  rates.multiplex_scale = delta.Scale();
-  return rates;
+  return PerfRatesOf(perf.Finish(),
+                     static_cast<double>(tuples) * static_cast<double>(iters));
 }
 
 /// Pretty separator line.

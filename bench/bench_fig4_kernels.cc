@@ -9,7 +9,13 @@
 // Auto-vectorized matches or beats Scalar everywhere, and the SIMD
 // columns - plain C++ ALP decode under each tier's flags, with no convert
 // intrinsics - show what the compiler reaches with wider registers.
+//
+// One 8M-cycle mean per flavour swings with whatever else the host runs, so
+// each dataset runs its flavours round-robin for kRounds rounds and reports
+// the median per flavour: a slow stretch of the host then costs one round
+// of every flavour, not every round of one.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -28,6 +34,13 @@ constexpr alp::kernels::Tier kSimdTiers[] = {
     alp::kernels::Tier::kAvx512,
 };
 
+constexpr int kRounds = 5;
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -38,23 +51,35 @@ int main(int argc, char** argv) {
 
   const alp::kernels::DecodeKernels* autovec_kernels =
       alp::kernels::TierKernels(alp::kernels::Tier::kScalar);
-  std::vector<const alp::kernels::DecodeKernels*> simd;
+  // The flavours, in column order: Scalar (no kernel table), then the
+  // auto-vectorized scalar tier, then each SIMD tier this host can run.
+  struct Flavour {
+    std::string label;  ///< JSON scheme suffix after "ALP-".
+    std::string tier;   ///< JSON kernel tier; empty = none recorded.
+    const alp::kernels::DecodeKernels* kernels;
+  };
+  std::vector<Flavour> flavours = {{"scalar", "scalar", nullptr},
+                                   {"autovec", "", autovec_kernels}};
   for (alp::kernels::Tier tier : kSimdTiers) {
-    if (const auto* k = alp::kernels::TierKernels(tier)) simd.push_back(k);
+    if (const auto* k = alp::kernels::TierKernels(tier)) {
+      flavours.push_back({alp::kernels::TierName(tier),
+                          alp::kernels::TierName(tier), k});
+    }
   }
 
   std::printf("Figure 4: fused decode kernel flavours, tuples per cycle\n");
-  std::printf("(runtime dispatch selects '%s' on this host)\n\n",
-              alp::kernels::ActiveTierName());
+  std::printf("(median of %d round-robin rounds; runtime dispatch selects "
+              "'%s' on this host)\n\n",
+              kRounds, alp::kernels::ActiveTierName());
   std::printf("%-14s %12s %16s", "Dataset", "Scalar", "Auto-vectorized");
-  for (const auto* k : simd) {
-    std::printf(" %12s", alp::kernels::TierName(k->tier));
+  for (size_t f = 2; f < flavours.size(); ++f) {
+    std::printf(" %12s", flavours[f].label.c_str());
   }
   std::printf("\n");
-  const int rule_width = 44 + 13 * static_cast<int>(simd.size());
+  const int rule_width = 44 + 13 * static_cast<int>(flavours.size() - 2);
   alp::bench::Rule('-', rule_width);
 
-  std::vector<double> sums(2 + simd.size(), 0.0);
+  std::vector<double> sums(flavours.size(), 0.0);
   size_t count = 0;
 
   for (const auto& spec : alp::data::AllDatasets()) {
@@ -68,75 +93,58 @@ int main(int argc, char** argv) {
     const double f10_f = alp::AlpTraits<double>::kF10[c.f];
     const double if10_e = alp::AlpTraits<double>::kIF10[c.e];
 
-    const auto scalar_decode = [&] {
-      alp::scalar::DecodeAlpFused(vec.packed, vec.ffor, c, out);
+    const auto decoder = [&](const Flavour& flavour) {
+      return [&] {
+        if (flavour.kernels == nullptr) {
+          alp::scalar::DecodeAlpFused(vec.packed, vec.ffor, c, out);
+        } else {
+          flavour.kernels->alp_fused64(vec.packed, vec.ffor.base,
+                                       vec.ffor.width, f10_f, if10_e, out);
+        }
+      };
     };
-    const double scalar =
-        alp::bench::TuplesPerCycle(scalar_decode, alp::kVectorSize, kBudget);
-    const auto autovec_decode = [&] {
-      autovec_kernels->alp_fused64(vec.packed, vec.ffor.base, vec.ffor.width,
-                                   f10_f, if10_e, out);
-    };
-    const double autovec =
-        alp::bench::TuplesPerCycle(autovec_decode, alp::kVectorSize, kBudget);
 
-    std::printf("%-14s %12.3f %16.3f", std::string(spec.name).c_str(), scalar,
-                autovec);
+    std::vector<std::vector<double>> rounds(flavours.size());
+    for (int r = 0; r < kRounds; ++r) {
+      for (size_t f = 0; f < flavours.size(); ++f) {
+        rounds[f].push_back(alp::bench::TuplesPerCycle(
+            decoder(flavours[f]), alp::kVectorSize, kBudget));
+      }
+    }
+
     const std::string ds(spec.name);
-    json.Add(ds, "ALP-scalar", "decompress_tuples_per_cycle", scalar,
-             "tuples/cycle", -1, "scalar");
-    json.Add(ds, "ALP-autovec", "decompress_tuples_per_cycle", autovec,
-             "tuples/cycle");
-    // Per-flavour hardware-counter rates — the figure's "why": a SIMD
-    // tier that wins on tuples/cycle should show it in IPC, and a
-    // flavour losing to cache misses is visible per tuple. No-ops without
-    // perf_event.
-    json.AddPerf(ds, "ALP-scalar", "decompress",
-                 alp::bench::MeasurePerfRates(scalar_decode, alp::kVectorSize,
-                                              kBudget),
-                 -1, "scalar");
-    json.AddPerf(ds, "ALP-autovec", "decompress",
-                 alp::bench::MeasurePerfRates(autovec_decode, alp::kVectorSize,
-                                              kBudget));
-    sums[0] += scalar;
-    sums[1] += autovec;
-
-    for (size_t s = 0; s < simd.size(); ++s) {
-      const auto* k = simd[s];
-      const double tuples = alp::bench::TuplesPerCycle(
-          [&] {
-            k->alp_fused64(vec.packed, vec.ffor.base, vec.ffor.width, f10_f,
-                           if10_e, out);
-          },
-          alp::kVectorSize, kBudget);
-      std::printf(" %12.3f", tuples);
-      const std::string tier_name = alp::kernels::TierName(k->tier);
-      json.Add(ds, "ALP-" + tier_name, "decompress_tuples_per_cycle", tuples,
-               "tuples/cycle", -1, tier_name);
-      json.AddPerf(ds, "ALP-" + tier_name, "decompress",
-                   alp::bench::MeasurePerfRates(
-                       [&] {
-                         k->alp_fused64(vec.packed, vec.ffor.base,
-                                        vec.ffor.width, f10_f, if10_e, out);
-                       },
-                       alp::kVectorSize, kBudget),
-                   -1, tier_name);
-      sums[2 + s] += tuples;
+    std::printf("%-14s", ds.c_str());
+    for (size_t f = 0; f < flavours.size(); ++f) {
+      const Flavour& flavour = flavours[f];
+      const double tuples = Median(rounds[f]);
+      std::printf(f == 1 ? " %16.3f" : " %12.3f", tuples);
+      const std::string scheme = "ALP-" + flavour.label;
+      json.Add(ds, scheme, "decompress_tuples_per_cycle", tuples,
+               "tuples/cycle", -1, flavour.tier);
+      // Per-flavour hardware-counter rates — the figure's "why": a SIMD
+      // tier that wins on tuples/cycle should show it in IPC, and a
+      // flavour losing to cache misses is visible per tuple. No-ops
+      // without perf_event.
+      json.AddPerf(ds, scheme, "decompress",
+                   alp::bench::MeasurePerfRates(decoder(flavour),
+                                                alp::kVectorSize, kBudget),
+                   -1, flavour.tier);
+      sums[f] += tuples;
     }
     std::printf("\n");
     ++count;
   }
 
   alp::bench::Rule('-', rule_width);
-  std::printf("%-14s %12.3f %16.3f", "AVG.", sums[0] / count, sums[1] / count);
-  for (size_t s = 0; s < simd.size(); ++s) {
-    std::printf(" %12.3f", sums[2 + s] / count);
+  std::printf("%-14s", "AVG.");
+  for (size_t f = 0; f < flavours.size(); ++f) {
+    std::printf(f == 1 ? " %16.3f" : " %12.3f", sums[f] / count);
   }
   std::printf("\n");
   std::printf("\nShape check (paper Fig. 4): Auto-vectorized >= Scalar on every\n"
               "dataset; on wide-SIMD hosts (Ice Lake) the avx512 column, plain\n"
               "C++ under AVX-512 flags, is several times faster than Scalar.\n");
-  if (simd.empty()) {
+  if (flavours.size() == 2) {
     std::printf("No SIMD dispatch tier is available on this host/build; only\n"
                 "the scalar and auto-vectorized flavours were measured.\n");
   }

@@ -120,27 +120,13 @@ double PercentileUs(std::vector<uint64_t>& ns, double p) {
 /// the timed passes so the counter reads never perturb the throughput
 /// numbers. Invalid (and later skipped by AddPerf) without perf_event.
 alp::bench::PerfRates ScanPerfRates(const SeekableReader<double>& reader) {
-  alp::bench::PerfRates rates;
-  if (!alp::obs::PerfAvailable()) return rates;
-  alp::obs::PerfSample begin;
-  if (!alp::obs::PerfReadCurrent(&begin)) return rates;
+  if (!alp::obs::PerfAvailable()) return {};
+  alp::obs::PerfScope perf;
+  perf.Arm();
   uint64_t checksum = 0;
   TimedScan(reader, &checksum);
-  alp::obs::PerfSample end;
-  if (!alp::obs::PerfReadCurrent(&end)) return rates;
-  const alp::obs::PerfSample delta = alp::obs::PerfDelta(begin, end);
-  if (!delta.valid || reader.value_count() == 0) return rates;
-  const double tuples = static_cast<double>(reader.value_count());
-  rates.valid = true;
-  rates.ipc = delta.Ipc();
-  rates.cache_misses_per_tuple =
-      static_cast<double>(delta.cache_misses) / tuples;
-  rates.cache_references_per_tuple =
-      static_cast<double>(delta.cache_references) / tuples;
-  rates.branch_misses_per_tuple =
-      static_cast<double>(delta.branch_misses) / tuples;
-  rates.multiplex_scale = delta.Scale();
-  return rates;
+  return alp::bench::PerfRatesOf(perf.Finish(),
+                                 static_cast<double>(reader.value_count()));
 }
 
 }  // namespace

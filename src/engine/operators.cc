@@ -78,8 +78,8 @@ QueryResult RunParallel(const StoredColumn& column, ThreadPool& pool,
     obs::FlightRecorder* recorder = ctx->request->recorder;
     recorder->Annotate("engine.rowgroups", rowgroups);
     recorder->Annotate("engine.threads", pool.size());
-    recorder->Span("engine.parallel", start, start + cycles,
-                   column.value_count());
+    recorder->Span({"engine.parallel", start, start + cycles,
+                    column.value_count(), ctx->request->trace_id});
   }
 #endif
 

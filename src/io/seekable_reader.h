@@ -172,7 +172,9 @@ class SeekableReader {
   Status Scan(const Visitor& visit, const OpContext* ctx = nullptr,
               const VectorFilter* want = nullptr) const;
 
-  /// One rowgroup's worth of Scan (the serving layer's unit of work).
+  /// One rowgroup's worth of Scan. Only tests call it (the out-of-range
+  /// rowgroup check); the server and the engine walk rowgroups through
+  /// RowgroupCursor instead.
   Status VisitRowgroup(size_t rg, const Visitor& visit,
                        const OpContext* ctx = nullptr,
                        const VectorFilter* want = nullptr) const;

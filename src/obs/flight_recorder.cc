@@ -1,7 +1,6 @@
 #include "obs/flight_recorder.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 
@@ -17,13 +16,6 @@ thread_local constinit uint64_t g_tl_trace_id = 0;
 }  // namespace internal
 
 namespace {
-
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -45,38 +37,19 @@ void FlightRecorder::Reset(uint64_t trace_id, const char* query_class,
   trace_id_ = trace_id;
   query_class_ = query_class != nullptr ? query_class : "";
   tenant_ = tenant != nullptr ? tenant : "";
-  events_head_ = 0;
-  events_retained_ = 0;
-  events_dropped_ = 0;
-  counter_count_ = 0;
-  stage_count_ = 0;
-  fault_count_ = 0;
-  table_overflow_ = 0;
+  events_.Clear();
+  table_size_ = 0;
   labels_.clear();
   perf_samples_ = 0;
-  perf_cycles_ = 0;
-  perf_instructions_ = 0;
-  perf_cache_references_ = 0;
-  perf_cache_misses_ = 0;
-  perf_branch_misses_ = 0;
-  perf_time_enabled_ = 0;
-  perf_time_running_ = 0;
-  anchor_cycles_ = CycleNow();
-  anchor_ns_ = SteadyNowNs();
-  has_outcome_ = false;
-  outcome_code_ = StatusCode::kOk;
-  outcome_message_.clear();
+  perf_ = PerfSample{};
+  calibration_.Anchor();
+  outcome_.reset();
   queue_ns_ = 0;
   exec_ns_ = 0;
 }
 
-void FlightRecorder::PushEvent(const Event& event) {
-  events_[events_head_ % kEventCapacity] = event;
-  ++events_head_;
-  if (events_retained_ < kEventCapacity) {
-    ++events_retained_;
-  } else {
-    ++events_dropped_;
+void FlightRecorder::Push(const Event& event) {
+  if (events_.Push(event)) {
     // Surface the loss in the process-wide registry too (AddAlways: the
     // recorder runs even when the metrics gate is closed, and a dropped
     // event is obs-health evidence, not pipeline telemetry).
@@ -86,91 +59,56 @@ void FlightRecorder::PushEvent(const Event& event) {
   }
 }
 
-FlightRecorder::Aggregate* FlightRecorder::FindOrAdd(
-    std::array<Aggregate, kTableCapacity>& table, size_t* size,
-    const char* key) {
+size_t FlightRecorder::IndexOf(Kind kind, const char* key) const {
   // Pointer equality first: instrumentation passes string literals, and
   // within one binary the same site usually hands back the same pointer.
   // Fall back to strcmp because literal merging across translation units is
   // not guaranteed.
-  for (size_t i = 0; i < *size; ++i) {
-    if (table[i].key == key) return &table[i];
+  for (size_t i = 0; i < table_size_; ++i) {
+    if (table_[i].kind == kind && table_[i].key == key) return i;
   }
-  for (size_t i = 0; i < *size; ++i) {
-    if (std::strcmp(table[i].key, key) == 0) return &table[i];
-  }
-  if (*size == kTableCapacity) {
-    ++table_overflow_;
-    return nullptr;
-  }
-  Aggregate& slot = table[(*size)++];
-  slot = Aggregate{};
-  slot.key = key;
-  return &slot;
-}
-
-const FlightRecorder::Aggregate* FlightRecorder::Find(
-    const std::array<Aggregate, kTableCapacity>& table, size_t size,
-    const char* key) const {
-  for (size_t i = 0; i < size; ++i) {
-    if (table[i].key == key || std::strcmp(table[i].key, key) == 0) {
-      return &table[i];
+  for (size_t i = 0; i < table_size_; ++i) {
+    if (table_[i].kind == kind && std::strcmp(table_[i].key, key) == 0) {
+      return i;
     }
   }
-  return nullptr;
+  return table_size_;
+}
+
+void FlightRecorder::Fold(Kind kind, const char* key, uint64_t value,
+                          uint64_t items) {
+  const size_t i = IndexOf(kind, key);
+  if (i == table_size_) {
+    if (table_size_ == kTableCapacity) return;
+    table_[table_size_++] = Aggregate{kind, key};
+  }
+  ++table_[i].calls;
+  table_[i].value += value;
+  table_[i].items += items;
 }
 
 void FlightRecorder::Count(const char* key, uint64_t delta) {
-  if (Aggregate* agg = FindOrAdd(counters_, &counter_count_, key)) {
-    ++agg->calls;
-    agg->value += delta;
-  }
   // The ring keeps the per-vector timeline (which vector hit, which
-  // missed); the aggregate above stays lossless once the ring wraps.
-  Event event;
-  event.name = key;
-  event.kind = 0;
-  event.a = delta;
-  PushEvent(event);
+  // missed); the aggregate stays lossless once the ring wraps.
+  Fold(Kind::kNote, key, delta, 0);
+  Push({key, Kind::kNote, delta});
 }
 
 void FlightRecorder::Annotate(const char* key, uint64_t value) {
-  Event event;
-  event.name = key;
-  event.kind = 0;
-  event.a = value;
-  PushEvent(event);
+  Push({key, Kind::kNote, value});
 }
 
-void FlightRecorder::Span(const char* name, uint64_t begin_cycles,
-                          uint64_t end_cycles, uint64_t items) {
-  if (Aggregate* agg = FindOrAdd(stages_, &stage_count_, name)) {
-    ++agg->calls;
-    agg->value += end_cycles - begin_cycles;
-    agg->items += items;
-  }
-  Event event;
-  event.name = name;
-  event.kind = 1;
-  event.a = begin_cycles;
-  event.b = end_cycles;
-  event.c = items;
-  PushEvent(event);
+void FlightRecorder::Span(const SpanRecord& span) {
+  Fold(Kind::kSpan, span.name, span.end_cycles - span.begin_cycles,
+       span.items);
+  Push({span.name, Kind::kSpan, span.begin_cycles, span.end_cycles,
+        span.items});
 }
 
 void FlightRecorder::RecordFault(const char* site, bool failed,
                                  uint64_t stall_us) {
-  if (Aggregate* agg = FindOrAdd(faults_, &fault_count_, site)) {
-    ++agg->calls;
-    agg->value += failed ? 1 : 0;
-    agg->items += stall_us;
-  }
-  Event event;
-  event.name = site;
-  event.kind = 2;
-  event.a = stall_us;
-  event.b = failed ? 1 : 0;
-  PushEvent(event);
+  Fold(Kind::kFault, site, failed ? 1 : 0, stall_us);
+  Push({site, Kind::kFault, stall_us, failed ? 1u : 0u});
 }
 
 void FlightRecorder::Label(const char* key, std::string value) {
@@ -186,54 +124,47 @@ void FlightRecorder::Label(const char* key, std::string value) {
 void FlightRecorder::AddPerf(const PerfSample& delta) {
   if (!delta.valid) return;
   ++perf_samples_;
-  perf_cycles_ += delta.cycles;
-  perf_instructions_ += delta.instructions;
-  perf_cache_references_ += delta.cache_references;
-  perf_cache_misses_ += delta.cache_misses;
-  perf_branch_misses_ += delta.branch_misses;
-  perf_time_enabled_ += delta.time_enabled;
-  perf_time_running_ += delta.time_running;
+  perf_ += delta;
 }
 
 void FlightRecorder::SetOutcome(const Status& status, uint64_t queue_ns,
                                 uint64_t exec_ns) {
-  has_outcome_ = true;
-  outcome_code_ = status.code();
-  outcome_message_ = status.message();
+  outcome_ = status;
   queue_ns_ = queue_ns;
   exec_ns_ = exec_ns;
 }
 
 uint64_t FlightRecorder::CounterValue(const char* key) const {
-  const Aggregate* agg = Find(counters_, counter_count_, key);
-  return agg != nullptr ? agg->value : 0;
+  const size_t i = IndexOf(Kind::kNote, key);
+  return i < table_size_ ? table_[i].value : 0;
 }
 
 uint64_t FlightRecorder::SpanCalls(const char* name) const {
-  const Aggregate* agg = Find(stages_, stage_count_, name);
-  return agg != nullptr ? agg->calls : 0;
+  const size_t i = IndexOf(Kind::kSpan, name);
+  return i < table_size_ ? table_[i].calls : 0;
 }
 
 uint64_t FlightRecorder::FaultFires() const {
   uint64_t total = 0;
-  for (size_t i = 0; i < fault_count_; ++i) total += faults_[i].calls;
+  for (size_t i = 0; i < table_size_; ++i) {
+    if (table_[i].kind == Kind::kFault) total += table_[i].calls;
+  }
   return total;
 }
 
 std::string FlightRecorder::ToJson() const {
-  // Re-measure the calibration pair so cycle deltas convert to wall time
-  // over the request's own interval; fall back to a 1 GHz assumption if the
-  // dump happens within the same cycle reading (calibration degenerate).
-  const uint64_t now_cycles = CycleNow();
-  const uint64_t now_ns = SteadyNowNs();
-  double ns_per_cycle = 1.0;
-  if (now_cycles > anchor_cycles_ && now_ns > anchor_ns_) {
-    ns_per_cycle = static_cast<double>(now_ns - anchor_ns_) /
-                   static_cast<double>(now_cycles - anchor_cycles_);
-  }
+  // Cycle deltas convert to wall time at the scale measured over the
+  // request's own interval (Reset to now).
+  const double us_per_cycle = calibration_.MicrosPerCycle();
+  const uint64_t anchor = calibration_.anchor_cycles();
   auto cycles_to_us = [&](uint64_t cycles) -> uint64_t {
-    return static_cast<uint64_t>(static_cast<double>(cycles) * ns_per_cycle /
-                                 1000.0);
+    return static_cast<uint64_t>(static_cast<double>(cycles) * us_per_cycle);
+  };
+  auto append_field = [](std::string* out, const char* key, uint64_t v) {
+    *out += ",\"";
+    *out += key;
+    *out += "\":";
+    AppendU64(out, v);
   };
 
   std::string out;
@@ -244,17 +175,15 @@ std::string FlightRecorder::ToJson() const {
   out += JsonQuote(query_class_);
   out += ",\"tenant\":";
   out += JsonQuote(tenant_);
-  if (has_outcome_) {
+  if (outcome_.has_value()) {
     out += ",\"status\":";
-    out += JsonQuote(StatusCodeName(outcome_code_));
-    if (!outcome_message_.empty()) {
+    out += JsonQuote(StatusCodeName(outcome_->code()));
+    if (!outcome_->message().empty()) {
       out += ",\"status_message\":";
-      out += JsonQuote(outcome_message_);
+      out += JsonQuote(outcome_->message());
     }
-    out += ",\"queue_us\":";
-    AppendU64(&out, queue_ns_ / 1000);
-    out += ",\"exec_us\":";
-    AppendU64(&out, exec_ns_ / 1000);
+    append_field(&out, "queue_us", queue_ns_ / 1000);
+    append_field(&out, "exec_us", exec_ns_ / 1000);
   }
   for (const auto& [key, value] : labels_) {
     out += ",";
@@ -270,111 +199,85 @@ std::string FlightRecorder::ToJson() const {
   if (perf_samples_ > 0) {
     out += ",\"perf\":{\"samples\":";
     AppendU64(&out, perf_samples_);
-    out += ",\"cycles\":";
-    AppendU64(&out, perf_cycles_);
-    out += ",\"instructions\":";
-    AppendU64(&out, perf_instructions_);
-    out += ",\"cache_references\":";
-    AppendU64(&out, perf_cache_references_);
-    out += ",\"cache_misses\":";
-    AppendU64(&out, perf_cache_misses_);
-    out += ",\"branch_misses\":";
-    AppendU64(&out, perf_branch_misses_);
+    append_field(&out, "cycles", perf_.cycles);
+    append_field(&out, "instructions", perf_.instructions);
+    append_field(&out, "cache_references", perf_.cache_references);
+    append_field(&out, "cache_misses", perf_.cache_misses);
+    append_field(&out, "branch_misses", perf_.branch_misses);
     out += ",\"ipc\":";
-    out += JsonDouble(perf_cycles_ == 0
-                          ? 0.0
-                          : static_cast<double>(perf_instructions_) /
-                                static_cast<double>(perf_cycles_));
+    out += JsonDouble(perf_.Ipc());
     out += ",\"cache_miss_rate\":";
-    out += JsonDouble(perf_cache_references_ == 0
-                          ? 0.0
-                          : static_cast<double>(perf_cache_misses_) /
-                                static_cast<double>(perf_cache_references_));
+    out += JsonDouble(perf_.CacheMissRate());
     out += ",\"multiplex_scale\":";
-    out += JsonDouble(perf_time_running_ == 0
-                          ? 0.0
-                          : static_cast<double>(perf_time_enabled_) /
-                                static_cast<double>(perf_time_running_));
+    out += JsonDouble(perf_.Scale());
     out += "}";
   }
 
+  // The keyed table, one section per kind, each in first-seen order.
+  auto for_each = [&](Kind kind, const auto& render) {
+    bool first = true;
+    for (size_t i = 0; i < table_size_; ++i) {
+      if (table_[i].kind != kind) continue;
+      if (!first) out += ",";
+      first = false;
+      render(table_[i]);
+    }
+  };
   out += ",\"counters\":{";
-  for (size_t i = 0; i < counter_count_; ++i) {
-    if (i > 0) out += ",";
-    out += JsonQuote(counters_[i].key);
+  for_each(Kind::kNote, [&](const Aggregate& agg) {
+    out += JsonQuote(agg.key);
     out += ":";
-    AppendU64(&out, counters_[i].value);
-  }
-  out += "}";
-
-  out += ",\"stages\":{";
-  for (size_t i = 0; i < stage_count_; ++i) {
-    if (i > 0) out += ",";
-    out += JsonQuote(stages_[i].key);
+    AppendU64(&out, agg.value);
+  });
+  out += "},\"stages\":{";
+  for_each(Kind::kSpan, [&](const Aggregate& agg) {
+    out += JsonQuote(agg.key);
     out += ":{\"calls\":";
-    AppendU64(&out, stages_[i].calls);
-    out += ",\"total_us\":";
-    AppendU64(&out, cycles_to_us(stages_[i].value));
-    out += ",\"items\":";
-    AppendU64(&out, stages_[i].items);
+    AppendU64(&out, agg.calls);
+    append_field(&out, "total_us", cycles_to_us(agg.value));
+    append_field(&out, "items", agg.items);
     out += "}";
-  }
-  out += "}";
-
-  out += ",\"faults\":[";
-  for (size_t i = 0; i < fault_count_; ++i) {
-    if (i > 0) out += ",";
+  });
+  out += "},\"faults\":[";
+  for_each(Kind::kFault, [&](const Aggregate& agg) {
     out += "{\"site\":";
-    out += JsonQuote(faults_[i].key);
-    out += ",\"fires\":";
-    AppendU64(&out, faults_[i].calls);
-    out += ",\"errors\":";
-    AppendU64(&out, faults_[i].value);
-    out += ",\"stall_us\":";
-    AppendU64(&out, faults_[i].items);
+    out += JsonQuote(agg.key);
+    append_field(&out, "fires", agg.calls);
+    append_field(&out, "errors", agg.value);
+    append_field(&out, "stall_us", agg.items);
     out += "}";
-  }
+  });
   out += "]";
 
-  out += ",\"events_dropped\":";
-  AppendU64(&out, events_dropped_);
+  append_field(&out, "events_dropped", events_.dropped());
   out += ",\"events\":[";
-  // Oldest retained first. When the ring wrapped, the oldest slot is the
-  // one the head is about to overwrite.
-  const size_t start =
-      events_head_ > kEventCapacity ? events_head_ - kEventCapacity : 0;
-  for (size_t i = 0; i < events_retained_; ++i) {
-    const Event& event = events_[(start + i) % kEventCapacity];
-    if (i > 0) out += ",";
+  bool first = true;
+  events_.ForEach([&](const Event& event) {
+    if (!first) out += ",";
+    first = false;
     out += "{\"name\":";
     out += JsonQuote(event.name != nullptr ? event.name : "");
     switch (event.kind) {
-      case 1: {  // span
-        out += ",\"kind\":\"span\",\"t_us\":";
-        AppendU64(&out, event.a >= anchor_cycles_
-                            ? cycles_to_us(event.a - anchor_cycles_)
-                            : 0);
-        out += ",\"dur_us\":";
-        AppendU64(&out, cycles_to_us(event.b - event.a));
-        out += ",\"items\":";
-        AppendU64(&out, event.c);
+      case Kind::kSpan:
+        out += ",\"kind\":\"span\"";
+        append_field(&out, "t_us",
+                     event.a >= anchor ? cycles_to_us(event.a - anchor) : 0);
+        append_field(&out, "dur_us", cycles_to_us(event.b - event.a));
+        append_field(&out, "items", event.c);
         break;
-      }
-      case 2: {  // fault
-        out += ",\"kind\":\"fault\",\"stall_us\":";
-        AppendU64(&out, event.a);
+      case Kind::kFault:
+        out += ",\"kind\":\"fault\"";
+        append_field(&out, "stall_us", event.a);
         out += ",\"failed\":";
         out += event.b != 0 ? "true" : "false";
         break;
-      }
-      default: {  // annotation
-        out += ",\"kind\":\"note\",\"value\":";
-        AppendU64(&out, event.a);
+      case Kind::kNote:
+        out += ",\"kind\":\"note\"";
+        append_field(&out, "value", event.a);
         break;
-      }
     }
     out += "}";
-  }
+  });
   out += "]}";
   return out;
 }
@@ -401,7 +304,7 @@ uint64_t NewTraceId() {
   // The per-process seed keeps IDs from colliding across runs whose logs
   // are later merged; the counter keeps them unique within a run.
   static const uint64_t seed =
-      SplitMix64(SteadyNowNs() ^ (reinterpret_cast<uintptr_t>(&NewTraceId)));
+      SplitMix64(NanoNow() ^ (reinterpret_cast<uintptr_t>(&NewTraceId)));
   static std::atomic<uint64_t> counter{0};
   const uint64_t n = counter.fetch_add(1, std::memory_order_relaxed) + 1;
   uint64_t id = SplitMix64(seed ^ n);

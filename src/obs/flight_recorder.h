@@ -4,27 +4,38 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.h"  // ALP_OBS default.
 #include "obs/perf_counters.h"
+#include "obs/trace_buffer.h"
 #include "util/status.h"
 
 /// \file flight_recorder.h
 /// Request-scoped telemetry: a trace-identified context threaded through
-/// OpContext, and a per-request *flight recorder* — a bounded ring of the
-/// request's own spans and annotations that costs nothing to drop on fast
-/// success and dumps to JSON (the slow-query log) when the request fails,
-/// is cancelled, trips a fault site, or exceeds the slow-query threshold.
+/// OpContext, and a per-request *flight recorder* that dumps to JSON (the
+/// slow-query log) when the request fails, is cancelled, trips a fault
+/// site, or exceeds the slow-query threshold, and costs nothing to drop on
+/// fast success.
 ///
 /// Where the MetricRegistry answers "how is the process doing" and the
 /// trace rings answer "what ran when", the flight recorder answers "why was
 /// THIS request slow": its dump carries the trace ID, queue wait, per-stage
 /// spans, cache hits/misses, chunk fetch bytes, decode exception counts,
-/// injected-fault attribution and the kernel tier — everything needed to
-/// explain one tail-latency outlier from one artifact.
+/// injected-fault attribution, the kernel tier and one hardware-counter
+/// sample — everything needed to explain one tail-latency outlier from one
+/// artifact.
+///
+/// The recorder is a filtered view of the span stream, not a second set of
+/// accounts: ScopedTimer hands it the same SpanRecord it hands the stage
+/// registry and the trace ring, its events sit in the trace buffer's
+/// SpanRing, and its dump times use the trace buffer's CycleCalibration.
+/// What it adds is per-request: one keyed table folding counters, stages
+/// and fault sites, string labels, the outcome, and the request's summed
+/// PerfSample.
 ///
 /// Cost model:
 ///  - A request without a recorder (the common case) pays one null-pointer
@@ -32,10 +43,9 @@
 ///    compiled out under -DALP_OBS=OFF, like every other hot-path
 ///    instrumentation in the repo.
 ///  - A recorder is fixed-size: events land in a bounded ring (oldest
-///    dropped and counted), high-frequency increments fold into a small
-///    pointer-keyed aggregation table. No allocation happens on the
-///    recording path after construction (labels excepted — they are
-///    per-request, not per-vector).
+///    dropped and counted), and the table keeps aggregates lossless once the
+///    ring wraps. No allocation happens on the recording path after
+///    construction (labels excepted — they are per-request, not per-vector).
 ///
 /// Threading: one recorder belongs to one request and is written by one
 /// thread at a time — the submitter during admission, then the worker that
@@ -70,8 +80,8 @@ class FlightRecorder {
  public:
   /// Events retained (ring; oldest dropped and counted once full).
   static constexpr size_t kEventCapacity = 192;
-  /// Distinct aggregate keys (counters + stages + fault sites each).
-  static constexpr size_t kTableCapacity = 24;
+  /// Distinct aggregate keys: counters, stages and fault sites together.
+  static constexpr size_t kTableCapacity = 64;
 
   FlightRecorder() = default;
   FlightRecorder(const FlightRecorder&) = delete;
@@ -90,11 +100,10 @@ class FlightRecorder {
   /// Appends one point annotation (admission queue depth, decisions, ...).
   void Annotate(const char* key, uint64_t value);
 
-  /// Records a completed cycle-span: aggregates into a per-stage table
-  /// (calls/cycles/items) and appends a ring event. ScopedTimer calls this
-  /// for every ALP_OBS_SPAN on the attributed thread.
-  void Span(const char* name, uint64_t begin_cycles, uint64_t end_cycles,
-            uint64_t items);
+  /// Records a completed span: folds it into its stage's calls/cycles/items
+  /// and appends a ring event. ScopedTimer calls this for every
+  /// ALP_OBS_SPAN on the attributed thread.
+  void Span(const SpanRecord& span);
 
   /// Attributes one injected-fault fire at \p site to this request.
   void RecordFault(const char* site, bool failed, uint64_t stall_us);
@@ -104,13 +113,12 @@ class FlightRecorder {
   void Label(const char* key, std::string value);
 
   /// Folds one multiplex-scaled hardware-counter delta
-  /// (obs/perf_counters.h) into the request's perf totals. Two writers feed
-  /// this: the server reads the worker's counter group around the whole
-  /// execute (one delta per request, cheap enough to be unconditional when
-  /// counters exist), and perf-armed ScopedTimer spans add their intervals
-  /// when PerfSpansEnabled. The dump derives IPC and the cache-miss rate
-  /// from the totals, so a slow query names its miss rate. Invalid deltas
-  /// are ignored.
+  /// (obs/perf_counters.h) into the request's perf totals. The server is
+  /// the one writer: it samples the worker's counter group once, around the
+  /// whole execute, when counters exist. Spans do not add theirs (their
+  /// deltas go to their stages), so the totals cover the request once. The
+  /// dump derives IPC and the cache-miss rate from the totals, so a slow
+  /// query names its miss rate. Invalid deltas are ignored.
   void AddPerf(const PerfSample& delta);
 
   /// Final outcome, emitted as top-level dump fields.
@@ -123,8 +131,8 @@ class FlightRecorder {
   uint64_t SpanCalls(const char* name) const;
   uint64_t FaultFires() const;  ///< Total injected-fault fires attributed.
   uint64_t PerfSamples() const { return perf_samples_; }
-  size_t EventCount() const { return events_retained_; }
-  uint64_t DroppedEvents() const { return events_dropped_; }
+  size_t EventCount() const { return events_.size(); }
+  uint64_t DroppedEvents() const { return events_.dropped(); }
 
   /// The dump: one JSON object (single line — the slow-query log is JSON
   /// lines) with trace_id (hex string), class/tenant, status, queue/exec
@@ -133,63 +141,48 @@ class FlightRecorder {
   std::string ToJson() const;
 
  private:
+  /// What an event or aggregate is. The table's kNote rows are counters.
+  enum class Kind : uint8_t { kNote, kSpan, kFault };
   struct Event {
     const char* name = nullptr;
-    uint8_t kind = 0;  ///< 0 = annotation/count, 1 = span, 2 = fault.
-    uint64_t a = 0;    ///< value | begin_cycles | stall_us.
-    uint64_t b = 0;    ///< 0 | end_cycles | failed.
-    uint64_t c = 0;    ///< 0 | items | 0.
+    Kind kind = Kind::kNote;
+    uint64_t a = 0;  ///< value | begin_cycles | stall_us.
+    uint64_t b = 0;  ///< 0 | end_cycles | failed.
+    uint64_t c = 0;  ///< 0 | items | 0.
   };
   struct Aggregate {
+    Kind kind = Kind::kNote;
     const char* key = nullptr;
     uint64_t calls = 0;
-    uint64_t value = 0;  ///< Counter total / span cycles.
-    uint64_t items = 0;  ///< Span items.
+    uint64_t value = 0;  ///< Counter total | span cycles | fault errors.
+    uint64_t items = 0;  ///< 0 | span items | fault stall_us.
   };
 
-  void PushEvent(const Event& event);
-  Aggregate* FindOrAdd(std::array<Aggregate, kTableCapacity>& table,
-                       size_t* size, const char* key);
-  const Aggregate* Find(const std::array<Aggregate, kTableCapacity>& table,
-                        size_t size, const char* key) const;
+  void Push(const Event& event);
+  /// Adds one call of (value, items) to the (kind, key) aggregate; a full
+  /// table drops the fold (the ring event still lands).
+  void Fold(Kind kind, const char* key, uint64_t value, uint64_t items);
+  /// Index of the (kind, key) aggregate, or table_size_ when absent.
+  size_t IndexOf(Kind kind, const char* key) const;
 
   uint64_t trace_id_ = 0;
   const char* query_class_ = "";
   const char* tenant_ = "";
 
-  std::array<Event, kEventCapacity> events_;
-  size_t events_head_ = 0;      ///< Total pushed; slot = head % capacity.
-  size_t events_retained_ = 0;  ///< min(head, capacity).
-  uint64_t events_dropped_ = 0;
-
-  std::array<Aggregate, kTableCapacity> counters_{};
-  size_t counter_count_ = 0;
-  std::array<Aggregate, kTableCapacity> stages_{};
-  size_t stage_count_ = 0;
-  std::array<Aggregate, kTableCapacity> faults_{};
-  size_t fault_count_ = 0;
-  uint64_t table_overflow_ = 0;  ///< Increments lost to a full table.
+  SpanRing<Event, kEventCapacity> events_;
+  std::array<Aggregate, kTableCapacity> table_;
+  size_t table_size_ = 0;
 
   std::vector<std::pair<const char*, std::string>> labels_;
 
   /// Summed scaled hardware-counter deltas (AddPerf); 0 samples = the dump
   /// carries no "perf" object (counters unavailable or never read).
   uint64_t perf_samples_ = 0;
-  uint64_t perf_cycles_ = 0;
-  uint64_t perf_instructions_ = 0;
-  uint64_t perf_cache_references_ = 0;
-  uint64_t perf_cache_misses_ = 0;
-  uint64_t perf_branch_misses_ = 0;
-  uint64_t perf_time_enabled_ = 0;
-  uint64_t perf_time_running_ = 0;
+  PerfSample perf_;
 
-  // Cycle→wall calibration anchor (Reset) for dumping span micros.
-  uint64_t anchor_cycles_ = 0;
-  uint64_t anchor_ns_ = 0;  ///< steady_clock ns at Reset.
+  CycleCalibration calibration_;  ///< Anchored by Reset.
 
-  bool has_outcome_ = false;
-  StatusCode outcome_code_ = StatusCode::kOk;
-  std::string outcome_message_;
+  std::optional<Status> outcome_;
   uint64_t queue_ns_ = 0;
   uint64_t exec_ns_ = 0;
 };

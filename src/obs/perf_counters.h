@@ -36,12 +36,13 @@
 ///    orders of magnitude over a ScopedTimer's rdtsc pair. Per-span
 ///    attribution therefore sits behind its own runtime gate
 ///    (`PerfSpansEnabled()`, default off, `ALP_OBS_PERF=1` or
-///    `SetPerfSpansEnabled(true)`) separate from the metrics gate; coarse
-///    consumers (bench hot loops, one read per request in the server) call
-///    `PerfReadCurrent` directly and need no gate.
+///    `SetPerfSpansEnabled(true)`) separate from the metrics gate, which
+///    ScopedTimer checks before arming its PerfScope; coarse consumers
+///    (bench hot loops, one sample per request in the server) arm a
+///    PerfScope directly and need no gate.
 ///  - **Compiled out with the rest of obs.** Under `-DALP_OBS=OFF` (or off
 ///    Linux) everything here is a stub: the probe reports why, reads return
-///    false, PerfScope never arms. Compressed bytes never depend on any of
+///    false, a PerfScope never arms. Compressed bytes never depend on any of
 ///    this in any configuration.
 
 namespace alp::obs {
@@ -124,6 +125,19 @@ struct PerfSample {
                : static_cast<double>(cache_misses) /
                      static_cast<double>(cache_references);
   }
+
+  /// Adds another interval's delta to this running total (every field,
+  /// including the scheduling times Scale() divides).
+  PerfSample& operator+=(const PerfSample& delta) {
+    time_enabled += delta.time_enabled;
+    time_running += delta.time_running;
+    cycles += delta.cycles;
+    instructions += delta.instructions;
+    cache_references += delta.cache_references;
+    cache_misses += delta.cache_misses;
+    branch_misses += delta.branch_misses;
+    return *this;
+  }
 };
 
 /// Reads the calling thread's counter group into \p out (opening it lazily
@@ -145,21 +159,20 @@ PerfSample PerfDelta(const PerfSample& begin, const PerfSample& end);
 bool PerfSpansEnabled();
 void SetPerfSpansEnabled(bool enabled);
 
-/// RAII hardware-counter interval, the companion of ScopedTimer: Arm() takes
-/// the begin reading iff per-span perf is enabled and counters are
-/// available; Finish() takes the end reading and returns the scaled delta
-/// (invalid when never armed). Default-constructed state is disarmed and
-/// free, so embedding one in every ScopedTimer costs nothing until the gate
-/// opens.
+/// One hardware-counter interval on the calling thread: Arm() takes the
+/// begin reading (when counters are available); Finish() takes the end
+/// reading and returns the scaled delta (invalid when never armed or a read
+/// failed). It has no gate of its own: ScopedTimer arms one only while
+/// PerfSpansEnabled(), and coarse consumers arm one directly.
+/// Default-constructed state is disarmed and free, so embedding one in
+/// every ScopedTimer costs nothing until it is armed.
 class PerfScope {
  public:
   PerfScope() = default;
   PerfScope(const PerfScope&) = delete;
   PerfScope& operator=(const PerfScope&) = delete;
 
-  void Arm() {
-    if (PerfSpansEnabled()) armed_ = PerfReadCurrent(&begin_);
-  }
+  void Arm() { armed_ = PerfReadCurrent(&begin_); }
   bool armed() const { return armed_; }
 
   PerfSample Finish() {

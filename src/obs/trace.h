@@ -23,34 +23,37 @@
 ///
 /// The macros expand to nothing when the library is configured with
 /// `-DALP_OBS=OFF`, so the disabled build carries zero instrumentation code;
-/// when compiled in, a span on a disabled registry is one relaxed load at
-/// construction and one at destruction.
+/// when compiled in, a span with every observer off costs one thread-local
+/// load and two relaxed loads, and no RDTSC read.
 
 namespace alp::obs {
 
 /// RAII cycle-span. Captures CycleNow() only while metric recording, span
 /// tracing, or a request's flight recorder is active, so the fully disabled
-/// path never touches RDTSC. One span feeds three consumers: aggregate
-/// StageStats in the registry (when Enabled()), an individual trace event in
-/// the per-thread ring (when TraceEnabled()), and the ambient flight
-/// recorder of the request running on this thread (when the serving layer
-/// installed one) — which is how every existing ALP_OBS_SPAN site becomes
-/// per-request attributable without changing call sites. \p name must have
-/// static storage duration — both rings store the pointer (ALP_OBS_SPAN
-/// passes its stage literal).
+/// path is one thread-local load and two relaxed loads, and never touches
+/// RDTSC. The span builds one SpanRecord and publishes it to each active
+/// observer: aggregate StageStats in the registry (when Enabled()), the
+/// calling thread's trace ring (when TraceEnabled()), and the ambient
+/// flight recorder of the request running on this thread (when the serving
+/// layer installed one) — which is how every existing ALP_OBS_SPAN site
+/// becomes per-request attributable without changing call sites. \p name
+/// must have static storage duration — both rings store the pointer
+/// (ALP_OBS_SPAN passes its stage literal).
 class ScopedTimer {
  public:
   ScopedTimer(StageStats& stage, const char* name, uint64_t items)
-      : stage_(stage), name_(name), items_(items) {
-    recorder_ = CurrentFlightRecorder();
-    if (Enabled() || TraceEnabled() || recorder_ != nullptr) {
+      : stage_(stage), recorder_(CurrentFlightRecorder()) {
+    span_.name = name;
+    span_.items = items;
+    const bool metrics = Enabled();
+    if (metrics || TraceEnabled() || recorder_ != nullptr) {
       armed_ = true;
-      // Hardware counters ride the same span when the per-span perf gate is
-      // open (PerfSpansEnabled — two syscalls per span, so opt-in). Arm
-      // before the rdtsc read: the group read's syscall cost then sits
-      // outside the timed interval on the begin side at least.
-      perf_.Arm();
-      start_ = ::alp::CycleNow();
+      // Hardware counters ride the span into its stage when the per-span
+      // perf gate is open (two syscalls per span, so opt-in). Arm before
+      // the rdtsc read: the group read's syscall cost then sits outside the
+      // timed interval on the begin side at least.
+      if (metrics && PerfSpansEnabled()) perf_.Arm();
+      span_.begin_cycles = ::alp::CycleNow();
     }
   }
 
@@ -59,36 +62,36 @@ class ScopedTimer {
 
   /// Adjusts the item count after construction (e.g. when the span covers a
   /// loop whose trip count is only known at the end).
-  void SetItems(uint64_t items) { items_ = items; }
+  void SetItems(uint64_t items) { span_.items = items; }
 
   ~ScopedTimer() {
     if (!armed_) return;
     const bool metrics = Enabled();
     const bool trace = TraceEnabled();
     if (!metrics && !trace && recorder_ == nullptr) return;
-    const uint64_t end = ::alp::CycleNow();
-    if (metrics) stage_.Record(end - start_, items_);
-    if (trace) TraceRecordSpan(name_, start_, end, items_);
-    if (recorder_ != nullptr) recorder_->Span(name_, start_, end, items_);
-    if (perf_.armed()) {
+    span_.end_cycles = ::alp::CycleNow();
+    span_.trace_id = CurrentTraceId();
+    if (metrics) {
+      stage_.Record(span_.end_cycles - span_.begin_cycles, span_.items);
+    }
+    if (trace) TraceRecordSpan(span_);
+    if (recorder_ != nullptr) recorder_->Span(span_);
+    // A span's counter delta belongs to its stage only: the request's one
+    // perf sample is the server's, so nested spans never count twice.
+    if (metrics && perf_.armed()) {
       const PerfSample delta = perf_.Finish();
       if (delta.valid) {
-        if (metrics) {
-          stage_.RecordPerf(delta.cycles, delta.instructions,
-                            delta.cache_references, delta.cache_misses,
-                            delta.branch_misses, items_);
-        }
-        if (recorder_ != nullptr) recorder_->AddPerf(delta);
+        stage_.RecordPerf(delta.cycles, delta.instructions,
+                          delta.cache_references, delta.cache_misses,
+                          delta.branch_misses, span_.items);
       }
     }
   }
 
  private:
   StageStats& stage_;
-  const char* name_;
-  uint64_t items_;
-  uint64_t start_ = 0;
-  FlightRecorder* recorder_ = nullptr;
+  FlightRecorder* recorder_;
+  SpanRecord span_;
   PerfScope perf_;
   bool armed_ = false;
 };

@@ -1,15 +1,12 @@
 #include "obs/trace_buffer.h"
 
 #include <algorithm>
-#include <array>
-#include <chrono>
 #include <cstdio>
 #include <mutex>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"
-#include "util/cycle_clock.h"
 #include "util/thread_pool.h"
 
 namespace alp::obs {
@@ -22,46 +19,11 @@ std::atomic<bool> g_trace_enabled{false};
 
 namespace {
 
-/// Raw ring slot: the name pointer (static storage, from ALP_OBS_SPAN
-/// literals) is stored as-is; resolution to std::string happens at collect.
-struct SlotSpan {
-  const char* name;
-  uint64_t begin_cycles;
-  uint64_t end_cycles;
-  uint64_t items;
-  uint64_t trace_id;
-};
-
-/// Single-writer ring. Only the owning thread stores slots and advances
-/// head_; collectors read under the registry mutex with acquire loads, so a
-/// slot's contents are visible before the head that publishes it.
+/// One thread's span ring. Only the owning thread pushes; collectors read
+/// under the registry mutex.
 struct ThreadRing {
   int tid = 0;
-  std::array<SlotSpan, kTraceRingCapacity> slots;
-  /// Total spans ever pushed; slot index = head % capacity. Publishing with
-  /// release order makes the just-written slot visible to any collector
-  /// that acquires the new head value.
-  std::atomic<uint64_t> head{0};
-
-  void Push(const char* name, uint64_t begin, uint64_t end, uint64_t items,
-            uint64_t trace_id) {
-    const uint64_t h = head.load(std::memory_order_relaxed);
-    SlotSpan& slot = slots[h & (kTraceRingCapacity - 1)];
-    slot.name = name;
-    slot.begin_cycles = begin;
-    slot.end_cycles = end;
-    slot.items = items;
-    slot.trace_id = trace_id;
-    head.store(h + 1, std::memory_order_release);
-  }
-};
-
-/// Calibration anchor: a (cycles, wall time) pair taken at StartTracing so
-/// export can convert cycle stamps to microseconds with a scale measured
-/// over the actual traced interval.
-struct CalibrationAnchor {
-  uint64_t cycles = 0;
-  std::chrono::steady_clock::time_point wall{};
+  SpanRing<SpanRecord, kTraceRingCapacity> spans;
 };
 
 struct TraceRegistry {
@@ -70,8 +32,9 @@ struct TraceRegistry {
   /// registry): worker threads may outlive any scope that could free them.
   std::vector<ThreadRing*> rings;
   int next_synthetic_tid = kSyntheticTidBase;
-  std::atomic<uint64_t> dropped{0};
-  CalibrationAnchor anchor;
+  /// Anchored by StartTracing, so export measures the cycle scale over the
+  /// traced interval itself.
+  CycleCalibration calibration;
 };
 
 TraceRegistry& Registry() {
@@ -92,21 +55,6 @@ ThreadRing& LocalRing() {
   return *ring;
 }
 
-/// Microseconds per cycle measured between the StartTracing anchor and now.
-/// Falls back to a nominal 1 GHz when the elapsed window is too small to
-/// divide (e.g. trace started and exported within the same microsecond).
-double MicrosPerCycle() {
-  TraceRegistry& reg = Registry();
-  const uint64_t cycles_now = ::alp::CycleNow();
-  const auto wall_now = std::chrono::steady_clock::now();
-  const uint64_t dc = cycles_now - reg.anchor.cycles;
-  const double us =
-      std::chrono::duration<double, std::micro>(wall_now - reg.anchor.wall)
-          .count();
-  if (reg.anchor.cycles == 0 || dc == 0 || us <= 0.0) return 1e-3;
-  return us / static_cast<double>(dc);
-}
-
 std::string FormatMicros(double us) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3f", us < 0.0 ? 0.0 : us);
@@ -119,12 +67,8 @@ void StartTracing() {
   TraceRegistry& reg = Registry();
   {
     std::lock_guard<std::mutex> lock(reg.mu);
-    for (ThreadRing* ring : reg.rings) {
-      ring->head.store(0, std::memory_order_relaxed);
-    }
-    reg.dropped.store(0, std::memory_order_relaxed);
-    reg.anchor.cycles = ::alp::CycleNow();
-    reg.anchor.wall = std::chrono::steady_clock::now();
+    for (ThreadRing* ring : reg.rings) ring->spans.Clear();
+    reg.calibration.Anchor();
   }
   internal::g_trace_enabled.store(true, std::memory_order_relaxed);
 }
@@ -136,30 +80,22 @@ void StopTracing() {
 void ResetTrace() {
   TraceRegistry& reg = Registry();
   std::lock_guard<std::mutex> lock(reg.mu);
-  for (ThreadRing* ring : reg.rings) {
-    ring->head.store(0, std::memory_order_relaxed);
-  }
-  reg.dropped.store(0, std::memory_order_relaxed);
+  for (ThreadRing* ring : reg.rings) ring->spans.Clear();
 }
 
-void TraceRecordSpan(const char* name, uint64_t begin_cycles,
-                     uint64_t end_cycles, uint64_t items) {
+void TraceRecordSpan(const SpanRecord& span) {
   // ScopedTimer checks the gate before timing, but direct callers may not:
   // spans must never land in the rings while tracing is stopped.
   if (!TraceEnabled()) return;
-  ThreadRing& ring = LocalRing();
-  const uint64_t h = ring.head.load(std::memory_order_relaxed);
-  if (h >= kTraceRingCapacity) {
-    // Overwriting the oldest retained span.
-    Registry().dropped.fetch_add(1, std::memory_order_relaxed);
-    // Mirror the loss into the metric registry (AddAlways: tracing can run
-    // with the metrics gate closed, and span loss is exactly what the
-    // obs-health counter must not lose to that gate).
+  if (LocalRing().spans.Push(span)) {
+    // Overwrote the oldest retained span. Mirror the loss into the metric
+    // registry (AddAlways: tracing can run with the metrics gate closed,
+    // and span loss is exactly what the obs-health counter must not lose
+    // to that gate).
     static Counter& dropped =
         MetricRegistry::Global().GetCounter("obs.trace.dropped");
     dropped.AddAlways(1);
   }
-  ring.Push(name, begin_cycles, end_cycles, items, CurrentTraceId());
 }
 
 std::vector<TraceSpan> CollectTraceSpans() {
@@ -167,32 +103,27 @@ std::vector<TraceSpan> CollectTraceSpans() {
   TraceRegistry& reg = Registry();
   std::lock_guard<std::mutex> lock(reg.mu);
   for (const ThreadRing* ring : reg.rings) {
-    const uint64_t head = ring->head.load(std::memory_order_acquire);
-    const uint64_t count = std::min<uint64_t>(head, kTraceRingCapacity);
-    const uint64_t first = head - count;  // Oldest retained span.
-    for (uint64_t i = first; i < head; ++i) {
-      const SlotSpan& slot = ring->slots[i & (kTraceRingCapacity - 1)];
-      TraceSpan span;
-      span.name = slot.name != nullptr ? slot.name : "";
-      span.begin_cycles = slot.begin_cycles;
-      span.end_cycles = slot.end_cycles;
-      span.items = slot.items;
-      span.trace_id = slot.trace_id;
-      span.tid = ring->tid;
-      out.push_back(std::move(span));
-    }
+    ring->spans.ForEach([&](const SpanRecord& s) {
+      out.push_back(TraceSpan{s.name != nullptr ? s.name : "", s.begin_cycles,
+                              s.end_cycles, s.items, s.trace_id, ring->tid});
+    });
   }
   return out;
 }
 
 uint64_t TraceDroppedSpans() {
-  return Registry().dropped.load(std::memory_order_relaxed);
+  TraceRegistry& reg = Registry();
+  std::lock_guard<std::mutex> lock(reg.mu);
+  uint64_t dropped = 0;
+  for (const ThreadRing* ring : reg.rings) dropped += ring->spans.dropped();
+  return dropped;
 }
 
 std::string TraceToJson() {
   const std::vector<TraceSpan> spans = CollectTraceSpans();
-  const double us_per_cycle = MicrosPerCycle();
-  const uint64_t anchor_cycles = Registry().anchor.cycles;
+  const CycleCalibration& calibration = Registry().calibration;
+  const double us_per_cycle = calibration.MicrosPerCycle();
+  const uint64_t anchor_cycles = calibration.anchor_cycles();
 
   // Thread-name metadata first, one per distinct tid.
   std::vector<int> tids;
@@ -260,7 +191,7 @@ std::string TraceToJson() {
 void StartTracing() {}
 void StopTracing() {}
 void ResetTrace() {}
-void TraceRecordSpan(const char*, uint64_t, uint64_t, uint64_t) {}
+void TraceRecordSpan(const SpanRecord&) {}
 std::vector<TraceSpan> CollectTraceSpans() { return {}; }
 uint64_t TraceDroppedSpans() { return 0; }
 std::string TraceToJson() {

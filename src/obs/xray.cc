@@ -180,8 +180,8 @@ StatusOr<XRayDecodePerf> MeasureDecodePerfAs(const uint8_t* data,
   Status warm = reader.TryDecodeAll(out.data());
   if (!warm.ok()) return warm;
 
-  PerfSample begin;
-  const bool counters = PerfReadCurrent(&begin);
+  PerfScope counters;
+  counters.Arm();
   const uint64_t cycles_begin = ::alp::CycleNow();
   // Repeat until the window is long enough for rates to be stable; small
   // test columns get many passes, real columns typically one or two.
@@ -200,23 +200,18 @@ StatusOr<XRayDecodePerf> MeasureDecodePerfAs(const uint8_t* data,
     perf.cycles_per_value = static_cast<double>(cycles) / total_values;
   }
 
-  if (counters) {
-    PerfSample end;
-    if (PerfReadCurrent(&end)) {
-      const PerfSample delta = PerfDelta(begin, end);
-      if (delta.valid && total_values > 0) {
-        perf.measured = true;
-        perf.ipc = delta.Ipc();
-        perf.cache_misses_per_value =
-            static_cast<double>(delta.cache_misses) / total_values;
-        perf.cache_references_per_value =
-            static_cast<double>(delta.cache_references) / total_values;
-        perf.branch_misses_per_value =
-            static_cast<double>(delta.branch_misses) / total_values;
-        perf.cache_miss_rate = delta.CacheMissRate();
-        perf.multiplex_scale = delta.Scale();
-      }
-    }
+  const PerfSample delta = counters.Finish();
+  if (delta.valid && total_values > 0) {
+    perf.measured = true;
+    perf.ipc = delta.Ipc();
+    perf.cache_misses_per_value =
+        static_cast<double>(delta.cache_misses) / total_values;
+    perf.cache_references_per_value =
+        static_cast<double>(delta.cache_references) / total_values;
+    perf.branch_misses_per_value =
+        static_cast<double>(delta.branch_misses) / total_values;
+    perf.cache_miss_rate = delta.CacheMissRate();
+    perf.multiplex_scale = delta.Scale();
   }
   return perf;
 }

@@ -344,19 +344,13 @@ void Server::WorkerLoop() {
       obs::ScopedRequestAttribution attribution(request_ctx.trace_id,
                                                 recorder);
       ALP_OBS_SPAN(request_span, "server.request", 1);
-      // One hardware-counter delta over the whole execute (when counters
-      // exist): two group reads per request, so a slow-query dump can name
+      // The request's one hardware-counter sample, over the whole execute
+      // (two group reads, when counters exist), so a slow-query dump names
       // its IPC and miss rate without per-span perf being enabled.
-      obs::PerfSample perf_begin;
-      const bool perf_armed =
-          recorder != nullptr && obs::PerfReadCurrent(&perf_begin);
+      obs::PerfScope perf;
+      if (recorder != nullptr) perf.Arm();
       response = ExecuteOnColumn(pending->request, *pending->column, ctx);
-      if (perf_armed) {
-        obs::PerfSample perf_end;
-        if (obs::PerfReadCurrent(&perf_end)) {
-          recorder->AddPerf(obs::PerfDelta(perf_begin, perf_end));
-        }
-      }
+      if (recorder != nullptr) recorder->AddPerf(perf.Finish());
     }
     response.query_class = pending->request.query_class;
     response.trace_id = pending->request.trace_id;

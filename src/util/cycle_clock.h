@@ -37,19 +37,6 @@ inline uint64_t NanoNow() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(now).count());
 }
 
-/// A tiny stopwatch that accumulates cycles across start/stop pairs.
-class CycleTimer {
- public:
-  void Start() { start_ = CycleNow(); }
-  void Stop() { total_ += CycleNow() - start_; }
-  uint64_t total_cycles() const { return total_; }
-  void Reset() { total_ = 0; }
-
- private:
-  uint64_t start_ = 0;
-  uint64_t total_ = 0;
-};
-
 }  // namespace alp
 
 #endif  // ALP_UTIL_CYCLE_CLOCK_H_

@@ -642,27 +642,45 @@ TEST(PerfCountersTest, DeltaRejectsInvalidAndBackwardsEndpoints) {
   EXPECT_FALSE(PerfDelta(valid, valid).valid);
 }
 
-TEST(PerfCountersTest, PerfScopeHonorsTheSpanGate) {
-  const bool was = PerfSpansEnabled();
+TEST(PerfCountersTest, ScopedTimerHonorsTheSpanGate) {
+  // The per-span gate lives on ScopedTimer: with it closed a span never
+  // reads counters; with it open a span folds one delta into its stage
+  // exactly when counters exist.
+  const bool was_enabled = Enabled();
+  const bool was_perf = PerfSpansEnabled();
+  SetEnabled(true);
+  StageStats& stage = MetricRegistry::Global().GetStage("test.perf.gate");
+  stage.Reset();
+  volatile uint64_t sink = 0;
+  const auto span = [&] {
+    ScopedTimer timer(stage, "test.perf.gate", 1);
+    for (uint64_t i = 0; i < 100000; ++i) sink = sink + i;
+  };
 
   SetPerfSpansEnabled(false);
-  PerfScope closed;
-  closed.Arm();
-  EXPECT_FALSE(closed.armed());
-  EXPECT_FALSE(closed.Finish().valid);
+  span();
+  EXPECT_EQ(stage.Calls(), 1u);
+  EXPECT_EQ(stage.PerfCalls(), 0u);
 
   SetPerfSpansEnabled(true);
-  PerfScope open;
-  open.Arm();
-  // Arms exactly when counters exist; Finish never fabricates a delta.
-  EXPECT_EQ(open.armed(), PerfAvailable());
-  const PerfSample delta = open.Finish();
-  EXPECT_FALSE(open.armed());  // Single-shot.
+  span();
+  EXPECT_EQ(stage.Calls(), 2u);
+  EXPECT_EQ(stage.PerfCalls(), PerfAvailable() ? 1u : 0u);
+
+  // PerfScope itself has no gate: it arms exactly when counters exist,
+  // whatever the span gate says, and Finish never fabricates a delta.
+  SetPerfSpansEnabled(false);
+  PerfScope scope;
+  scope.Arm();
+  EXPECT_EQ(scope.armed(), PerfAvailable());
+  const PerfSample delta = scope.Finish();
+  EXPECT_FALSE(scope.armed());  // Single-shot.
   if (!PerfAvailable()) {
     EXPECT_FALSE(delta.valid);
   }
 
-  SetPerfSpansEnabled(was);
+  SetPerfSpansEnabled(was_perf);
+  SetEnabled(was_enabled);
 }
 
 TEST_F(ObsTest, StageRecordPerfFlowsToSnapshotAndSink) {

@@ -19,6 +19,9 @@
 #include "alp/alp.h"
 #include "alp/kernel_dispatch.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
+#include "obs/perf_counters.h"
+#include "obs/trace_buffer.h"
 #include "server/server.h"
 #include "util/fault_injection.h"
 #include "util/status.h"
@@ -80,8 +83,8 @@ TEST(FlightRecorder, AggregatesCountersAndSpans) {
   recorder.Count("io.cache.hit", 3);
   recorder.Count("io.cache.hit", 2);
   recorder.Count("io.cache.miss");
-  recorder.Span("server.request", 1000, 5000, 1024);
-  recorder.Span("server.request", 5000, 6000, 1024);
+  recorder.Span({"server.request", 1000, 5000, 1024});
+  recorder.Span({"server.request", 5000, 6000, 1024});
   EXPECT_EQ(recorder.trace_id(), 0x1234u);
   EXPECT_EQ(recorder.CounterValue("io.cache.hit"), 5u);
   EXPECT_EQ(recorder.CounterValue("io.cache.miss"), 1u);
@@ -384,6 +387,103 @@ TEST(RequestObs, SlowLogCollectsOneJsonLinePerDump) {
   }
   EXPECT_EQ(lines, dumps);
   std::remove(log_path.c_str());
+}
+
+TEST(RequestObs, OneSpanTellsTheSameStoryToEveryObserver) {
+  // ScopedTimer builds one record per span and hands it to the stage
+  // registry, the trace ring and the flight recorder: one served request's
+  // server.request span must read the same in all three.
+  FaultGuard guard;
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  obs::StageStats& stage =
+      obs::MetricRegistry::Global().GetStage("server.request");
+  stage.Reset();
+  obs::StartTracing();
+
+  ServerConfig config;
+  config.workers = 1;
+  config.slow_query_us = 1;  // Every request dumps.
+  Server server(config);
+  const auto data = ServingData(2 * kVectorSize);
+  ASSERT_TRUE(server.AddColumn("col", data.data(), data.size()).ok());
+  Request request;
+  request.column = "col";
+  request.query_class = QueryClass::kScan;
+  const Response r = server.Execute(request);
+
+  obs::StopTracing();
+  const std::vector<obs::TraceSpan> spans = obs::CollectTraceSpans();
+  obs::ResetTrace();
+  const obs::MetricsSnapshot snapshot = obs::MetricRegistry::Global().Snapshot();
+  obs::SetEnabled(was_enabled);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  ASSERT_FALSE(r.flight_json.empty());
+
+#if ALP_OBS
+  // The stage snapshot: one call, one item.
+  const obs::MetricsSnapshot::StageSample* sample = nullptr;
+  for (const auto& s : snapshot.stages) {
+    if (s.name == "server.request") sample = &s;
+  }
+  ASSERT_NE(sample, nullptr);
+  EXPECT_EQ(sample->calls, 1u);
+  EXPECT_EQ(sample->items, 1u);
+
+  // The trace ring: the same span, stamped with the request's trace ID and
+  // covering exactly the cycles the stage recorded.
+  std::vector<const obs::TraceSpan*> traced;
+  for (const obs::TraceSpan& s : spans) {
+    if (s.name == "server.request") traced.push_back(&s);
+  }
+  ASSERT_EQ(traced.size(), 1u);
+  EXPECT_EQ(traced[0]->trace_id, r.trace_id);
+  EXPECT_EQ(traced[0]->items, sample->items);
+  EXPECT_EQ(traced[0]->end_cycles - traced[0]->begin_cycles, sample->cycles);
+
+  // The dump: the same stage entry.
+  const std::string& dump = r.flight_json;
+  const size_t at = dump.find("\"server.request\":{\"calls\":");
+  ASSERT_NE(at, std::string::npos) << dump;
+  const std::string entry = dump.substr(at, dump.find('}', at) - at);
+  EXPECT_TRUE(Contains(entry, "\"calls\":1,")) << entry;
+  EXPECT_TRUE(Contains(entry, "\"items\":1")) << entry;
+#else
+  EXPECT_TRUE(spans.empty());
+#endif
+}
+
+TEST(RequestObs, PerfSpansLeaveTheDumpWithOneSample) {
+  // Per-span perf makes every span read counters, but those deltas go to
+  // the spans' stages only. The recorder gets the server's one interval
+  // around the whole execute, so the dump counts the request's cycles once.
+  FaultGuard guard;
+  const bool was_enabled = obs::Enabled();
+  const bool was_perf = obs::PerfSpansEnabled();
+  obs::SetEnabled(true);
+  obs::SetPerfSpansEnabled(true);
+
+  ServerConfig config;
+  config.workers = 1;
+  config.slow_query_us = 1;  // Every request dumps.
+  Server server(config);
+  const auto data = ServingData(2 * kVectorSize);
+  ASSERT_TRUE(server.AddColumn("col", data.data(), data.size()).ok());
+  Request request;
+  request.column = "col";
+  request.query_class = QueryClass::kScan;
+  const Response r = server.Execute(request);
+
+  obs::SetPerfSpansEnabled(was_perf);
+  obs::SetEnabled(was_enabled);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  ASSERT_FALSE(r.flight_json.empty());
+  if (obs::PerfAvailable()) {
+    EXPECT_TRUE(Contains(r.flight_json, "\"perf\":{\"samples\":1,"))
+        << r.flight_json;
+  } else {
+    EXPECT_FALSE(Contains(r.flight_json, "\"perf\"")) << r.flight_json;
+  }
 }
 
 }  // namespace

@@ -509,7 +509,7 @@ TEST(Trace, RingOverflowCountsDroppedSpans) {
   obs::StartTracing();
   const size_t pushed = obs::kTraceRingCapacity + 100;
   for (size_t i = 0; i < pushed; ++i) {
-    obs::TraceRecordSpan("test.overflow", i, i + 1, 1);
+    obs::TraceRecordSpan({"test.overflow", i, i + 1, 1});
   }
   obs::StopTracing();
   const std::vector<obs::TraceSpan> spans = obs::CollectTraceSpans();
@@ -527,7 +527,7 @@ TEST(Trace, RingOverflowCountsDroppedSpans) {
 TEST(Trace, DisabledByDefaultAndStopsRecording) {
   obs::ResetTrace();
   EXPECT_FALSE(obs::TraceEnabled());
-  obs::TraceRecordSpan("test.disabled", 1, 2, 1);
+  obs::TraceRecordSpan({"test.disabled", 1, 2, 1});
   EXPECT_TRUE(obs::CollectTraceSpans().empty())
       << "spans must not record while tracing is off";
 #if ALP_OBS
