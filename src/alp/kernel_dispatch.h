@@ -36,7 +36,8 @@
 ///     range-compare bitmap, the in-register vpermq dictionary and
 ///     scatter patching.
 ///   - neon:   plain C++ on AArch64, plus intrinsics for the range-compare
-///     bitmap (unmeasured; CI has no AArch64 job).
+///     bitmap (unmeasured; CI's AArch64 job runs the tier-parity suites on
+///     it).
 ///
 /// Every tier is bit-exact: each step of the fused pipeline (int->double
 /// conversion, the two ordered multiplies, the final double->float
@@ -258,20 +259,6 @@ inline void RdDecodeFused(const typename AlpTraits<T>::Uint* packed_right,
     Active().rd_fused32(packed_right, packed_codes, right_bits, dict_width,
                         dict_shifted, out);
   }
-}
-
-/// Active-tier packed range compare (see DecodeKernels::cmp_range64).
-inline void CmpRangePacked64(const uint64_t* packed, unsigned width,
-                             uint64_t t_lo, uint64_t t_hi, uint64_t* lanes,
-                             uint64_t* bitmap) {
-  Active().cmp_range64(packed, width, t_lo, t_hi, lanes, bitmap);
-}
-
-/// Active-tier selective materialization (see DecodeKernels::gather64).
-inline unsigned GatherSelected64(const uint64_t* lanes, uint64_t base,
-                                 double f10_f, double if10_e,
-                                 const uint64_t* bitmap, double* out) {
-  return Active().gather64(lanes, base, f10_f, if10_e, bitmap, out);
 }
 
 template <typename T>

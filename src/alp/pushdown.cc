@@ -12,7 +12,8 @@ namespace {
 
 constexpr unsigned kBitmapWords = kVectorSize / 64;
 
-void NotePackedEval() {
+void NotePackedEval(VectorCounters* counters) {
+  ++counters->packed_eval;
   ALP_OBS_ONLY({
     static auto& c = obs::MetricRegistry::Global().GetCounter(
         "engine.pushdown.vectors_packed_eval");
@@ -20,7 +21,8 @@ void NotePackedEval() {
   });
 }
 
-void NoteMaterialized() {
+void NoteMaterialized(VectorCounters* counters) {
+  ++counters->decoded;
   ALP_OBS_ONLY({
     static auto& c = obs::MetricRegistry::Global().GetCounter(
         "engine.pushdown.vectors_materialized");
@@ -40,23 +42,18 @@ void ClearTail(uint64_t* bitmap, unsigned len) {
 // Exception slots hold placeholder integers; their bitmap bits are decided
 // from the exception *values* instead. List order so later entries win on
 // (never encoder-produced) duplicate positions, matching patch semantics.
-// Returns whether any exception position ended up selected.
-bool FixupExceptionBits(const ColumnReader<double>::PackedVectorView& view,
-                        const TranslatedPredicate& pred, unsigned len,
-                        uint64_t* bitmap) {
-  bool any = false;
+void FixupExceptionBits(const ColumnReader<double>::PackedVectorView& view,
+                        const TranslatedPredicate& pred, uint64_t* bitmap) {
   for (unsigned i = 0; i < view.exc_count; ++i) {
     const unsigned pos = view.exc_positions[i];
-    if (pos >= len) continue;
+    if (pos >= view.n) continue;
     const uint64_t bit = uint64_t{1} << (pos % 64);
     if (pred.Matches(std::bit_cast<double>(view.exc_bits[i]))) {
       bitmap[pos / 64] |= bit;
-      any = true;
     } else {
       bitmap[pos / 64] &= ~bit;
     }
   }
-  return any;
 }
 
 unsigned PopcountBitmap(const uint64_t* bitmap) {
@@ -80,10 +77,10 @@ unsigned Rank(const uint64_t* bitmap, unsigned pos) {
 // Overwrites the gather's placeholder decodes at selected exception
 // positions with the actual exception values.
 void PatchSurvivors(const ColumnReader<double>::PackedVectorView& view,
-                    unsigned len, const uint64_t* bitmap, double* values) {
+                    const uint64_t* bitmap, double* values) {
   for (unsigned i = 0; i < view.exc_count; ++i) {
     const unsigned pos = view.exc_positions[i];
-    if (pos >= len) continue;
+    if (pos >= view.n) continue;
     if (!(bitmap[pos / 64] & (uint64_t{1} << (pos % 64)))) continue;
     values[Rank(bitmap, pos)] = std::bit_cast<double>(view.exc_bits[i]);
   }
@@ -105,6 +102,34 @@ PackedPlan PlanPacked(const ColumnReader<double>& reader, size_t v,
   return plan;
 }
 
+// SELECT on packed lanes: unpacks every lane into `lanes` and compares
+// it, clears the tail, decides exception positions from their values, and
+// returns the survivor count. An empty lane range still unpacks (lo > hi
+// selects no lane), so a gather of exception-only survivors never reads
+// stale lanes.
+unsigned SelectPacked(const PackedPlan& plan, const TranslatedPredicate& pred,
+                      uint64_t* lanes, uint64_t* bitmap) {
+  const uint64_t lo = plan.range.empty ? 1 : plan.range.lo;
+  const uint64_t hi = plan.range.empty ? 0 : plan.range.hi;
+  kernels::Active().cmp_range64(plan.view.packed, plan.view.ffor.width, lo, hi,
+                                lanes, bitmap);
+  ClearTail(bitmap, plan.view.n);
+  FixupExceptionBits(plan.view, pred, bitmap);
+  return PopcountBitmap(bitmap);
+}
+
+// GATHER from unpacked lanes: decodes the survivors per `bitmap` into
+// out[] in ascending index order, then patches selected exceptions.
+unsigned GatherPacked(const ColumnReader<double>::PackedVectorView& view,
+                      const uint64_t* lanes, const uint64_t* bitmap,
+                      double* out) {
+  const unsigned count = kernels::Active().gather64(
+      lanes, view.ffor.base, AlpTraits<double>::kF10[view.c.f],
+      AlpTraits<double>::kIF10[view.c.e], bitmap, out);
+  PatchSurvivors(view, bitmap, out);
+  return count;
+}
+
 }  // namespace
 
 bool ZoneFullInside(const VectorStats& stats, const Predicate& pred) {
@@ -122,159 +147,100 @@ bool CanSumWholeVector(const ColumnReader<double>& reader, size_t v,
   return true;
 }
 
+double FilterSumValues(const double* values, unsigned n, const Predicate& pred) {
+  SurvivorSum ss;
+  for (unsigned i = 0; i < n; ++i) {
+    ss.AddPredicated(values[i], pred.Matches(values[i]));
+  }
+  return ss.Reduce();
+}
+
+unsigned SelectValues(const double* values, unsigned n, const Predicate& pred,
+                      uint64_t* bitmap) {
+  std::memset(bitmap, 0, kBitmapWords * sizeof(uint64_t));
+  unsigned count = 0;
+  for (unsigned i = 0; i < n; ++i) {
+    const bool hit = pred.Matches(values[i]);
+    bitmap[i / 64] |= uint64_t{hit} << (i % 64);
+    count += hit;
+  }
+  return count;
+}
+
+unsigned CompactSelected(const double* values, unsigned n,
+                         const uint64_t* bitmap, double* out) {
+  unsigned count = 0;
+  for (unsigned i = 0; i < n; ++i) {
+    if (bitmap[i / 64] & (uint64_t{1} << (i % 64))) out[count++] = values[i];
+  }
+  return count;
+}
+
 bool FilterSumVector(const ColumnReader<double>& reader, size_t v,
                      const TranslatedPredicate& pred, EvalScratch* scratch,
                      double* sum, VectorCounters* counters) {
   const PackedPlan plan = PlanPacked(reader, v, pred);
-  if (plan.ok) {
-    const unsigned len = plan.view.n;
-    ALP_OBS_SPAN(span, "engine.pushdown.packed", len);
-    ++counters->packed_eval;
-    NotePackedEval();
-    SurvivorSum ss;
-    if (plan.range.empty) {
-      // No lane can qualify; only exception values (ascending positions,
-      // hence index order) can match.
-      for (unsigned i = 0; i < plan.view.exc_count; ++i) {
-        if (plan.view.exc_positions[i] >= len) continue;
-        const double x = std::bit_cast<double>(plan.view.exc_bits[i]);
-        if (pred.Matches(x)) ss.Add(x);
-      }
-      *sum += ss.Reduce();
-      return true;
-    }
-    const kernels::DecodeKernels& k = kernels::Active();
-    k.cmp_range64(plan.view.packed, plan.view.ffor.width, plan.range.lo,
-                  plan.range.hi, scratch->lanes, scratch->bitmap);
-    ClearTail(scratch->bitmap, len);
-    const bool exc_selected =
-        FixupExceptionBits(plan.view, pred, len, scratch->bitmap);
-    const unsigned selected = PopcountBitmap(scratch->bitmap);
-    if (selected == len) {
-      // Everything survives (but the zone map couldn't prove it up front,
-      // e.g. exceptions in range): fused SIMD decode + vectorized striped
-      // sum, no gather and no predicate.
-      reader.DecodeVector(v, scratch->values);
-      *sum += StripedSumAll(scratch->values, len);
-      return true;
-    }
-    if (selected * 4 >= len * 3) {
-      // Dense selection: the fused SIMD decode beats a survivor-at-a-time
-      // gather when most lanes survive anyway. The bitmap (already exact:
-      // packed compare + exception fixup) drives the oracle's predicated
-      // striped loop over the decoded values.
-      reader.DecodeVector(v, scratch->values);
-      for (unsigned i = 0; i < len; ++i) {
-        const bool bit =
-            (scratch->bitmap[i / 64] >> (i % 64)) & 1u;
-        ss.AddPredicated(scratch->values[i], bit);
-      }
-      *sum += ss.Reduce();
-      return true;
-    }
-    const double f10_f = AlpTraits<double>::kF10[plan.view.c.f];
-    const double if10_e = AlpTraits<double>::kIF10[plan.view.c.e];
-    const unsigned count = k.gather64(scratch->lanes, plan.view.ffor.base,
-                                      f10_f, if10_e, scratch->bitmap,
-                                      scratch->values);
-    if (exc_selected) {
-      PatchSurvivors(plan.view, len, scratch->bitmap, scratch->values);
-    }
+  if (!plan.ok) {
+    const unsigned len = reader.VectorLength(v);
+    ALP_OBS_SPAN(span, "engine.pushdown.decode", len);
+    NoteMaterialized(counters);
+    reader.DecodeVector(v, scratch->values);
+    *sum += FilterSumValues(scratch->values, len, pred.pred());
+    return false;
+  }
+  const unsigned len = plan.view.n;
+  ALP_OBS_SPAN(span, "engine.pushdown.packed", len);
+  NotePackedEval(counters);
+  const unsigned count =
+      SelectPacked(plan, pred, scratch->lanes, scratch->bitmap);
+  // Nothing survives: adding nothing equals the oracle's +0.0 (the -0.0
+  // lemma). Everything survives (the zone map could not prove it, e.g.
+  // exceptions in range): the fused decode beats a gather of all lanes.
+  if (count == len) {
+    reader.DecodeVector(v, scratch->values);
+    *sum += StripedSumAll(scratch->values, len);
+  } else if (count != 0) {
+    GatherPacked(plan.view, scratch->lanes, scratch->bitmap, scratch->values);
     *sum += StripedSumAll(scratch->values, count);
-    return true;
   }
-
-  // Decode-then-filter fallback: exactly the oracle loop.
-  const unsigned len = reader.VectorLength(v);
-  ALP_OBS_SPAN(span, "engine.pushdown.decode", len);
-  ++counters->decoded;
-  NoteMaterialized();
-  reader.DecodeVector(v, scratch->values);
-  SurvivorSum ss;
-  for (unsigned i = 0; i < len; ++i) {
-    const double x = scratch->values[i];
-    ss.AddPredicated(x, pred.Matches(x));
-  }
-  *sum += ss.Reduce();
-  return false;
+  return true;
 }
 
 bool SelectVector(const ColumnReader<double>& reader, size_t v,
                   const TranslatedPredicate& pred, EvalScratch* scratch,
                   uint64_t* bitmap, unsigned* count, VectorCounters* counters) {
   const PackedPlan plan = PlanPacked(reader, v, pred);
-  if (plan.ok) {
-    const unsigned len = plan.view.n;
-    ALP_OBS_SPAN(span, "engine.pushdown.packed", len);
-    ++counters->packed_eval;
-    NotePackedEval();
-    if (plan.range.empty) {
-      std::memset(bitmap, 0, kBitmapWords * sizeof(uint64_t));
-      FixupExceptionBits(plan.view, pred, len, bitmap);
-    } else {
-      kernels::Active().cmp_range64(plan.view.packed, plan.view.ffor.width,
-                                    plan.range.lo, plan.range.hi,
-                                    scratch->lanes, bitmap);
-      ClearTail(bitmap, len);
-      FixupExceptionBits(plan.view, pred, len, bitmap);
-    }
-    *count = PopcountBitmap(bitmap);
-    return true;
+  if (!plan.ok) {
+    const unsigned len = reader.VectorLength(v);
+    ALP_OBS_SPAN(span, "engine.pushdown.decode", len);
+    NoteMaterialized(counters);
+    reader.DecodeVector(v, scratch->values);
+    *count = SelectValues(scratch->values, len, pred.pred(), bitmap);
+    return false;
   }
-
-  const unsigned len = reader.VectorLength(v);
-  ALP_OBS_SPAN(span, "engine.pushdown.decode", len);
-  ++counters->decoded;
-  NoteMaterialized();
-  reader.DecodeVector(v, scratch->values);
-  std::memset(bitmap, 0, kBitmapWords * sizeof(uint64_t));
-  unsigned n = 0;
-  for (unsigned i = 0; i < len; ++i) {
-    if (pred.Matches(scratch->values[i])) {
-      bitmap[i / 64] |= uint64_t{1} << (i % 64);
-      ++n;
-    }
-  }
-  *count = n;
-  return false;
+  ALP_OBS_SPAN(span, "engine.pushdown.packed", plan.view.n);
+  NotePackedEval(counters);
+  *count = SelectPacked(plan, pred, scratch->lanes, bitmap);
+  return true;
 }
 
 unsigned GatherVector(const ColumnReader<double>& reader, size_t v,
                       const uint64_t* bitmap, EvalScratch* scratch,
                       double* out, VectorCounters* counters) {
   ColumnReader<double>::PackedVectorView view;
-  if (reader.GetPackedVectorView(v, &view)) {
-    ALP_OBS_SPAN(span, "engine.pushdown.gather", view.n);
-    // Unpack the lanes through the compare kernel with the full range
-    // (the all-ones side bitmap is discarded); then gather the selection.
-    const kernels::DecodeKernels& k = kernels::Active();
-    k.cmp_range64(view.packed, view.ffor.width, 0, ~uint64_t{0},
-                  scratch->lanes, scratch->bitmap);
-    const double f10_f = AlpTraits<double>::kF10[view.c.f];
-    const double if10_e = AlpTraits<double>::kIF10[view.c.e];
-    const unsigned count = k.gather64(scratch->lanes, view.ffor.base, f10_f,
-                                      if10_e, bitmap, out);
-    for (unsigned i = 0; i < view.exc_count; ++i) {
-      const unsigned pos = view.exc_positions[i];
-      if (pos >= view.n) continue;
-      if (!(bitmap[pos / 64] & (uint64_t{1} << (pos % 64)))) continue;
-      out[Rank(bitmap, pos)] = std::bit_cast<double>(view.exc_bits[i]);
-    }
-    return count;
+  if (!reader.GetPackedVectorView(v, &view)) {
+    const unsigned len = reader.VectorLength(v);
+    ALP_OBS_SPAN(span, "engine.pushdown.decode", len);
+    NoteMaterialized(counters);
+    reader.DecodeVector(v, scratch->values);
+    return CompactSelected(scratch->values, len, bitmap, out);
   }
-
-  const unsigned len = reader.VectorLength(v);
-  ALP_OBS_SPAN(span, "engine.pushdown.decode", len);
-  ++counters->decoded;
-  NoteMaterialized();
-  reader.DecodeVector(v, scratch->values);
-  unsigned count = 0;
-  for (unsigned i = 0; i < len; ++i) {
-    if (bitmap[i / 64] & (uint64_t{1} << (i % 64))) {
-      out[count++] = scratch->values[i];
-    }
-  }
-  return count;
+  ALP_OBS_SPAN(span, "engine.pushdown.gather", view.n);
+  // Unpack the lanes through the compare kernel with the full range (the
+  // all-ones side bitmap is discarded); then gather the selection.
+  kernels::Active().cmp_range64(view.packed, view.ffor.width, 0, ~uint64_t{0},
+                                scratch->lanes, scratch->bitmap);
+  return GatherPacked(view, scratch->lanes, bitmap, out);
 }
 
 void NoteSkippedVectors(size_t n) {

@@ -9,12 +9,26 @@
 #include "alp/predicate.h"
 
 /// \file pushdown.h
-/// Per-vector compressed-domain predicate evaluation, shared by the engine
-/// operators, the out-of-core reader and the server: a translated range
-/// predicate (alp/predicate.h) is evaluated directly on a vector's
-/// FFOR-packed lanes via the dispatched compare kernel, producing a
-/// 1024-bit selection bitmap; exceptions are resolved from the position
-/// list only, and survivors are late-materialized with the gather kernel.
+/// Per-vector compressed-domain FILTER, shared by the engine operators, the
+/// out-of-core reader and the server. Filtered aggregation is one pipeline,
+/// and pushdown.cc writes each step once:
+///   1. Select. The dispatched cmp_range64 kernel compares a translated
+///      range predicate (alp/predicate.h) on the vector's FFOR-packed lanes,
+///      leaving the unpacked lanes in EvalScratch. Tail lanes are cleared
+///      and exception positions are decided from the exception values. A
+///      vector with no packed plan decodes and selects from its values
+///      (SelectValues) into the same bitmap and count.
+///   2. Gather. gather64 late-materializes the survivors, in ascending
+///      index order, from the lanes the select unpacked; selected
+///      exceptions are patched in at their rank. Values already in memory
+///      are compacted by walking the bitmap (CompactSelected).
+///   3. Sum. StripedSumAll over the compacted survivors (StripedDotAll for
+///      survivor products).
+/// FilterSumVector is select, then: nothing survives, add nothing; every
+/// lane survives, fused decode + StripedSumAll; otherwise gather +
+/// StripedSumAll. There is no dense plan: at 70-99% survivors the gather
+/// measured faster than a decode plus the predicated oracle loop on every
+/// tier (DESIGN.md §9 has the cycles).
 ///
 /// Selection-vector format: 16 little-endian uint64 words, bit i of word
 /// i/64 = lane i qualifies. Tail bits at and beyond the vector length are
@@ -80,8 +94,10 @@ struct SurvivorSum {
   /// Adds survivor \p x (known to match).
   void Add(double x) { acc[k++ & 7] += x; }
 
-  /// The oracle's predicated form: non-survivors add +0.0 to the current
-  /// stripe without advancing it (exact no-op; see the -0.0 lemma).
+  /// The oracle's predicated form (FilterSumValues): non-survivors add
+  /// +0.0 to the current stripe without advancing it (exact no-op; see the
+  /// -0.0 lemma). One serial FP-add chain over the vector, so only the
+  /// oracle runs it.
   void AddPredicated(double x, bool selected) {
     acc[k & 7] += selected ? x : 0.0;
     k += selected ? 1u : 0u;
@@ -137,24 +153,42 @@ bool ZoneFullInside(const VectorStats& stats, const Predicate& pred);
 bool CanSumWholeVector(const ColumnReader<double>& reader, size_t v,
                        const Predicate& pred);
 
+/// The decode-then-filter oracle for one vector's values: every value fed
+/// through SurvivorSum::AddPredicated, reduced. Every other path must match
+/// it bit for bit.
+double FilterSumValues(const double* values, unsigned n, const Predicate& pred);
+
+/// Select from values already in memory: writes the 16-word selection
+/// bitmap of values[0, n) under \p pred and returns the survivor count.
+unsigned SelectValues(const double* values, unsigned n, const Predicate& pred,
+                      uint64_t* bitmap);
+
+/// Gather from values already in memory: copies the survivors of
+/// values[0, n) per \p bitmap into out[] in ascending index order and
+/// returns their count.
+unsigned CompactSelected(const double* values, unsigned n,
+                         const uint64_t* bitmap, double* out);
+
 /// Filters vector \p v and adds the qualifying values to *sum in index
-/// order. Returns true when the vector was evaluated on packed lanes,
-/// false when it decoded (fallback). Zone-map skipping and the
-/// full-inside fast path are the caller's job.
+/// order: select, then gather + StripedSumAll (see the file comment).
+/// Returns true when the vector was evaluated on packed lanes, false when
+/// it decoded and ran FilterSumValues (fallback). Zone-map skipping and
+/// the full-inside fast path are the caller's job.
 bool FilterSumVector(const ColumnReader<double>& reader, size_t v,
                      const TranslatedPredicate& pred, EvalScratch* scratch,
                      double* sum, VectorCounters* counters);
 
-/// Computes vector \p v's selection bitmap (16 words) under \p pred and
-/// its survivor count. Returns true when evaluated on packed lanes.
+/// The select step alone: vector \p v's selection bitmap (16 words) under
+/// \p pred and its survivor count. Returns true when evaluated on packed
+/// lanes.
 bool SelectVector(const ColumnReader<double>& reader, size_t v,
                   const TranslatedPredicate& pred, EvalScratch* scratch,
                   uint64_t* bitmap, unsigned* count, VectorCounters* counters);
 
-/// Materializes vector \p v's survivors per \p bitmap into out[] in
-/// ascending index order, returning the survivor count. Works for any
-/// selection bitmap (the predicate is not needed); packs through the
-/// gather kernel when the vector is FFOR-packed, else decodes and
+/// The gather step alone: materializes vector \p v's survivors per
+/// \p bitmap into out[] in ascending index order, returning the survivor
+/// count. Works for any selection bitmap (the predicate is not needed):
+/// unpacks and gathers when the vector is FFOR-packed, else decodes and
 /// compacts.
 unsigned GatherVector(const ColumnReader<double>& reader, size_t v,
                       const uint64_t* bitmap, EvalScratch* scratch,

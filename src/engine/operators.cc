@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <bit>
-#include <cstring>
 #include <limits>
 #include <mutex>
 #include <string>
@@ -118,11 +117,8 @@ Status GatherSurvivors(VectorSource& source, size_t v, const uint64_t* bitmap,
   if (vec.values == nullptr) {
     pushdown::GatherVector(*vec.reader, vec.local, bitmap, scratch, out,
                            counters);
-    return Status::Ok();
-  }
-  unsigned count = 0;
-  for (unsigned i = 0; i < vec.len; ++i) {
-    if (bitmap[i / 64] & (uint64_t{1} << (i % 64))) out[count++] = vec.values[i];
+  } else {
+    pushdown::CompactSelected(vec.values, vec.len, bitmap, out);
   }
   return Status::Ok();
 }
@@ -180,12 +176,7 @@ Status RowgroupFilterSum(VectorSource& source, size_t rg,
     // Values in memory, or the oracle mode: the predicated striped loop.
     s = source.Decode(v, &vec);
     if (!s.ok()) break;
-    pushdown::SurvivorSum ss;
-    for (unsigned i = 0; i < vec.len; ++i) {
-      const double x = vec.values[i];
-      ss.AddPredicated(x, pred.Matches(x));
-    }
-    *sum += ss.Reduce();
+    *sum += pushdown::FilterSumValues(vec.values, vec.len, p);
   }
   counters->skipped += skipped;
   pushdown::NoteSkippedVectors(skipped);
@@ -389,13 +380,7 @@ QueryResult RunFilteredDotSum(const Table& table, std::string_view filter_column
           } else {
             s = w.f.Decode(v, &fv);
             if (!s.ok()) break;
-            std::memset(bitmap, 0, sizeof(bitmap));
-            for (unsigned i = 0; i < fv.len; ++i) {
-              if (pred.Matches(fv.values[i])) {
-                bitmap[i / 64] |= uint64_t{1} << (i % 64);
-                ++count;
-              }
-            }
+            count = pushdown::SelectValues(fv.values, fv.len, pred, bitmap);
           }
           if (count == 0) continue;  // Nothing survives: a/b never touched.
           // PROJECT: late-materialize only the survivors of each projected

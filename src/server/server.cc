@@ -34,10 +34,12 @@ std::vector<uint64_t> LatencyBoundsUs() {
           20000, 50000, 100000, 200000, 500000, 1000000};
 }
 
+#if ALP_OBS
 /// Bucket bounds for the per-class queue-depth-at-admission histograms.
 std::vector<uint64_t> QueueDepthBounds() {
   return {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};
 }
+#endif
 
 }  // namespace
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -354,6 +355,57 @@ TEST(PushdownParity, ClusteredDataEveryTier) {
     ExpectModeParity(column, Predicate::Equals(data[100]));
     ExpectModeParity(column, Predicate{490.0, 505.0, true, true});
   }
+
+  // Per vector, straight through FilterSumVector: every density branch
+  // (0%, under 75%, 75% up to 100%, 100% survivors) must match decode +
+  // SurvivorSum::AddPredicated bit for bit. Two bands cut vector 3 at
+  // about 90% and 40% survivors; the wide band fills the 0% and 100%
+  // buckets.
+  const ColumnReader<double>& reader = *column.AlpReader();
+  std::vector<double> v3(data.begin() + 3 * kVectorSize,
+                         data.begin() + 4 * kVectorSize);
+  std::sort(v3.begin(), v3.end());
+  const Predicate bands[] = {Predicate::GreaterEqual(v3[100]),
+                             Predicate::GreaterEqual(v3[600]),
+                             Predicate::Between(480.0, 510.0)};
+  const char* bucket_names[] = {"0%", "under 75%", "75% up to 100%", "100%"};
+  pushdown::EvalScratch scratch;
+  std::vector<double> values(kVectorSize);
+  for (const DecodeKernels* k : AvailableTiers()) {
+    SCOPED_TRACE(kernels::TierName(k->tier));
+    ASSERT_TRUE(kernels::ForceTier(k->tier));
+    unsigned hits[4] = {};
+    for (const Predicate& pred : bands) {
+      const TranslatedPredicate tp(pred);
+      for (size_t v = 0; v < reader.vector_count(); ++v) {
+        double got = 0.0;
+        pushdown::VectorCounters counters;
+        const bool packed =
+            pushdown::FilterSumVector(reader, v, tp, &scratch, &got, &counters);
+        const unsigned len = reader.VectorLength(v);
+        reader.DecodeVector(v, values.data());
+        pushdown::SurvivorSum oracle;
+        unsigned survivors = 0;
+        for (unsigned i = 0; i < len; ++i) {
+          const bool hit = pred.Matches(values[i]);
+          oracle.AddPredicated(values[i], hit);
+          survivors += hit;
+        }
+        EXPECT_EQ(BitsOf(got), BitsOf(0.0 + oracle.Reduce()))
+            << "vector " << v << ": " << survivors << "/" << len << " survive";
+        if (!packed) continue;
+        const unsigned bucket = survivors == 0 ? 0
+                                : survivors * 4 < len * 3 ? 1
+                                : survivors < len ? 2
+                                : 3;
+        ++hits[bucket];
+      }
+    }
+    for (unsigned b = 0; b < 4; ++b) {
+      EXPECT_GT(hits[b], 0u) << "no packed vector with " << bucket_names[b]
+                             << " survivors";
+    }
+  }
 }
 
 TEST(PushdownParity, SpecialsBecomeExceptionsEveryTier) {
@@ -494,6 +546,24 @@ TEST(PushdownParity, EmptyAndUniversalRanges) {
   // Inverted range (lo > hi) selects nothing.
   ExpectModeParity(column, Predicate::Between(100.0, -100.0), &r);
   EXPECT_EQ(BitsOf(r.sum), BitsOf(0.0));
+
+  // An empty lane range where an exception matches: no lane of vector 1
+  // can reach [1e299, 1e301], but its exception 1e300 does, and the
+  // other exception (-1e300) must not. The survivor is gathered at every
+  // tier from the lanes the select unpacked.
+  auto spiked = data;
+  spiked[kVectorSize + 5] = 1e300;
+  spiked[kVectorSize + 900] = -1e300;
+  const auto spiked_column =
+      StoredColumn::MakeAlp(spiked.data(), spiked.size());
+  TierGuard guard;
+  for (const DecodeKernels* k : AvailableTiers()) {
+    SCOPED_TRACE(kernels::TierName(k->tier));
+    ASSERT_TRUE(kernels::ForceTier(k->tier));
+    ExpectModeParity(spiked_column, Predicate::Between(1e299, 1e301), &r);
+    EXPECT_EQ(BitsOf(r.sum), BitsOf(1e300));
+    EXPECT_EQ(r.vectors_packed_eval, 1u);
+  }
 }
 
 TEST(PushdownParity, RandomizedPredicatesEveryTier) {
