@@ -5,8 +5,7 @@
 // What is measured (all through PreadSource, the deployment shape where
 // the column does not fit in the process's memory budget):
 //   cold scan      full-column Scan with caching off: every rowgroup chunk
-//                  is fetched, checksum-verified and decoded. Reported with
-//                  and without background prefetch.
+//                  is fetched, checksum-verified and decoded.
 //   warm scan      the same Scan against a DecodedVectorCache sized for
 //                  the whole column, after a warming pass: every vector is
 //                  served from cache — no fetch, no verify, no decode.
@@ -39,7 +38,6 @@
 #include "io/seekable_reader.h"
 #include "util/checksum.h"
 #include "util/file_io.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -143,8 +141,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 8 rowgroups of the City-Temp surrogate: enough chunks that prefetch
-  // and eviction have something to do, small enough for CI seconds.
+  // 8 rowgroups of the City-Temp surrogate: enough chunks that eviction
+  // has something to do, small enough for CI seconds.
   const size_t n = alp::bench::ValuesPerDataset(8 * alp::kRowgroupSize);
   const auto values =
       alp::data::Generate(*alp::data::FindDataset("City-Temp"), n);
@@ -172,9 +170,8 @@ int main(int argc, char** argv) {
               path.c_str());
 
   const size_t cache_bytes = n * sizeof(double) + (8u << 20);
-  alp::ThreadPool prefetch_pool(2);
 
-  // --- cold scans (no cache): synchronous, then prefetch-overlapped ------
+  // --- cold scan (no cache) ----------------------------------------------
   uint64_t cold_checksum = 0;
   double cold_vps = 0.0;
   alp::bench::PerfRates cold_perf;
@@ -182,28 +179,12 @@ int main(int argc, char** argv) {
     auto reader = OpenOrDie(*source, {});
     cold_vps = TimedScan(*reader, &cold_checksum);
     // Best-of-3 to shave scheduler noise; the chunks are page-cache-hot
-    // after the first pass in either case.
+    // after the first pass.
     for (int i = 0; i < 2; ++i) {
       uint64_t checksum = 0;
       cold_vps = std::max(cold_vps, TimedScan(*reader, &checksum));
     }
     cold_perf = ScanPerfRates(*reader);
-  }
-  double cold_prefetch_vps = 0.0;
-  {
-    SeekableReaderOptions options;
-    options.prefetch_pool = &prefetch_pool;
-    options.prefetch_rowgroups = 4;
-    auto reader = OpenOrDie(*source, options);
-    for (int i = 0; i < 3; ++i) {
-      uint64_t checksum = 0;
-      cold_prefetch_vps = std::max(cold_prefetch_vps,
-                                   TimedScan(*reader, &checksum));
-      if (checksum != cold_checksum) {
-        std::fprintf(stderr, "FAIL: prefetch scan changed decoded bytes\n");
-        return 1;
-      }
-    }
   }
 
   // --- warm scan (cache sized for the whole column) ----------------------
@@ -249,7 +230,6 @@ int main(int argc, char** argv) {
   std::printf("\n%-26s %14s\n", "configuration", "values/s");
   alp::bench::Rule('-', 42);
   std::printf("%-26s %14.3e\n", "cold scan", cold_vps);
-  std::printf("%-26s %14.3e\n", "cold scan + prefetch", cold_prefetch_vps);
   std::printf("%-26s %14.3e\n", "warm scan (cache)", warm_vps);
   std::printf("\n%-26s %10s %10s\n", "random access", "p50 us", "p99 us");
   alp::bench::Rule('-', 48);
@@ -264,8 +244,6 @@ int main(int argc, char** argv) {
 
   report.Add("outofcore", "cold", "scan_values_per_second", cold_vps,
              "values/s");
-  report.Add("outofcore", "cold_prefetch", "scan_values_per_second",
-             cold_prefetch_vps, "values/s");
   report.Add("outofcore", "warm", "scan_values_per_second", warm_vps,
              "values/s");
   report.Add("outofcore", "cold", "random_access_p50_latency_us", cold_p50,

@@ -1053,17 +1053,6 @@ Status ValidateColumnParallelEx(const uint8_t* data, size_t size,
 }
 
 template <typename T>
-bool ValidateColumn(const uint8_t* data, size_t size, std::string* reason) {
-  const Status s = ValidateColumnEx<T>(data, size);
-  if (s.ok()) {
-    if (reason != nullptr) reason->clear();
-    return true;
-  }
-  if (reason != nullptr) *reason = s.message();
-  return false;
-}
-
-template <typename T>
 void DecompressColumn(const std::vector<uint8_t>& buffer, T* out) {
   ColumnReader<T> reader(buffer.data(), buffer.size());
   reader.DecodeAll(out);
@@ -1314,8 +1303,6 @@ template Status ValidateColumnParallelEx<double>(const uint8_t*, size_t,
                                                  ThreadPool*, const OpContext*);
 template Status ValidateColumnParallelEx<float>(const uint8_t*, size_t,
                                                 ThreadPool*, const OpContext*);
-template bool ValidateColumn<double>(const uint8_t*, size_t, std::string*);
-template bool ValidateColumn<float>(const uint8_t*, size_t, std::string*);
 template void DecompressColumn<double>(const std::vector<uint8_t>&, double*);
 template void DecompressColumn<float>(const std::vector<uint8_t>&, float*);
 

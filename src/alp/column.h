@@ -143,11 +143,6 @@ Status ValidateColumnParallelEx(const uint8_t* data, size_t size,
                                 ThreadPool* pool = &ThreadPool::Shared(),
                                 const OpContext* ctx = nullptr);
 
-/// Boolean convenience wrapper around ValidateColumnEx (the pre-Status
-/// API); \p reason receives the Status message on failure.
-template <typename T>
-bool ValidateColumn(const uint8_t* data, size_t size, std::string* reason = nullptr);
-
 /// Random-access reader over a compressed column buffer.
 template <typename T>
 class ColumnReader {

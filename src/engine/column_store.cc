@@ -75,7 +75,6 @@ Status StoredColumn::EnableSeekable(io::DecodedVectorCache* cache,
                                     std::string label) {
   if (alp_buffer_.empty()) return Status::Ok();  // Only ALP columns chunk.
   io::SeekableReaderOptions options;
-  options.prefetch_pool = nullptr;  // See the header: operators own the pool.
   options.cache = cache;
   options.column_label = std::move(label);
   auto source = std::make_shared<io::MemorySource>(alp_buffer_.data(),

@@ -63,12 +63,11 @@ class StoredColumn {
   /// Routes this column's decode paths through an out-of-core
   /// io::SeekableReader over its own compressed buffer, optionally sharing
   /// \p cache (which must outlive the column) with other columns. Only ALP
-  /// columns are chunked; for other schemes this is an OK no-op. The
-  /// prefetch pool is deliberately absent: engine operators and the server
-  /// drive rowgroups from their own worker threads, and handing those
-  /// threads' pool to the prefetcher would let a scan wait on tasks the
-  /// occupied pool can never run. A non-empty \p label becomes the reader's
-  /// per-column cache-counter label (io.cache.hits{column="<label>"}).
+  /// columns are chunked; for other schemes this is an OK no-op. Chunks are
+  /// read on the calling thread: engine operators and the server drive
+  /// rowgroups from their own worker threads. A non-empty \p label becomes
+  /// the reader's per-column cache-counter label
+  /// (io.cache.hits{column="<label>"}).
   Status EnableSeekable(io::DecodedVectorCache* cache, std::string label = {});
 
   /// Non-null once EnableSeekable succeeded; decode goes through the chunked
@@ -89,9 +88,9 @@ class StoredColumn {
   std::vector<std::vector<uint8_t>> codec_blocks_;
 
   // Out-of-core view over alp_buffer_ (EnableSeekable). shared_ptr because
-  // SeekableReader::Open hands ownership to prefetch-capable readers; the
-  // MemorySource points at alp_buffer_'s heap storage, which is stable
-  // across moves of this StoredColumn (the class is move-only).
+  // that is what SeekableReader::Open returns; the MemorySource points at
+  // alp_buffer_'s heap storage, which is stable across moves of this
+  // StoredColumn (the class is move-only).
   std::shared_ptr<io::SeekableReader<double>> seekable_;
 };
 

@@ -32,15 +32,6 @@ Status MemorySource::ReadAt(uint64_t offset, size_t len, uint8_t* out) const {
   return Status::Ok();
 }
 
-Status OwnedMemorySource::ReadAt(uint64_t offset, size_t len,
-                                 uint8_t* out) const {
-  if (offset > bytes_.size() || len > bytes_.size() - offset) {
-    return OutOfRange(offset, len, bytes_.size());
-  }
-  std::memcpy(out, bytes_.data() + offset, len);
-  return Status::Ok();
-}
-
 StatusOr<std::shared_ptr<PreadSource>> PreadSource::Open(
     const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "util/status.h"
 
@@ -16,8 +15,7 @@
 /// implementations cover the deployment spectrum:
 ///
 ///  - MemorySource   — wraps an in-memory buffer (the serving catalog and
-///                     tests; ReadAt is a memcpy). OwnedMemorySource is the
-///                     same over bytes it owns.
+///                     tests; ReadAt is a memcpy).
 ///  - PreadSource    — ::pread on a file descriptor. Each chunk read costs a
 ///                     syscall but the process only ever holds the chunks it
 ///                     is touching, which is what lets a column 4x larger
@@ -62,21 +60,6 @@ class MemorySource final : public RandomAccessSource {
  private:
   const uint8_t* data_;
   uint64_t size_;
-  std::string name_;
-};
-
-/// Source over bytes it owns (e.g. a column buffer moved in).
-class OwnedMemorySource final : public RandomAccessSource {
- public:
-  explicit OwnedMemorySource(std::vector<uint8_t> bytes)
-      : bytes_(std::move(bytes)), name_("memory") {}
-
-  Status ReadAt(uint64_t offset, size_t len, uint8_t* out) const override;
-  uint64_t size() const override { return bytes_.size(); }
-  const std::string& name() const override { return name_; }
-
- private:
-  std::vector<uint8_t> bytes_;
   std::string name_;
 };
 

@@ -1,10 +1,8 @@
 #include "io/seekable_reader.h"
 
 #include <algorithm>
-#include <condition_variable>
+#include <atomic>
 #include <cstring>
-#include <mutex>
-#include <unordered_map>
 
 #include "alp/constants.h"
 #include "obs/flight_recorder.h"
@@ -43,37 +41,9 @@ obs::Counter& ChunkBytesCounter() {
       obs::MetricRegistry::Global().GetCounter("io.chunk.bytes");
   return c;
 }
-obs::Counter& PrefetchIssuedCounter() {
-  static obs::Counter& c =
-      obs::MetricRegistry::Global().GetCounter("io.prefetch.issued");
-  return c;
-}
-obs::Counter& PrefetchFallbackCounter() {
-  static obs::Counter& c =
-      obs::MetricRegistry::Global().GetCounter("io.prefetch.sync_fallback");
-  return c;
-}
-obs::Gauge& PrefetchDepthGauge() {
-  static obs::Gauge& g =
-      obs::MetricRegistry::Global().GetGauge("io.prefetch.depth");
-  return g;
-}
 #endif
 
 }  // namespace
-
-/// One in-flight background chunk read. The task owns a shared_ptr, so a
-/// slot abandoned by a cancelled scan stays valid until the task finishes;
-/// the task captures only the source and this slot — never the reader —
-/// so reader teardown cannot race it either.
-template <typename T>
-struct SeekableReader<T>::PrefetchSlot {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  Status status;
-  std::vector<uint8_t> bytes;
-};
 
 template <typename T>
 StatusOr<std::shared_ptr<SeekableReader<T>>> SeekableReader<T>::Open(
@@ -137,39 +107,23 @@ uint64_t SeekableReader<T>::RowgroupValueCount(size_t rg) const {
 }
 
 template <typename T>
-void SeekableReader<T>::ChunkExtent(size_t rg, uint64_t* begin,
-                                    uint64_t* end) const {
-  *begin = index_.rowgroup_offsets[rg];
-  *end = rg + 1 < index_.rowgroup_offsets.size()
-             ? index_.rowgroup_offsets[rg + 1]
-             : source_->size();
-}
-
-template <typename T>
-Status SeekableReader<T>::LoadChunk(
-    size_t rg, const std::shared_ptr<PrefetchSlot>& prefetched,
-    std::vector<uint8_t>* bytes) const {
-  // The fault site fires on the consume path whether the prefetcher or the
-  // caller fetched the bytes, so injected chunk-read failures are
-  // deterministic per touched rowgroup regardless of prefetch timing.
+Status SeekableReader<T>::LoadChunk(size_t rg,
+                                   std::vector<uint8_t>* bytes) const {
   ALP_FAULT("io.chunk_read");
-  uint64_t begin, end;
-  ChunkExtent(rg, &begin, &end);
-  if (prefetched != nullptr) {
-    std::unique_lock<std::mutex> lock(prefetched->mu);
-    prefetched->cv.wait(lock, [&] { return prefetched->done; });
-    if (!prefetched->status.ok()) return prefetched->status;
-    *bytes = std::move(prefetched->bytes);
-  } else {
+  const uint64_t begin = index_.rowgroup_offsets[rg];
+  const uint64_t end = rg + 1 < index_.rowgroup_offsets.size()
+                           ? index_.rowgroup_offsets[rg + 1]
+                           : source_->size();
+  {
     ALP_OBS_SPAN(fetch_span, "io.chunk_fetch", end - begin);
     bytes->resize(end - begin);
     Status s = source_->ReadAt(begin, bytes->size(), bytes->data());
     if (!s.ok()) return s;
-    ALP_OBS_ONLY({
-      ChunkReadCounter().Increment();
-      ChunkBytesCounter().Add(end - begin);
-    });
   }
+  ALP_OBS_ONLY({
+    ChunkReadCounter().Increment();
+    ChunkBytesCounter().Add(end - begin);
+  });
   // Verify before anything downstream touches the bytes (v3; a v2 file has
   // no per-rowgroup checksums and relies on the structural walk alone).
   if (!index_.rowgroup_checksums.empty() &&
@@ -180,69 +134,11 @@ Status SeekableReader<T>::LoadChunk(
 }
 
 template <typename T>
-std::shared_ptr<typename SeekableReader<T>::PrefetchSlot>
-SeekableReader<T>::SchedulePrefetch(size_t rg) const {
-  if (options_.prefetch_pool == nullptr || options_.prefetch_rowgroups == 0) {
-    return nullptr;
-  }
-  uint64_t begin, end;
-  ChunkExtent(rg, &begin, &end);
-  auto slot = std::make_shared<PrefetchSlot>();
-  std::shared_ptr<RandomAccessSource> source = source_;
-  std::function<void()> task = [source, slot, begin, end] {
-    ALP_OBS_SPAN(fetch_span, "io.chunk_fetch", end - begin);
-    std::vector<uint8_t> bytes(end - begin);
-    Status s = source->ReadAt(begin, bytes.size(), bytes.data());
-    ALP_OBS_ONLY({
-      if (s.ok()) {
-        ChunkReadCounter().Increment();
-        ChunkBytesCounter().Add(end - begin);
-      }
-    });
-    std::lock_guard<std::mutex> lock(slot->mu);
-    slot->status = std::move(s);
-    if (slot->status.ok()) slot->bytes = std::move(bytes);
-    slot->done = true;
-    slot->cv.notify_all();
-  };
-  if (!options_.prefetch_pool->TrySubmit(&task, options_.prefetch_queue_limit)) {
-    // Saturated (or shutting down) pool: degrade to a synchronous read on
-    // first touch instead of queueing unbounded.
-    ALP_OBS_ONLY(PrefetchFallbackCounter().Increment());
-    return nullptr;
-  }
-  const int64_t depth =
-      prefetch_outstanding_.fetch_add(1, std::memory_order_relaxed) + 1;
-  (void)depth;
-  ALP_OBS_ONLY({
-    PrefetchIssuedCounter().Increment();
-    PrefetchDepthGauge().Set(depth);
-  });
-  return slot;
-}
-
-template <typename T>
-bool SeekableReader<T>::RowgroupWanted(size_t rg,
-                                       const VectorFilter* want) const {
-  const uint64_t rg_values = RowgroupValueCount(rg);
-  if (rg_values == 0) return false;
-  if (want == nullptr) return true;
-  const size_t first_vector = rg * kRowgroupVectors;
-  const size_t vectors = (rg_values + kVectorSize - 1) / kVectorSize;
-  for (size_t lv = 0; lv < vectors; ++lv) {
-    if ((*want)(first_vector + lv)) return true;
-  }
-  return false;
-}
-
-template <typename T>
 SeekableReader<T>::RowgroupCursor::RowgroupCursor(
-    const SeekableReader& reader, size_t rg, const OpContext* ctx,
-    std::shared_ptr<PrefetchSlot> prefetched)
+    const SeekableReader& reader, size_t rg, const OpContext* ctx)
     : reader_(reader),
       rg_(rg),
       ctx_(ctx),
-      prefetched_(std::move(prefetched)),
       caching_(reader.options_.cache != nullptr &&
                reader.options_.cache->capacity_bytes() > 0) {
   // Per-request attribution: every cache decision, chunk fetch and decode
@@ -279,7 +175,7 @@ Status SeekableReader<T>::RowgroupCursor::Fetch(size_t v, const T** values) {
     });
   }
   if (chunk_reader_.has_value()) return Status::Ok();
-  Status s = reader_.LoadChunk(rg_, prefetched_, &chunk_);
+  Status s = reader_.LoadChunk(rg_, &chunk_);
   if (!s.ok()) return s;
   ALP_OBS_ONLY({
     if (recorder_ != nullptr) {
@@ -327,40 +223,26 @@ Status SeekableReader<T>::RowgroupCursor::Decode(size_t v, T* out,
 }
 
 template <typename T>
-Status SeekableReader<T>::VisitRowgroupImpl(
-    size_t rg, const std::shared_ptr<PrefetchSlot>& prefetched,
-    const Visitor& visit, const OpContext* ctx,
-    const VectorFilter* want) const {
+Status SeekableReader<T>::ScanRowgroup(size_t rg, const Visitor& visit,
+                                       const OpContext* ctx) const {
   const size_t first_vector = rg * kRowgroupVectors;
   const size_t end_vector =
       first_vector + (RowgroupValueCount(rg) + kVectorSize - 1) / kVectorSize;
-  RowgroupCursor cursor(*this, rg, ctx, prefetched);
+  RowgroupCursor cursor(*this, rg, ctx);
   // Full-width scratch: tail vectors still unpack kVectorSize lanes.
-  std::vector<T> scratch;
+  T scratch[kVectorSize];
   for (size_t v = first_vector; v < end_vector; ++v) {
-    if (want != nullptr && !(*want)(v)) continue;
     const T* values;
     Status s = cursor.Fetch(v, &values);
     if (s.ok() && values == nullptr) {
-      scratch.resize(kVectorSize);
-      s = cursor.Decode(v, scratch.data());
-      values = scratch.data();
+      s = cursor.Decode(v, scratch);
+      values = scratch;
     }
     // A visitor error does not un-decode (or un-publish) the vector.
     if (s.ok()) s = visit(v, values, VectorLength(v));
     if (!s.ok()) return s;
   }
   return Status::Ok();
-}
-
-template <typename T>
-Status SeekableReader<T>::VisitRowgroup(size_t rg, const Visitor& visit,
-                                        const OpContext* ctx,
-                                        const VectorFilter* want) const {
-  if (rg >= rowgroup_count()) {
-    return Status::Corrupt("rowgroup index out of range");
-  }
-  return VisitRowgroupImpl(rg, nullptr, visit, ctx, want);
 }
 
 template <typename T>
@@ -373,13 +255,18 @@ Status SeekableReader<T>::TryDecodeVector(size_t v, T* out,
   if (v >= vector_count()) {
     return Status::Corrupt("vector index out of range");
   }
-  const VectorFilter only_v = [v](size_t cand) { return cand == v; };
-  const Visitor copy_out = [out](size_t, const T* values, unsigned len) {
-    std::memcpy(out, values, size_t{len} * sizeof(T));
-    return Status::Ok();
-  };
-  return VisitRowgroupImpl(v / kRowgroupVectors, nullptr, copy_out, ctx,
-                           &only_v);
+  RowgroupCursor cursor(*this, v / kRowgroupVectors, ctx);
+  const T* values;
+  Status s = cursor.Fetch(v, &values);
+  // Full-width scratch: a tail vector still unpacks kVectorSize lanes.
+  T scratch[kVectorSize];
+  if (s.ok() && values == nullptr) {
+    s = cursor.Decode(v, scratch);
+    values = scratch;
+  }
+  if (!s.ok()) return s;
+  std::memcpy(out, values, size_t{VectorLength(v)} * sizeof(T));
+  return Status::Ok();
 }
 
 template <typename T>
@@ -395,7 +282,7 @@ Status SeekableReader<T>::TryDecodeRowgroup(size_t rg, T* out,
                 size_t{len} * sizeof(T));
     return Status::Ok();
   };
-  return VisitRowgroupImpl(rg, nullptr, copy_out, ctx, nullptr);
+  return ScanRowgroup(rg, copy_out, ctx);
 }
 
 template <typename T>
@@ -408,53 +295,14 @@ Status SeekableReader<T>::TryDecodeAll(T* out, const OpContext* ctx) const {
 }
 
 template <typename T>
-Status SeekableReader<T>::Scan(const Visitor& visit, const OpContext* ctx,
-                               const VectorFilter* want) const {
+Status SeekableReader<T>::Scan(const Visitor& visit,
+                               const OpContext* ctx) const {
   ALP_OBS_SPAN(scan_span, "io.scan", index_.value_count);
-  const size_t rowgroups = rowgroup_count();
-  const size_t window =
-      options_.prefetch_pool != nullptr ? options_.prefetch_rowgroups : 0;
-
-  std::unordered_map<size_t, std::shared_ptr<PrefetchSlot>> inflight;
-  const auto drop_outstanding = [this] {
-    const int64_t depth =
-        prefetch_outstanding_.fetch_sub(1, std::memory_order_relaxed) - 1;
-    ALP_OBS_ONLY(PrefetchDepthGauge().Set(depth));
-    (void)depth;
-  };
-
-  Status result;
-  size_t horizon = 0;  ///< Rowgroups [0, horizon) already considered.
-  for (size_t rg = 0; rg < rowgroups; ++rg) {
-    if (!RowgroupWanted(rg, want)) continue;
-    if (window > 0) {
-      // Keep the next `window` wanted rowgroups beyond rg in flight.
-      if (horizon < rg + 1) horizon = rg + 1;
-      const size_t limit = std::min(rowgroups, rg + window + 1);
-      for (; horizon < limit; ++horizon) {
-        if (!RowgroupWanted(horizon, want)) continue;
-        std::shared_ptr<PrefetchSlot> slot = SchedulePrefetch(horizon);
-        if (slot != nullptr) inflight.emplace(horizon, std::move(slot));
-      }
-    }
-    std::shared_ptr<PrefetchSlot> slot;
-    auto it = inflight.find(rg);
-    if (it != inflight.end()) {
-      slot = std::move(it->second);
-      inflight.erase(it);
-      drop_outstanding();
-    }
-    Status s = VisitRowgroupImpl(rg, slot, visit, ctx, want);
-    if (!s.ok()) {
-      result = std::move(s);
-      break;
-    }
+  for (size_t rg = 0; rg < rowgroup_count(); ++rg) {
+    Status s = ScanRowgroup(rg, visit, ctx);
+    if (!s.ok()) return s;
   }
-  // Abandoned slots (early exit): their tasks own everything they touch,
-  // so dropping our references here is safe even while they still run.
-  for (size_t i = 0; i < inflight.size(); ++i) drop_outstanding();
-  inflight.clear();
-  return result;
+  return Status::Ok();
 }
 
 template class SeekableReader<double>;

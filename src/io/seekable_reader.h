@@ -1,7 +1,6 @@
 #ifndef ALP_IO_SEEKABLE_READER_H_
 #define ALP_IO_SEEKABLE_READER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -16,7 +15,6 @@
 #include "obs/metrics.h"
 #include "util/cancellation.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 /// \file seekable_reader.h
 /// Out-of-core column reader: the storage-backed sibling of
@@ -48,26 +46,24 @@
 /// would instead have to chase window state across chunk boundaries
 /// (rapidgzip's WindowMap exists to patch exactly that problem away).
 ///
+/// Chunks are read synchronously, on the calling thread, on first touch.
+/// ALP decodes at more than a value per cycle, so a chunk read from a
+/// page-cache-hot file is a memcpy that a background thread could not
+/// usefully hide.
+///
 /// Concurrency: all read APIs are const and safe from any number of
 /// threads; mutable state is confined to the shared DecodedVectorCache
-/// (internally locked) and per-call locals. The background prefetcher
-/// schedules chunk reads on a ThreadPool via TrySubmit — a saturated or
-/// shutting-down pool refuses, and the scan degrades to synchronous
-/// reads rather than queueing unbounded or deadlocking.
+/// (internally locked) and per-call locals.
 ///
 /// Cancellation: a non-null OpContext is polled per vector on every path,
-/// exactly like ColumnReader::TryDecodeAll. Prefetch tasks themselves
-/// never observe the caller's context (they outlive the call on purpose);
-/// an abandoned prefetched chunk is simply dropped, and because only the
-/// consume path publishes to the cache, cancellation mid-prefetch cannot
-/// leave a partial entry behind.
+/// exactly like ColumnReader::TryDecodeAll. Only a fully decoded vector is
+/// published to the cache, so a cancelled scan cannot leave a partial
+/// entry behind.
 ///
-/// Fault sites (behind ALP_FAULTS): `io.chunk_read` fires on the consume
-/// path before a chunk's bytes are used (deterministic regardless of
-/// whether the prefetcher or the caller fetched them); `io.cache_evict`
-/// lives in DecodedVectorCache::Insert. Obs: `io.chunk_fetch` spans wrap
-/// every source read, `io.cache.*` counters track the cache, and the
-/// `io.prefetch.depth` gauge tracks outstanding prefetched chunks.
+/// Fault sites (behind ALP_FAULTS): `io.chunk_read` fires before a chunk's
+/// bytes are read; `io.cache_evict` lives in DecodedVectorCache::Insert.
+/// Obs: `io.chunk_fetch` spans wrap every source read and `io.cache.*`
+/// counters track the cache.
 
 namespace alp::obs {
 class FlightRecorder;
@@ -76,21 +72,6 @@ class FlightRecorder;
 namespace alp::io {
 
 struct SeekableReaderOptions {
-  /// Pool for background chunk prefetch; null disables prefetching (every
-  /// chunk is read synchronously on first touch). Do not pass a pool whose
-  /// workers are permanently occupied (e.g. a serving layer's own worker
-  /// pool): prefetch tasks would never run and scans would stall waiting
-  /// on them.
-  ThreadPool* prefetch_pool = nullptr;
-
-  /// How many rowgroups past the one being consumed a scan keeps in
-  /// flight. 0 disables prefetching even with a pool.
-  size_t prefetch_rowgroups = 4;
-
-  /// TrySubmit bound: prefetch is refused (and the scan degrades to a
-  /// synchronous read) once the pool already has this many queued tasks.
-  size_t prefetch_queue_limit = 64;
-
   /// Shared decoded-vector cache; null (or a capacity-0 cache) disables
   /// caching. The cache must outlive the reader.
   DecodedVectorCache* cache = nullptr;
@@ -106,13 +87,10 @@ struct SeekableReaderOptions {
 
 template <typename T>
 class SeekableReader {
-  struct PrefetchSlot;
-
  public:
   /// Fetches and fully verifies the header/index region (same checks and
   /// Statuses as ValidateColumnEx's header/index/zone-map phases; rowgroup
   /// payloads are verified lazily, chunk by chunk, as they are touched).
-  /// The source is shared so prefetch tasks can outlive the caller.
   static StatusOr<std::shared_ptr<SeekableReader<T>>> Open(
       std::shared_ptr<RandomAccessSource> source,
       SeekableReaderOptions options = {});
@@ -147,11 +125,6 @@ class SeekableReader {
   /// aborts the scan and is returned as-is.
   using Visitor = std::function<Status(size_t v, const T* values, unsigned len)>;
 
-  /// Vector-selection predicate for filtered scans (zone-map push-down):
-  /// vectors where it returns false are neither fetched nor decoded, and a
-  /// rowgroup none of whose vectors are wanted is never touched at all.
-  using VectorFilter = std::function<bool(size_t v)>;
-
   /// Point lookup: decodes vector \p v into \p out (room for
   /// VectorLength(v) values), touching only its rowgroup — or no storage
   /// at all on a cache hit.
@@ -165,19 +138,9 @@ class SeekableReader {
   /// byte-identical to ColumnReader::TryDecodeAll on the same file.
   Status TryDecodeAll(T* out, const OpContext* ctx = nullptr) const;
 
-  /// Streaming scan: rowgroups are fetched (and, with a pool, prefetched
-  /// ahead) one at a time, so peak memory is the index region plus the
-  /// prefetch window — never the whole column. \p want as in VectorFilter
-  /// (null scans everything).
-  Status Scan(const Visitor& visit, const OpContext* ctx = nullptr,
-              const VectorFilter* want = nullptr) const;
-
-  /// One rowgroup's worth of Scan. Only tests call it (the out-of-range
-  /// rowgroup check); the server and the engine walk rowgroups through
-  /// RowgroupCursor instead.
-  Status VisitRowgroup(size_t rg, const Visitor& visit,
-                       const OpContext* ctx = nullptr,
-                       const VectorFilter* want = nullptr) const;
+  /// Streaming scan: rowgroups are fetched one at a time, so peak memory
+  /// is the index region plus one chunk — never the whole column.
+  Status Scan(const Visitor& visit, const OpContext* ctx = nullptr) const;
 
   /// One rowgroup's chunk lifecycle, vector by vector (see the file
   /// comment). The reader's scans and the engine's VectorSource both walk
@@ -186,11 +149,9 @@ class SeekableReader {
   /// here only. Per-visit state: use one cursor per rowgroup per thread.
   class RowgroupCursor {
    public:
-    /// \p rg must be < rowgroup_count(). \p prefetched, when set, holds
-    /// the chunk bytes a scan's prefetcher is reading.
+    /// \p rg must be < rowgroup_count().
     RowgroupCursor(const SeekableReader& reader, size_t rg,
-                   const OpContext* ctx,
-                   std::shared_ptr<PrefetchSlot> prefetched = nullptr);
+                   const OpContext* ctx);
 
     /// Starts vector \p v (global index, in this rowgroup): polls ctx,
     /// then probes the cache. On a hit *values points at the cached
@@ -211,7 +172,6 @@ class SeekableReader {
     const SeekableReader& reader_;
     size_t rg_;
     const OpContext* ctx_;
-    std::shared_ptr<PrefetchSlot> prefetched_;
     bool caching_;
     obs::FlightRecorder* recorder_ = nullptr;
     DecodedVectorCache::Value hit_;
@@ -227,33 +187,21 @@ class SeekableReader {
                  SeekableReaderOptions options,
                  alp::internal::ColumnIndex index);
 
-  /// [begin, end) byte extent of rowgroup \p rg in the file.
-  void ChunkExtent(size_t rg, uint64_t* begin, uint64_t* end) const;
+  /// Reads rowgroup \p rg's chunk bytes (the bytes up to the next
+  /// rowgroup's offset) and verifies them against the indexed checksum.
+  /// Runs the io.chunk_read fault site.
+  Status LoadChunk(size_t rg, std::vector<uint8_t>* bytes) const;
 
-  /// Obtains rowgroup \p rg's verified chunk bytes: from \p prefetched when
-  /// the prefetcher delivered them, else via a synchronous ReadAt. Runs the
-  /// io.chunk_read fault site and the XXH64 verification either way.
-  Status LoadChunk(size_t rg, const std::shared_ptr<PrefetchSlot>& prefetched,
-                   std::vector<uint8_t>* bytes) const;
-
-  /// Schedules a background read of rowgroup \p rg; returns null when the
-  /// pool refused (saturated or shutting down) — the caller falls back to
-  /// a synchronous read.
-  std::shared_ptr<PrefetchSlot> SchedulePrefetch(size_t rg) const;
-
-  Status VisitRowgroupImpl(size_t rg,
-                           const std::shared_ptr<PrefetchSlot>& prefetched,
-                           const Visitor& visit, const OpContext* ctx,
-                           const VectorFilter* want) const;
-
-  /// Whether any vector of rowgroup \p rg passes \p want.
-  bool RowgroupWanted(size_t rg, const VectorFilter* want) const;
+  /// The one per-rowgroup visit loop behind Scan, TryDecodeAll and
+  /// TryDecodeRowgroup: Fetch each vector, Decode it on a cache miss, and
+  /// hand it to \p visit.
+  Status ScanRowgroup(size_t rg, const Visitor& visit,
+                      const OpContext* ctx) const;
 
   std::shared_ptr<RandomAccessSource> source_;
   SeekableReaderOptions options_;
   alp::internal::ColumnIndex index_;
   uint64_t column_id_;
-  mutable std::atomic<int64_t> prefetch_outstanding_{0};
   /// Labeled per-column cache counters (see SeekableReaderOptions::
   /// column_label); null when unlabeled or ALP_OBS is off.
   obs::Counter* labeled_cache_hits_ = nullptr;

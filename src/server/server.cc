@@ -510,18 +510,25 @@ Response Server::ExecuteOnColumn(const Request& request,
       return response;
     }
     case QueryClass::kScan: {
-      std::vector<double> values(seekable->value_count());
-      response.status = seekable->TryDecodeAll(values.data(), &ctx);
-      if (!response.status.ok()) return response;
       // Same hand-off checksum as the engine's scan operator: touch one
-      // value per vector so the decode is consumed.
+      // value per vector, in vector order, so the decode is consumed. The
+      // decoded column is only materialized when the caller asked for it.
       double checksum = 0.0;
-      for (size_t v = 0; v < values.size(); v += kVectorSize) {
-        checksum += values[v];
-      }
+      std::vector<double> values;
+      if (request.return_values) values.reserve(seekable->value_count());
+      response.status = seekable->Scan(
+          [&](size_t, const double* vec, unsigned len) {
+            checksum += vec[0];
+            if (request.return_values) {
+              values.insert(values.end(), vec, vec + len);
+            }
+            return Status::Ok();
+          },
+          &ctx);
+      if (!response.status.ok()) return response;
       response.sum = checksum;
-      response.tuples = values.size();
-      if (request.return_values) response.values = std::move(values);
+      response.tuples = seekable->value_count();
+      response.values = std::move(values);
       return response;
     }
   }

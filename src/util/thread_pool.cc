@@ -90,38 +90,6 @@ bool ThreadPool::Submit(std::function<void()>* task) {
   return true;
 }
 
-bool ThreadPool::TrySubmit(std::function<void()>* task, size_t max_queued) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (shutdown_ || queued_ >= max_queued) {
-      ALP_OBS_ONLY({
-        static obs::Counter& refused =
-            obs::MetricRegistry::Global().GetCounter("pool.try_submit_refused");
-        refused.Increment();
-      });
-      return false;
-    }
-    queues_[next_queue_].push_back(std::move(*task));
-    next_queue_ = (next_queue_ + 1) % queues_.size();
-    ++queued_;
-    ALP_OBS_ONLY({
-      static obs::Counter& submits =
-          obs::MetricRegistry::Global().GetCounter("pool.submits");
-      static obs::Gauge& depth =
-          obs::MetricRegistry::Global().GetGauge("pool.queue_depth_max");
-      submits.Increment();
-      depth.UpdateMax(static_cast<int64_t>(queued_));
-    });
-  }
-  work_cv_.notify_one();
-  return true;
-}
-
-size_t ThreadPool::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queued_;
-}
-
 bool ThreadPool::TryTake(unsigned self, std::function<void()>* task) {
   if (!queues_[self].empty()) {
     *task = std::move(queues_[self].back());  // Own queue: LIFO.

@@ -81,20 +81,6 @@ class ThreadPool {
   /// the convenience default for the parallel column entry points.
   static ThreadPool& Shared();
 
-  /// Bounded, non-blocking submission for background work (the out-of-core
-  /// reader's chunk prefetcher): enqueues *task like TaskGroup submission
-  /// does, but refuses — returning false and leaving *task untouched — when
-  /// the pool is shutting down OR already has at least \p max_queued tasks
-  /// waiting. Never blocks and never queues unbounded, so a saturated pool
-  /// shows up as a refusal the caller can degrade on (prefetch falls back
-  /// to synchronous reads) instead of as latent queue growth. A task
-  /// accepted here is guaranteed to run: shutdown drains every queued task
-  /// before the workers exit.
-  bool TrySubmit(std::function<void()>* task, size_t max_queued);
-
-  /// Outstanding queued (not yet started) tasks; telemetry snapshot.
-  size_t queue_depth() const;
-
   /// Stops accepting work, drains every already-queued task, and joins the
   /// workers. Idempotent; the destructor calls it. Must not be invoked
   /// concurrently with itself or from a pool worker.

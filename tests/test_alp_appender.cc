@@ -133,8 +133,8 @@ TEST(Appender, ValidatesAgainstReader) {
   ColumnAppender<double> appender;
   appender.AppendBatch(data.data(), data.size());
   const auto buffer = appender.Finish();
-  std::string reason;
-  EXPECT_TRUE(ValidateColumn<double>(buffer.data(), buffer.size(), &reason)) << reason;
+  const Status s = ValidateColumnEx<double>(buffer.data(), buffer.size());
+  EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
 }  // namespace

@@ -221,9 +221,9 @@ TEST(Column, DeltaIntegerEncodingOnSortedData) {
   std::vector<double> out(data.size());
   DecompressColumn(delta_buf, out.data());
   ExpectBitExact(data, out);
-  std::string reason;
-  EXPECT_TRUE(ValidateColumn<double>(delta_buf.data(), delta_buf.size(), &reason))
-      << reason;
+  const Status s =
+      ValidateColumnEx<double>(delta_buf.data(), delta_buf.size());
+  EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
 TEST(Column, DeltaFallsBackToForOnUnsortedData) {

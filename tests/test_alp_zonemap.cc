@@ -1,4 +1,4 @@
-// Tests for the v2 format's per-vector zone maps, ValidateColumn, and the
+// Tests for the v2 format's per-vector zone maps, ValidateColumnEx, and the
 // failure-injection behaviour on corrupted buffers.
 
 #include <gtest/gtest.h>
@@ -154,53 +154,52 @@ TEST(ZoneMap, RdRowgroupsHaveStatsToo) {
 }
 
 // ---------------------------------------------------------------------------
-// ValidateColumn.
+// ValidateColumnEx.
 // ---------------------------------------------------------------------------
 
 TEST(Validate, AcceptsGoodBuffers) {
   for (size_t n : {size_t{0}, size_t{1}, size_t{1024}, size_t{300000}}) {
     const auto data = Decimals(n, n + 1);
     const auto buffer = CompressColumn(data.data(), n);
-    std::string reason;
-    EXPECT_TRUE(ValidateColumn<double>(buffer.data(), buffer.size(), &reason))
-        << n << ": " << reason;
+    const Status s = ValidateColumnEx<double>(buffer.data(), buffer.size());
+    EXPECT_TRUE(s.ok()) << n << ": " << s.ToString();
   }
 }
 
 TEST(Validate, RejectsNullAndTiny) {
-  EXPECT_FALSE(ValidateColumn<double>(nullptr, 0));
+  EXPECT_FALSE(ValidateColumnEx<double>(nullptr, 0).ok());
   const uint8_t junk[4] = {1, 2, 3, 4};
-  EXPECT_FALSE(ValidateColumn<double>(junk, sizeof(junk)));
+  EXPECT_FALSE(ValidateColumnEx<double>(junk, sizeof(junk)).ok());
 }
 
 TEST(Validate, RejectsBadMagic) {
   const auto data = Decimals(1024, 1);
   auto buffer = CompressColumn(data.data(), data.size());
   buffer[0] ^= 0xFF;
-  std::string reason;
-  EXPECT_FALSE(ValidateColumn<double>(buffer.data(), buffer.size(), &reason));
-  EXPECT_EQ(reason, "bad magic");
+  const Status s = ValidateColumnEx<double>(buffer.data(), buffer.size());
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(s.message(), "bad magic");
 }
 
 TEST(Validate, RejectsWrongVersion) {
   const auto data = Decimals(1024, 2);
   auto buffer = CompressColumn(data.data(), data.size());
   buffer[4] = 99;  // Version byte.
-  EXPECT_FALSE(ValidateColumn<double>(buffer.data(), buffer.size()));
+  EXPECT_FALSE(ValidateColumnEx<double>(buffer.data(), buffer.size()).ok());
 }
 
 TEST(Validate, RejectsTypeMismatch) {
   const auto data = Decimals(1024, 3);
   const auto buffer = CompressColumn(data.data(), data.size());
-  EXPECT_TRUE(ValidateColumn<double>(buffer.data(), buffer.size()));
-  EXPECT_FALSE(ValidateColumn<float>(buffer.data(), buffer.size()));
+  EXPECT_TRUE(ValidateColumnEx<double>(buffer.data(), buffer.size()).ok());
+  EXPECT_FALSE(ValidateColumnEx<float>(buffer.data(), buffer.size()).ok());
 }
 
 TEST(Validate, RejectsTruncation) {
   const auto data = Decimals(kRowgroupSize + 5, 4);
   const auto buffer = CompressColumn(data.data(), data.size());
   for (size_t cut : {buffer.size() / 2, buffer.size() - 9, size_t{30}}) {
-    EXPECT_FALSE(ValidateColumn<double>(buffer.data(), cut)) << cut;
+    EXPECT_FALSE(ValidateColumnEx<double>(buffer.data(), cut).ok()) << cut;
   }
 }
 
@@ -210,14 +209,14 @@ TEST(Validate, RejectsCorruptedRowgroupOffset) {
   // The first rowgroup offset lives right after the 24-byte header.
   uint64_t bogus = buffer.size() + 1024;
   std::memcpy(buffer.data() + 24, &bogus, sizeof(bogus));
-  EXPECT_FALSE(ValidateColumn<double>(buffer.data(), buffer.size()));
+  EXPECT_FALSE(ValidateColumnEx<double>(buffer.data(), buffer.size()).ok());
 }
 
 TEST(Validate, RejectsForeignBytes) {
   std::mt19937_64 rng(6);
   std::vector<uint8_t> junk(4096);
   for (auto& b : junk) b = static_cast<uint8_t>(rng());
-  EXPECT_FALSE(ValidateColumn<double>(junk.data(), junk.size()));
+  EXPECT_FALSE(ValidateColumnEx<double>(junk.data(), junk.size()).ok());
 }
 
 }  // namespace

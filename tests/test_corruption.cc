@@ -227,7 +227,7 @@ TEST(ColumnV2Compat, V2BuffersStillDecode) {
   for (const Corpus* corpus : {&AlpSmall(), &RdSmall(), &TwoRowgroups()}) {
     SCOPED_TRACE(corpus->name);
     const std::vector<uint8_t> v2 = StripToV2(corpus->buffer);
-    ASSERT_TRUE(ValidateColumn<double>(v2.data(), v2.size()));
+    ASSERT_TRUE(ValidateColumnEx<double>(v2.data(), v2.size()).ok());
 
     StatusOr<ColumnReader<double>> reader =
         ColumnReader<double>::Open(v2.data(), v2.size());
@@ -416,7 +416,7 @@ TEST(ColumnMutation, PureGarbageNeverCrashes) {
       garbage[4] = (trial % 2 == 0) ? 2 : 3;
       garbage[5] = 0;
     }
-    (void)ValidateColumn<double>(garbage.data(), garbage.size());
+    (void)ValidateColumnEx<double>(garbage.data(), garbage.size());
     (void)Classify(garbage, empty);  // Must not crash or read OOB.
   }
 }

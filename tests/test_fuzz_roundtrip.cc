@@ -93,7 +93,7 @@ TEST_P(FuzzSeedTest, AlpColumnRoundTrips) {
   const auto data = FuzzData(seed, n);
 
   const auto buffer = CompressColumn(data.data(), data.size());
-  ASSERT_TRUE(ValidateColumn<double>(buffer.data(), buffer.size()));
+  ASSERT_TRUE(ValidateColumnEx<double>(buffer.data(), buffer.size()).ok());
   std::vector<double> out(data.size());
   DecompressColumn(buffer, out.data());
   for (size_t i = 0; i < data.size(); ++i) {
@@ -174,7 +174,7 @@ TEST_P(FuzzSeedTest, FloatColumnRoundTrips) {
     }
   }
   const auto buffer = CompressColumn(data.data(), data.size());
-  ASSERT_TRUE(ValidateColumn<float>(buffer.data(), buffer.size()));
+  ASSERT_TRUE(ValidateColumnEx<float>(buffer.data(), buffer.size()).ok());
   std::vector<float> out(data.size());
   DecompressColumn(buffer, out.data());
   for (size_t i = 0; i < data.size(); ++i) {
@@ -244,7 +244,7 @@ TEST_P(FuzzSeedTest, FloatMixtureRoundTripsEverywhere) {
   const auto data = FuzzDataFloat(seed, n);
 
   const auto buffer = CompressColumn(data.data(), data.size());
-  ASSERT_TRUE(ValidateColumn<float>(buffer.data(), buffer.size()));
+  ASSERT_TRUE(ValidateColumnEx<float>(buffer.data(), buffer.size()).ok());
   std::vector<float> out(data.size());
   DecompressColumn(buffer, out.data());
   for (size_t i = 0; i < data.size(); ++i) {
@@ -335,7 +335,7 @@ TEST(TortureVectors, DoubleColumnAndCodecsRoundTrip) {
   for (const auto& [name, data] : TortureColumns()) {
     SCOPED_TRACE(name);
     const auto buffer = CompressColumn(data.data(), data.size());
-    ASSERT_TRUE(ValidateColumn<double>(buffer.data(), buffer.size()));
+    ASSERT_TRUE(ValidateColumnEx<double>(buffer.data(), buffer.size()).ok());
     std::vector<double> out(data.size());
     DecompressColumn(buffer, out.data());
     for (size_t i = 0; i < data.size(); ++i) {
@@ -404,7 +404,7 @@ TEST(TortureVectors, FloatColumnAndCodecsRoundTrip) {
   for (const auto& [name, data] : cases) {
     SCOPED_TRACE(name);
     const auto buffer = CompressColumn(data.data(), data.size());
-    ASSERT_TRUE(ValidateColumn<float>(buffer.data(), buffer.size()));
+    ASSERT_TRUE(ValidateColumnEx<float>(buffer.data(), buffer.size()).ok());
     std::vector<float> out(data.size());
     DecompressColumn(buffer, out.data());
     for (size_t i = 0; i < data.size(); ++i) {

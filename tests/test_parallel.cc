@@ -12,9 +12,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <random>
 #include <stdexcept>
 #include <thread>
@@ -177,106 +174,6 @@ TEST(ThreadPool, DestructorSafeWithFailedTasks) {
     group.Submit([] { throw std::runtime_error("unobserved"); });
   }
   EXPECT_NE(pool.first_failure(), nullptr);
-}
-
-// ---------------------------------------------------------------------------
-// TrySubmit: the bounded, non-blocking submission the out-of-core
-// prefetcher rides on. Saturation is a *refusal* the caller can degrade on
-// (synchronous reads), never unbounded queue growth; an accepted task is
-// guaranteed to run even across Shutdown.
-
-TEST(ThreadPool, TrySubmitRefusesAtQueueLimitLeavingTaskUntouched) {
-  ThreadPool pool(1);
-  // Park the lone worker so queued tasks cannot drain while we probe the
-  // bound.
-  std::mutex gate;
-  gate.lock();
-  TaskGroup blocker(&pool);
-  blocker.Submit([&gate] { std::lock_guard<std::mutex> hold(gate); });
-  // The blocker is *running* (or about to), not queued: wait until the
-  // queue is empty so the bound below is exact.
-  while (pool.queue_depth() != 0) std::this_thread::yield();
-
-  std::atomic<int> ran{0};
-  std::function<void()> task = [&ran] { ran.fetch_add(1); };
-  // Bound of 2: two accepted, the third refused.
-  EXPECT_TRUE(pool.TrySubmit(&task, 2));
-  task = [&ran] { ran.fetch_add(1); };
-  EXPECT_TRUE(pool.TrySubmit(&task, 2));
-  EXPECT_EQ(pool.queue_depth(), 2u);
-  task = [&ran] { ran.fetch_add(100); };
-  EXPECT_FALSE(pool.TrySubmit(&task, 2));
-  // The refusal left the task intact: the caller still owns it and can run
-  // it inline — exactly the prefetcher's degrade-to-synchronous move.
-  ASSERT_NE(task, nullptr);
-  task();
-  EXPECT_EQ(ran.load(), 100);
-
-  gate.unlock();
-  blocker.Wait();
-  pool.Shutdown();  // Drains the two accepted tasks before joining.
-  EXPECT_EQ(ran.load(), 102);
-  EXPECT_EQ(pool.queue_depth(), 0u);
-}
-
-TEST(ThreadPool, TrySubmitRefusesAfterShutdown) {
-  ThreadPool pool(2);
-  pool.Shutdown();
-  bool ran = false;
-  std::function<void()> task = [&ran] { ran = true; };
-  EXPECT_FALSE(pool.TrySubmit(&task, 64));
-  ASSERT_NE(task, nullptr);  // Untouched; the caller degrades inline.
-  task();
-  EXPECT_TRUE(ran);
-}
-
-TEST(ThreadPool, TrySubmitNeverDeadlocksAgainstConcurrentShutdown) {
-  // A prefetcher thread hammering TrySubmit while the pool shuts down: no
-  // deadlock, no dropped accepted task. Every accepted submission runs
-  // (shutdown drains), every refusal stays with the submitter.
-  for (int round = 0; round < 8; ++round) {
-    std::atomic<int> accepted{0};
-    std::atomic<int> executed{0};
-    std::atomic<bool> stop{false};
-    auto pool = std::make_unique<ThreadPool>(2);
-    std::thread submitter([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        std::function<void()> task = [&executed] { executed.fetch_add(1); };
-        if (pool->TrySubmit(&task, 16)) {
-          accepted.fetch_add(1);
-        } else {
-          ASSERT_NE(task, nullptr);
-          task();  // Inline fallback, counted the same.
-          executed.fetch_sub(1);
-        }
-      }
-    });
-    pool->Shutdown();
-    stop.store(true);
-    submitter.join();
-    pool.reset();  // Destructor re-runs (idempotent) Shutdown.
-    EXPECT_EQ(executed.load(), accepted.load()) << "round " << round;
-  }
-}
-
-TEST(ThreadPool, QueueDepthTracksOutstandingTasks) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.queue_depth(), 0u);
-  std::mutex gate;
-  gate.lock();
-  TaskGroup blocker(&pool);
-  blocker.Submit([&gate] { std::lock_guard<std::mutex> hold(gate); });
-  while (pool.queue_depth() != 0) std::this_thread::yield();
-  std::atomic<int> ran{0};
-  for (size_t i = 1; i <= 3; ++i) {
-    std::function<void()> task = [&ran] { ran.fetch_add(1); };
-    ASSERT_TRUE(pool.TrySubmit(&task, 8));
-    EXPECT_EQ(pool.queue_depth(), i);
-  }
-  gate.unlock();
-  blocker.Wait();
-  while (pool.queue_depth() != 0) std::this_thread::yield();
-  while (ran.load() != 3) std::this_thread::yield();
 }
 
 // ---------------------------------------------------------------------------

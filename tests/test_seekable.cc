@@ -4,7 +4,7 @@
 //
 // The load-bearing invariants proved here:
 //  - Byte identity: every seekable read path (point lookup, rowgroup,
-//    filtered scan, full scan) returns exactly the bytes the in-memory
+//    full scan) returns exactly the bytes the in-memory
 //    ColumnReader oracle returns, over memory and pread sources,
 //    for v3 and v2 columns, cached and uncached.
 //  - Status parity: a mutated or truncated file surfaces the same Status
@@ -13,13 +13,13 @@
 //    poisons the cache: nothing is inserted unless the chunk checksum and
 //    the structural walk and the vector decode all passed.
 //  - The cache stays within its byte budget with LRU eviction order, under
-//    1/2/4/8 concurrent readers, and cancellation mid-prefetch leaves it
+//    1/2/4/8 concurrent readers, and cancellation mid-scan leaves it
 //    consistent.
 //
 // The LargeFile.* tests are the out-of-core CI proof: they stream-write a
 // column several times larger than the address-space rlimit the CI job
 // scans it under, then verify byte identity via a running checksum (the
-// scan itself never holds more than the index region plus a few chunks).
+// scan itself never holds more than the index region plus one chunk).
 // They skip unless ALP_LARGE_FILE_DIR is set.
 
 #include <atomic>
@@ -45,7 +45,6 @@
 #include "util/checksum.h"
 #include "util/fault_injection.h"
 #include "util/file_io.h"
-#include "util/thread_pool.h"
 
 namespace alp {
 namespace {
@@ -276,39 +275,6 @@ TEST_P(SeekableOracleTest, RandomizedSeeksAreByteIdentical) {
   EXPECT_TRUE(cache.CheckInvariants());
 }
 
-TEST_P(SeekableOracleTest, FilteredScanMatchesOracleAndSkipsRowgroups) {
-  const Corpus& corpus = TwoRowgroups();
-  auto oracle =
-      ColumnReader<double>::Open(corpus.buffer.data(), corpus.buffer.size());
-  ASSERT_TRUE(oracle.ok());
-  auto reader =
-      OpenSeekable(MakeSource(GetParam(), corpus.buffer, "filter_scan"));
-  ASSERT_NE(reader, nullptr);
-
-  // Filter on the zone map exactly like the engine's FILTER operator.
-  const double lo = -100.0, hi = 100.0;
-  const SeekableReader<double>::VectorFilter want = [&](size_t v) {
-    return reader->VectorMayContain(v, lo, hi);
-  };
-  std::vector<size_t> visited;
-  std::vector<double> expect(kVectorSize);
-  Status s = reader->Scan(
-      [&](size_t v, const double* values, unsigned len) {
-        visited.push_back(v);
-        EXPECT_TRUE(oracle->TryDecodeVector(v, expect.data()).ok());
-        EXPECT_EQ(std::memcmp(values, expect.data(), len * sizeof(double)), 0);
-        return Status::Ok();
-      },
-      nullptr, &want);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  // The visited set is exactly the zone-map-qualified vectors, in order.
-  std::vector<size_t> qualified;
-  for (size_t v = 0; v < oracle->vector_count(); ++v) {
-    if (oracle->VectorMayContain(v, lo, hi)) qualified.push_back(v);
-  }
-  EXPECT_EQ(visited, qualified);
-}
-
 TEST_P(SeekableOracleTest, V2ColumnsDecodeIdentically) {
   for (const Corpus* corpus : {&AlpSmall(), &TwoRowgroups()}) {
     SCOPED_TRACE(corpus->name);
@@ -394,12 +360,6 @@ TEST(SeekableStatusParity, OutOfRangeIndexesMatchOracle) {
   EXPECT_EQ(seekable_vec.code(), oracle_vec.code());
   EXPECT_EQ(seekable_vec.code(), StatusCode::kCorrupt);
   EXPECT_EQ(reader->TryDecodeRowgroup(reader->rowgroup_count(), out.data())
-                .code(),
-            StatusCode::kCorrupt);
-  EXPECT_EQ(reader->VisitRowgroup(reader->rowgroup_count(),
-                                  [](size_t, const double*, unsigned) {
-                                    return Status::Ok();
-                                  })
                 .code(),
             StatusCode::kCorrupt);
 }
@@ -737,7 +697,7 @@ TEST(SeekableGolden, CacheOffScansAreByteIdenticalOnGoldenFiles) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency: shared cache under 1/2/4/8 readers, cancellation mid-prefetch.
+// Concurrency: shared cache under 1/2/4/8 readers, cancellation mid-scan.
 
 TEST(SeekableConcurrency, ConcurrentReadersShareOneCacheConsistently) {
   const Corpus& corpus = TwoRowgroups();
@@ -889,19 +849,16 @@ TEST(SeekableConcurrency, TwoColumnsNeverAliasInASharedCache) {
 
 TEST(SeekableConcurrency, CancellationMidScanLeavesCacheConsistent) {
   const Corpus& corpus = TwoRowgroups();
-  ThreadPool pool(2);
   DecodedVectorCache cache(64ull << 20);
   SeekableReaderOptions options;
   options.cache = &cache;
-  options.prefetch_pool = &pool;
-  options.prefetch_rowgroups = 2;
   auto reader = OpenSeekable(
       std::make_shared<MemorySource>(corpus.buffer.data(), corpus.buffer.size()),
       options);
   ASSERT_NE(reader, nullptr);
 
   // TwoRowgroups has 104 vectors; cancel points span first touch, early in
-  // rowgroup 0, and right around the rowgroup-1 prefetch boundary.
+  // rowgroup 0, and rowgroup 1.
   for (int cancel_after : {0, 1, 17, 99}) {
     SCOPED_TRACE("cancel_after=" + std::to_string(cancel_after));
     cache.Clear();
@@ -916,7 +873,7 @@ TEST(SeekableConcurrency, CancellationMidScanLeavesCacheConsistent) {
         },
         &ctx);
     // Cancelling from inside the visitor is observed at the next vector
-    // checkpoint — mid-prefetch, with background chunk reads in flight.
+    // checkpoint.
     EXPECT_EQ(s.code(), StatusCode::kCancelled);
     EXPECT_TRUE(cache.CheckInvariants());
 
@@ -928,87 +885,6 @@ TEST(SeekableConcurrency, CancellationMidScanLeavesCacheConsistent) {
                           corpus.values.size() * sizeof(double)),
               0);
     EXPECT_TRUE(cache.CheckInvariants());
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Prefetcher degradation: saturation and shutdown must never deadlock.
-
-TEST(SeekablePrefetch, SaturatedPoolDegradesToSynchronousReads) {
-  const Corpus& corpus = TwoRowgroups();
-  ThreadPool pool(1);
-  // Occupy the lone worker so nothing submitted can run, and set the queue
-  // limit to zero so TrySubmit always refuses: every prefetch must fall
-  // back to a synchronous read — and the scan must still finish.
-  std::mutex gate;
-  gate.lock();
-  {
-    TaskGroup blocker(&pool);
-    blocker.Submit([&gate] { std::lock_guard<std::mutex> hold(gate); });
-
-    SeekableReaderOptions options;
-    options.prefetch_pool = &pool;
-    options.prefetch_rowgroups = 4;
-    options.prefetch_queue_limit = 0;
-    auto reader = OpenSeekable(
-        std::make_shared<MemorySource>(corpus.buffer.data(),
-                                       corpus.buffer.size()),
-        options);
-    ASSERT_NE(reader, nullptr);
-    std::vector<double> out(reader->vector_count() * kVectorSize);
-    ASSERT_TRUE(reader->TryDecodeAll(out.data()).ok());
-    EXPECT_EQ(std::memcmp(out.data(), corpus.values.data(),
-                          corpus.values.size() * sizeof(double)),
-              0);
-    gate.unlock();
-    blocker.Wait();
-  }
-}
-
-TEST(SeekablePrefetch, ShutDownPoolIsRefusedNotDeadlocked) {
-  const Corpus& corpus = TwoRowgroups();
-  ThreadPool pool(2);
-  pool.Shutdown();  // Every TrySubmit now refuses.
-  SeekableReaderOptions options;
-  options.prefetch_pool = &pool;
-  auto reader = OpenSeekable(
-      std::make_shared<MemorySource>(corpus.buffer.data(), corpus.buffer.size()),
-      options);
-  ASSERT_NE(reader, nullptr);
-  std::vector<double> out(reader->vector_count() * kVectorSize);
-  ASSERT_TRUE(reader->TryDecodeAll(out.data()).ok());
-  EXPECT_EQ(std::memcmp(out.data(), corpus.values.data(),
-                        corpus.values.size() * sizeof(double)),
-            0);
-}
-
-TEST(SeekablePrefetch, ConcurrentShutdownMidScanCompletesCleanly) {
-  // A pool shut down while a prefetching scan is mid-flight: accepted
-  // tasks drain, later submissions refuse into synchronous reads, and the
-  // scan finishes byte-identical. Run a few rounds to vary the interleave
-  // (TSan executes this with full race checking).
-  const Corpus& corpus = TwoRowgroups();
-  for (int round = 0; round < 4; ++round) {
-    auto pool = std::make_unique<ThreadPool>(2);
-    SeekableReaderOptions options;
-    options.prefetch_pool = pool.get();
-    options.prefetch_rowgroups = 2;
-    auto reader = OpenSeekable(
-        std::make_shared<MemorySource>(corpus.buffer.data(),
-                                       corpus.buffer.size()),
-        options);
-    ASSERT_NE(reader, nullptr);
-    std::atomic<bool> scan_ok{false};
-    std::thread scanner([&] {
-      std::vector<double> out(reader->vector_count() * kVectorSize);
-      const Status s = reader->TryDecodeAll(out.data());
-      scan_ok.store(s.ok() &&
-                    std::memcmp(out.data(), corpus.values.data(),
-                                corpus.values.size() * sizeof(double)) == 0);
-    });
-    pool->Shutdown();
-    scanner.join();
-    EXPECT_TRUE(scan_ok.load()) << "round " << round;
   }
 }
 
@@ -1143,17 +1019,14 @@ TEST(LargeFile, ScanByteIdentical) {
     std::fclose(f);
   }
 
-  // Peak memory here is the index region + the prefetch window of chunks +
-  // the decoded-vector cache budget.
+  // Peak memory here is the index region + one chunk + the decoded-vector
+  // cache budget.
   auto source = PreadSource::Open(path);
   ASSERT_TRUE(source.ok()) << source.status().ToString();
 
-  ThreadPool pool(2);
   DecodedVectorCache cache(16ull << 20);
   SeekableReaderOptions options;
   options.cache = &cache;
-  options.prefetch_pool = &pool;
-  options.prefetch_rowgroups = 2;
   auto reader = OpenSeekable(*source, options);
   ASSERT_NE(reader, nullptr);
   ASSERT_EQ(reader->value_count(), expect_values);

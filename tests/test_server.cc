@@ -342,6 +342,11 @@ TEST(Server, NonAlpColumnsAreRejectedAtRegistration) {
 
 TEST(Server, ScanReturnsByteIdenticalValues) {
   const auto values = ServingData(kRowgroupSize + 3 * kVectorSize + 17);
+  // The scan checksum: each vector's first value, added in vector order.
+  double first_value_sum = 0.0;
+  for (size_t i = 0; i < values.size(); i += kVectorSize) {
+    first_value_sum += values[i];
+  }
   for (unsigned workers : {1u, 2u, 4u}) {
     Server server({.workers = workers});
     ASSERT_TRUE(server.AddColumn("col", values.data(), values.size()).ok());
@@ -357,6 +362,17 @@ TEST(Server, ScanReturnsByteIdenticalValues) {
               0)
         << workers << " workers";
     EXPECT_EQ(r.tuples, values.size());
+    EXPECT_EQ(BitsOf(r.sum), BitsOf(first_value_sum));
+
+    // Without return_values: the same checksum and count, no values.
+    Request sum_only;
+    sum_only.column = "col";
+    sum_only.query_class = QueryClass::kScan;
+    const Response s = server.Execute(std::move(sum_only));
+    ASSERT_TRUE(s.status.ok()) << s.status.ToString();
+    EXPECT_EQ(BitsOf(s.sum), BitsOf(r.sum));
+    EXPECT_EQ(s.tuples, r.tuples);
+    EXPECT_TRUE(s.values.empty());
   }
 }
 
