@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <random>
 #include <vector>
 
@@ -27,8 +28,13 @@ Outcome Run(const std::vector<double>& data, bool with_delta) {
   alp::ColumnReader<double> reader(buffer.data(), buffer.size());
   std::vector<double> out(data.size() + alp::kVectorSize);
 
+  bool decoded_ok = true;
   const double cycles = alp::bench::MeasureCycles(
-      [&] { reader.DecodeAll(out.data()); }, 20'000'000);
+      [&] { decoded_ok &= reader.TryDecodeAll(out.data()).ok(); }, 20'000'000);
+  if (!decoded_ok) {
+    std::fprintf(stderr, "ALP failed to decode its own output\n");
+    std::exit(1);
+  }
   return {buffer.size() * 8.0 / data.size(),
           static_cast<double>(data.size()) / cycles};
 }

@@ -69,12 +69,19 @@ int main(int argc, char** argv) {
           [&] { buffer = codec->Compress(data.data(), speed_tuples); }, speed_tuples,
           kBudget);
       std::vector<double> decoded(speed_tuples);
+      bool decoded_ok = true;
       const double dec = alp::bench::TuplesPerCycle(
           [&] {
-            codec->Decompress(buffer.data(), buffer.size(), speed_tuples,
-                              decoded.data());
+            decoded_ok &= codec->TryDecompress(buffer.data(), buffer.size(),
+                                               speed_tuples, decoded.data())
+                              .ok();
           },
           speed_tuples, kBudget);
+      if (!decoded_ok) {
+        std::fprintf(stderr, "%s failed to decode its own output\n",
+                     std::string(codec->name()).c_str());
+        return 1;
+      }
       std::printf("%-14s %-10s %12.1f %12.3f %12.3f\n",
                   std::string(spec.name).c_str(),
                   std::string(codec->name()).c_str(), ratio, comp, dec);

@@ -91,12 +91,21 @@ int main(int argc, char** argv) {
       const double comp = TuplesPerCycle(
           [&] { buffer = codec->Compress(data.data(), tuples); }, tuples, budget);
       std::vector<double> decoded(tuples);
+      bool decoded_ok = true;
       const double dec = TuplesPerCycle(
-          [&] { codec->Decompress(buffer.data(), buffer.size(), tuples, decoded.data()); },
+          [&] {
+            decoded_ok &= codec->TryDecompress(buffer.data(), buffer.size(), tuples,
+                                               decoded.data())
+                              .ok();
+          },
           tuples, budget);
-      totals[std::string(codec->name())].first += comp;
-      totals[std::string(codec->name())].second += dec;
       const std::string scheme(codec->name());
+      if (!decoded_ok) {
+        std::fprintf(stderr, "%s failed to decode its own output\n", scheme.c_str());
+        return 1;
+      }
+      totals[scheme].first += comp;
+      totals[scheme].second += dec;
       json.Add(ds, scheme, "compress_tuples_per_cycle", comp, "tuples/cycle");
       json.Add(ds, scheme, "decompress_tuples_per_cycle", dec, "tuples/cycle");
     }

@@ -40,8 +40,13 @@ int main(int argc, char** argv) {
       const auto compressed = codecs[c]->Compress(weights.data(), weights.size());
       // Verify losslessness while we are here.
       std::vector<float> restored(weights.size());
-      codecs[c]->Decompress(compressed.data(), compressed.size(), weights.size(),
-                            restored.data());
+      const alp::Status s = codecs[c]->TryDecompress(
+          compressed.data(), compressed.size(), weights.size(), restored.data());
+      if (!s.ok()) {
+        std::printf("\nDECODE FAILED for %s: %s\n",
+                    std::string(codecs[c]->name()).c_str(), s.ToString().c_str());
+        return 1;
+      }
       for (size_t i = 0; i < weights.size(); ++i) {
         if (alp::BitsOf(restored[i]) != alp::BitsOf(weights[i])) {
           std::printf("\nLOSSY RESULT from %s at %zu!\n",

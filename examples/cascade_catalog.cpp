@@ -30,9 +30,9 @@ void Report(const char* name, const std::vector<double>& column) {
 
   // Verify bit-exactness of the cascade.
   std::vector<double> restored(column.size());
-  alp::CascadeDecompress(cascaded, restored.data());
-  size_t mismatches = 0;
-  for (size_t i = 0; i < column.size(); ++i) {
+  const alp::Status decoded = alp::CascadeDecompress(cascaded, restored.data());
+  size_t mismatches = decoded.ok() ? 0 : column.size();
+  for (size_t i = 0; decoded.ok() && i < column.size(); ++i) {
     mismatches += alp::BitsOf(restored[i]) != alp::BitsOf(column[i]);
   }
 

@@ -25,10 +25,10 @@ int main() {
   for (const auto& codec : alp::codecs::AllFloatCodecs()) {
     const auto compressed = codec->Compress(weights.data(), weights.size());
     std::vector<float> restored(weights.size());
-    codec->Decompress(compressed.data(), compressed.size(), weights.size(),
-                      restored.data());
-    size_t mismatches = 0;
-    for (size_t i = 0; i < weights.size(); ++i) {
+    const alp::Status decoded = codec->TryDecompress(
+        compressed.data(), compressed.size(), weights.size(), restored.data());
+    size_t mismatches = decoded.ok() ? 0 : weights.size();
+    for (size_t i = 0; decoded.ok() && i < weights.size(); ++i) {
       mismatches += alp::BitsOf(restored[i]) != alp::BitsOf(weights[i]);
     }
     std::printf("%-14s %14.2f %14s\n", std::string(codec->name()).c_str(),

@@ -38,7 +38,11 @@ int main() {
 
   // 3. Decompress everything and verify losslessness (bitwise).
   std::vector<double> restored(prices.size());
-  alp::DecompressColumn(compressed, restored.data());
+  const alp::Status decoded = alp::DecompressColumn(compressed, restored.data());
+  if (!decoded.ok()) {
+    std::printf("decode failed: %s\n", decoded.ToString().c_str());
+    return 1;
+  }
   size_t mismatches = 0;
   for (size_t i = 0; i < prices.size(); ++i) {
     mismatches += alp::BitsOf(restored[i]) != alp::BitsOf(prices[i]);

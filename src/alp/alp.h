@@ -7,9 +7,15 @@
 ///   #include "alp/alp.h"
 ///
 ///   std::vector<uint8_t> compressed = alp::CompressColumn(data, n);
-///   alp::ColumnReader<double> reader(compressed.data(), compressed.size());
-///   reader.DecodeVector(42, out);   // random access, vector granularity
-///   reader.DecodeAll(out);          // full decompression
+///   auto reader = alp::ColumnReader<double>::Open(compressed.data(),
+///                                                 compressed.size());
+///   if (!reader.ok()) return reader.status();  // checksums, structure
+///   alp::Status s = reader->TryDecodeVector(42, out);  // random access
+///   if (s.ok()) s = reader->TryDecodeAll(out);         // full decompression
+///
+/// Every buffer is untrusted: each format has one bounds-checked decoder,
+/// and TryDecodeVector, TryDecodeAll, DecompressColumn and
+/// CascadeDecompress return its alp::Status.
 ///
 /// Lower-level building blocks (per-vector encoder, sampler, ALP_rd,
 /// cascades) are exposed through the individual headers re-exported here.

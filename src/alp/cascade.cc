@@ -41,25 +41,41 @@ void WriteFforColumn(const uint64_t* values, size_t n, ByteBuffer* out) {
   }
 }
 
-std::vector<uint64_t> ReadFforColumn(ByteReader* reader) {
-  const uint64_t n = reader->Read<uint64_t>();
-  std::vector<uint64_t> values(n);
-  const size_t blocks = (n + kVectorSize - 1) / kVectorSize;
-  for (size_t b = 0; b < blocks; ++b) {
+/// Reads a WriteFforColumn column that must hold exactly \p n values,
+/// calling visit(block, off, len) on each unpacked block; stops at the first
+/// non-OK Status visit returns. Every width and packed extent is checked
+/// before a word is unpacked.
+template <typename Visit>
+Status ReadFforColumn(ByteReader* reader, uint64_t n, Visit visit) {
+  const size_t count_at = reader->position();
+  const uint64_t stored_n = reader->Read<uint64_t>();
+  if (reader->failed()) return Status::Truncated("cascade FFOR column count", count_at);
+  if (stored_n != n) {
+    return Status::Corrupt("cascade FFOR column count does not match", count_at);
+  }
+  const uint64_t blocks = n / kVectorSize + (n % kVectorSize != 0);
+  for (uint64_t b = 0; b < blocks; ++b) {
+    const size_t block_at = reader->position();
     const uint8_t width = reader->Read<uint8_t>();
     reader->AlignTo(8);
     fastlanes::FforParams params;
     params.base = reader->Read<uint64_t>();
     params.width = width;
-    const uint64_t* packed = reinterpret_cast<const uint64_t*>(reader->Here());
+    if (reader->failed()) return Status::Truncated("cascade FFOR block header", block_at);
+    if (width > 64) return Status::Corrupt("cascade FFOR width out of range", block_at);
+    const size_t packed_bytes = static_cast<size_t>(width) * 16 * sizeof(uint64_t);
+    if (!reader->CanRead(packed_bytes)) {
+      return Status::Truncated("cascade FFOR block payload", block_at);
+    }
     int64_t block[kVectorSize];
-    fastlanes::FforDecode(packed, block, params);
-    reader->Skip(static_cast<size_t>(width) * 16 * sizeof(uint64_t));
+    fastlanes::FforDecode(reinterpret_cast<const uint64_t*>(reader->Here()), block,
+                          params);
+    reader->Skip(packed_bytes);
     const size_t off = b * kVectorSize;
-    const size_t len = std::min<size_t>(kVectorSize, n - off);
-    std::memcpy(values.data() + off, block, len * sizeof(uint64_t));
+    Status s = visit(block, off, std::min<size_t>(kVectorSize, n - off));
+    if (!s.ok()) return s;
   }
-  return values;
+  return Status::Ok();
 }
 
 /// Appends a length-prefixed nested buffer.
@@ -69,12 +85,26 @@ void WriteNested(const std::vector<uint8_t>& nested, ByteBuffer* out) {
   out->AlignTo(8);
 }
 
-std::vector<uint8_t> ReadNested(ByteReader* reader) {
+/// Opens a WriteNested ALP column in place (it starts 8-aligned in the
+/// cascade buffer) through ColumnReader::Open: checksums and structure.
+StatusOr<ColumnReader<double>> ReadNested(ByteReader* reader) {
+  const size_t at = reader->position();
   const uint64_t size = reader->Read<uint64_t>();
-  std::vector<uint8_t> nested(size);
-  reader->ReadArray(nested.data(), size);
+  if (reader->failed() || size > reader->Remaining()) {
+    return Status::Truncated("cascade nested column", at);
+  }
+  const uint8_t* nested = reader->Here();
+  reader->Skip(size);
   reader->AlignTo(8);
-  return nested;
+  return ColumnReader<double>::Open(nested, size);
+}
+
+/// Decodes a nested column of run values or dictionary entries.
+Status DecodeNested(ByteReader* reader, std::vector<double>* values) {
+  StatusOr<ColumnReader<double>> column = ReadNested(reader);
+  if (!column.ok()) return column.status();
+  values->resize(column->value_count());
+  return column->TryDecodeAll(values->data());
 }
 
 }  // namespace
@@ -138,37 +168,62 @@ size_t CascadeValueCount(const std::vector<uint8_t>& buffer) {
   return reader.Read<CascadeHeader>().value_count;
 }
 
-void CascadeDecompress(const std::vector<uint8_t>& buffer, double* out) {
+Status CascadeDecompress(const std::vector<uint8_t>& buffer, double* out) {
   ByteReader reader(buffer.data(), buffer.size());
   const auto header = reader.Read<CascadeHeader>();
+  if (reader.failed()) return Status::Truncated("cascade header", 0);
   const auto strategy = static_cast<CascadeStrategy>(header.strategy);
+  const uint64_t n = header.value_count;
+  std::vector<double> values;
 
-  if (strategy == CascadeStrategy::kPlain) {
-    const auto nested = ReadNested(&reader);
-    DecompressColumn(nested, out);
-    return;
+  switch (strategy) {
+    case CascadeStrategy::kPlain: {
+      StatusOr<ColumnReader<double>> column = ReadNested(&reader);
+      if (!column.ok()) return column.status();
+      if (column->value_count() != n) {
+        return Status::Corrupt("cascade column count does not match the header", 0);
+      }
+      return column->TryDecodeAll(out);
+    }
+    case CascadeStrategy::kDictionary: {
+      Status s = DecodeNested(&reader, &values);
+      if (!s.ok()) return s;
+      return ReadFforColumn(&reader, n, [&](const int64_t* codes, size_t off,
+                                            size_t len) {
+        for (size_t i = 0; i < len; ++i) {
+          const uint64_t code = static_cast<uint64_t>(codes[i]);
+          if (code >= values.size()) {
+            return Status::Corrupt("cascade dictionary code out of range");
+          }
+          out[off + i] = values[code];
+        }
+        return Status::Ok();
+      });
+    }
+    case CascadeStrategy::kRle: {
+      Status s = DecodeNested(&reader, &values);
+      if (!s.ok()) return s;
+      uint64_t o = 0;
+      s = ReadFforColumn(&reader, values.size(), [&](const int64_t* lengths,
+                                                     size_t off, size_t len) {
+        for (size_t r = 0; r < len; ++r) {
+          const uint64_t run = static_cast<uint64_t>(lengths[r]);
+          if (run > n - o) {
+            return Status::Corrupt("cascade run lengths exceed the value count");
+          }
+          std::fill_n(out + o, run, values[off + r]);
+          o += run;
+        }
+        return Status::Ok();
+      });
+      if (!s.ok()) return s;
+      if (o != n) {
+        return Status::Corrupt("cascade run lengths fall short of the value count");
+      }
+      return Status::Ok();
+    }
   }
-
-  if (strategy == CascadeStrategy::kDictionary) {
-    const auto nested = ReadNested(&reader);
-    ColumnReader<double> dict_reader(nested.data(), nested.size());
-    std::vector<double> dictionary(dict_reader.value_count());
-    dict_reader.DecodeAll(dictionary.data());
-    const auto codes = ReadFforColumn(&reader);
-    for (size_t i = 0; i < codes.size(); ++i) out[i] = dictionary[codes[i]];
-    return;
-  }
-
-  // RLE.
-  const auto nested = ReadNested(&reader);
-  ColumnReader<double> values_reader(nested.data(), nested.size());
-  std::vector<double> run_values(values_reader.value_count());
-  values_reader.DecodeAll(run_values.data());
-  const auto lengths = ReadFforColumn(&reader);
-  size_t o = 0;
-  for (size_t r = 0; r < run_values.size(); ++r) {
-    for (uint64_t i = 0; i < lengths[r]; ++i) out[o++] = run_values[r];
-  }
+  return Status::Corrupt("unknown cascade strategy", 0);
 }
 
 }  // namespace alp

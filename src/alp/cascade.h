@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "alp/sampler.h"
+#include "util/status.h"
 
 /// \file cascade.h
 /// LWC+ALP cascading compression (paper Section 4.1, "When ALP struggles",
@@ -43,8 +44,12 @@ std::vector<uint8_t> CascadeCompress(const double* data, size_t n,
                                      CascadeStrategy* used = nullptr);
 
 /// Decompresses a CascadeCompress buffer into \p out (value count is
-/// embedded; use CascadeValueCount to size the output).
-void CascadeDecompress(const std::vector<uint8_t>& buffer, double* out);
+/// embedded; use CascadeValueCount to size the output). The buffer is
+/// untrusted: nested columns pass ColumnReader::Open (checksums and
+/// structure), every FFOR width, extent, dictionary code and run length is
+/// checked, and the run lengths must sum to the header's value count. On a
+/// non-OK Status \p out is unspecified but nothing past it is written.
+Status CascadeDecompress(const std::vector<uint8_t>& buffer, double* out);
 
 /// Logical value count stored in a cascade buffer.
 size_t CascadeValueCount(const std::vector<uint8_t>& buffer);

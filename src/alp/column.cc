@@ -975,12 +975,6 @@ void ColumnReader<T>::DecodeVector(size_t v, T* out) const {
 }
 
 template <typename T>
-void ColumnReader<T>::DecodeAll(T* out) const {
-  ALP_OBS_SPAN(decode_span, "decompress.column", value_count_);
-  for (size_t v = 0; v < vector_count_; ++v) DecodeVector(v, out + v * kVectorSize);
-}
-
-template <typename T>
 Status ColumnReader<T>::TryDecodeVector(size_t v, T* out,
                                         const OpContext* ctx) const {
   if (!ok()) return status_;
@@ -1053,9 +1047,9 @@ Status ValidateColumnParallelEx(const uint8_t* data, size_t size,
 }
 
 template <typename T>
-void DecompressColumn(const std::vector<uint8_t>& buffer, T* out) {
+Status DecompressColumn(const std::vector<uint8_t>& buffer, T* out) {
   ColumnReader<T> reader(buffer.data(), buffer.size());
-  reader.DecodeAll(out);
+  return reader.TryDecodeAll(out);
 }
 
 namespace internal {
@@ -1303,7 +1297,7 @@ template Status ValidateColumnParallelEx<double>(const uint8_t*, size_t,
                                                  ThreadPool*, const OpContext*);
 template Status ValidateColumnParallelEx<float>(const uint8_t*, size_t,
                                                 ThreadPool*, const OpContext*);
-template void DecompressColumn<double>(const std::vector<uint8_t>&, double*);
-template void DecompressColumn<float>(const std::vector<uint8_t>&, float*);
+template Status DecompressColumn<double>(const std::vector<uint8_t>&, double*);
+template Status DecompressColumn<float>(const std::vector<uint8_t>&, float*);
 
 }  // namespace alp

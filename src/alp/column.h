@@ -38,9 +38,11 @@
 /// two entry points into that parser. The constructor parses the header and
 /// every rowgroup's index; ColumnReader<T>::Open additionally verifies the
 /// (v3) XXH64 checksums, the zone map and every vector up front. Either way
-/// no read leaves the buffer, even on adversarial bytes: DecodeVector and
-/// DecodeAll run the same checked body as TryDecodeVector/TryDecodeAll and
-/// only differ in dropping the typed alp::Status.
+/// no read leaves the buffer, even on adversarial bytes. There is one
+/// checked decoder per format and no trusted twin: TryDecodeVector and
+/// TryDecodeAll return its alp::Status, and DecodeVector (kept for callers
+/// that fall back from a compressed-domain path on an already-open reader)
+/// runs the same body and drops it.
 ///
 /// Parallelism: rowgroups are fully independent on both sides of the
 /// pipeline, so CompressColumnParallel, ColumnReader::OpenParallel (parallel
@@ -244,10 +246,6 @@ class ColumnReader {
   /// a vector the parser rejects leaves \p out unwritten.
   void DecodeVector(size_t v, T* out) const;
 
-  /// Decodes the whole column into \p out (room for value_count() values),
-  /// one DecodeVector per vector.
-  void DecodeAll(T* out) const;
-
   /// Bounds-checked decode of vector \p v: ParseVector verifies every
   /// header field, stream extent and exception position before one byte
   /// is decoded, so a truncated or garbled vector yields a non-OK Status
@@ -427,9 +425,11 @@ class ColumnMetaCursor {
   ColumnReader<T> reader_;
 };
 
-/// Convenience one-shot decompression.
+/// Convenience one-shot decompression into \p out (room for the column's
+/// value count): the constructor's parse, then TryDecodeAll. Runs no
+/// checksum pass; use ColumnReader<T>::Open for that.
 template <typename T>
-void DecompressColumn(const std::vector<uint8_t>& buffer, T* out);
+Status DecompressColumn(const std::vector<uint8_t>& buffer, T* out);
 
 namespace internal {
 

@@ -78,40 +78,6 @@ class ChimpCodec final : public Codec<T> {
     return writer.Finish();
   }
 
-  void Decompress(const uint8_t* in, size_t size, size_t n, T* out) override {
-    if (n == 0) return;
-    BitReader reader(in, size);
-    Bits prev = static_cast<Bits>(reader.ReadBits(kWidth));
-    out[0] = std::bit_cast<T>(prev);
-    unsigned stored_lead = 0;
-
-    for (size_t i = 1; i < n; ++i) {
-      const unsigned flag = static_cast<unsigned>(reader.ReadBits(2));
-      Bits x = 0;
-      switch (flag) {
-        case 0b00:
-          break;
-        case 0b01: {
-          const unsigned lead = kLeadingValue[reader.ReadBits(3)];
-          const unsigned significant = static_cast<unsigned>(reader.ReadBits(6));
-          const unsigned trail = kWidth - lead - significant;
-          x = static_cast<Bits>(reader.ReadBits(significant)) << trail;
-          break;
-        }
-        case 0b10:
-          x = static_cast<Bits>(reader.ReadBits(kWidth - stored_lead));
-          break;
-        default: {
-          stored_lead = kLeadingValue[reader.ReadBits(3)];
-          x = static_cast<Bits>(reader.ReadBits(kWidth - stored_lead));
-          break;
-        }
-      }
-      prev ^= x;
-      out[i] = std::bit_cast<T>(prev);
-    }
-  }
-
   Status TryDecompress(const uint8_t* in, size_t size, size_t n, T* out) override {
     if (n == 0) return Status::Ok();
     BitReader reader(in, size);

@@ -85,47 +85,6 @@ class Chimp128Codec final : public Codec<T> {
     return writer.Finish();
   }
 
-  void Decompress(const uint8_t* in, size_t size, size_t n, T* out) override {
-    if (n == 0) return;
-    BitReader reader(in, size);
-    RingBuffer<Bits> ring;
-    Bits prev = static_cast<Bits>(reader.ReadBits(kWidth));
-    out[0] = std::bit_cast<T>(prev);
-    ring.Push(prev);
-    unsigned stored_lead = 0;
-
-    for (size_t i = 1; i < n; ++i) {
-      const unsigned flag = static_cast<unsigned>(reader.ReadBits(2));
-      Bits value = 0;
-      switch (flag) {
-        case 0b00: {
-          const unsigned idx = static_cast<unsigned>(reader.ReadBits(7));
-          value = ring.At(idx);
-          break;
-        }
-        case 0b01: {
-          const unsigned idx = static_cast<unsigned>(reader.ReadBits(7));
-          const unsigned lead = kLeadingValue[reader.ReadBits(3)];
-          const unsigned significant = static_cast<unsigned>(reader.ReadBits(6));
-          const unsigned trail = kWidth - lead - significant;
-          const Bits x = static_cast<Bits>(reader.ReadBits(significant)) << trail;
-          value = ring.At(idx) ^ x;
-          break;
-        }
-        case 0b10:
-          value = prev ^ static_cast<Bits>(reader.ReadBits(kWidth - stored_lead));
-          break;
-        default:
-          stored_lead = kLeadingValue[reader.ReadBits(3)];
-          value = prev ^ static_cast<Bits>(reader.ReadBits(kWidth - stored_lead));
-          break;
-      }
-      out[i] = std::bit_cast<T>(value);
-      ring.Push(value);
-      prev = value;
-    }
-  }
-
   Status TryDecompress(const uint8_t* in, size_t size, size_t n, T* out) override {
     if (n == 0) return Status::Ok();
     BitReader reader(in, size);

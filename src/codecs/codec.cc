@@ -29,12 +29,6 @@ class AlpAdapter final : public Codec<T> {
     return CompressColumn(in, n, config_);
   }
 
-  void Decompress(const uint8_t* in, size_t size, size_t n, T* out) override {
-    (void)n;
-    ColumnReader<T> reader(in, size);
-    reader.DecodeAll(out);
-  }
-
   Status TryDecompress(const uint8_t* in, size_t size, size_t n, T* out) override {
     StatusOr<ColumnReader<T>> reader = ColumnReader<T>::Open(in, size);
     if (!reader.ok()) return reader.status();

@@ -13,7 +13,9 @@
 /// The common interface for every lossless floating-point compressor the
 /// paper evaluates (Section 4): ALP itself plus Gorilla, Chimp, Chimp128,
 /// Patas, Elf, PseudoDecimals and Zstd. Benchmarks and tests iterate over
-/// the registry so each scheme is exercised identically.
+/// the registry so each scheme is exercised identically. Each codec has one
+/// decoder, TryDecompress, and it is bounds-checked: there is no trusted
+/// twin that assumes the bytes came from this codec's Compress.
 
 namespace alp::codecs {
 
@@ -30,14 +32,10 @@ class Codec {
   virtual std::vector<uint8_t> Compress(const T* in, size_t n) = 0;
 
   /// Decompresses exactly \p n values (the count the caller compressed).
-  /// Trusted path: assumes \p in is a buffer this codec's Compress
-  /// produced; undefined results (but no out-of-bounds reads) on garbage.
-  virtual void Decompress(const uint8_t* in, size_t size, size_t n, T* out) = 0;
-
-  /// Bounds-checked decompression for untrusted buffers: either decodes
-  /// exactly \p n values into \p out and returns OK, or returns a non-OK
-  /// Status. Never reads past in + size, never writes past out + n, and
-  /// never crashes — even on truncated or bit-flipped input.
+  /// The only decoder: every buffer is untrusted. Either decodes \p n values
+  /// into \p out and returns OK, or returns a non-OK Status. Never reads past
+  /// in + size, never writes past out + n, and never crashes — even on
+  /// truncated or bit-flipped input.
   virtual Status TryDecompress(const uint8_t* in, size_t size, size_t n, T* out) = 0;
 };
 

@@ -183,8 +183,8 @@ class ElfCodec final : public Codec<double> {
     return writer.Finish();
   }
 
-  void Decompress(const uint8_t* in, size_t size, size_t n, double* out) override {
-    if (n == 0) return;
+  Status TryDecompress(const uint8_t* in, size_t size, size_t n, double* out) override {
+    if (n == 0) return Status::Ok();
     BitReader reader(in, size);
     RingBuffer<uint64_t> ring;
     uint64_t prev = 0;
@@ -198,61 +198,6 @@ class ElfCodec final : public Codec<double> {
         alpha = static_cast<unsigned>(prev_alpha);  // '0': repeat alpha.
       } else if (!reader.ReadBit()) {
         alpha = static_cast<unsigned>(reader.ReadBits(kAlphaBits));  // '10'.
-        prev_alpha = static_cast<int>(alpha);
-      } else {
-        erased = false;  // '11'.
-      }
-
-      uint64_t truncated;
-      if (i == 0) {
-        truncated = reader.ReadBits(64);
-      } else {
-        const unsigned flag = static_cast<unsigned>(reader.ReadBits(2));
-        switch (flag) {
-          case 0b00: {
-            const unsigned idx = static_cast<unsigned>(reader.ReadBits(7));
-            truncated = ring.At(idx);
-            break;
-          }
-          case 0b01: {
-            const unsigned idx = static_cast<unsigned>(reader.ReadBits(7));
-            const unsigned lead = kLeadingValue[reader.ReadBits(3)];
-            const unsigned significant = static_cast<unsigned>(reader.ReadBits(6));
-            const unsigned trail = 64 - lead - significant;
-            truncated = ring.At(idx) ^ (reader.ReadBits(significant) << trail);
-            break;
-          }
-          case 0b10:
-            truncated = prev ^ reader.ReadBits(64 - stored_lead);
-            break;
-          default:
-            stored_lead = kLeadingValue[reader.ReadBits(3)];
-            truncated = prev ^ reader.ReadBits(64 - stored_lead);
-            break;
-        }
-      }
-      ring.Push(truncated);
-      prev = truncated;
-      const double value = DoubleFromBits(truncated);
-      out[i] = erased ? Recover(value, alpha) : value;
-    }
-  }
-
-  Status TryDecompress(const uint8_t* in, size_t size, size_t n, double* out) override {
-    if (n == 0) return Status::Ok();
-    BitReader reader(in, size);
-    RingBuffer<uint64_t> ring;
-    uint64_t prev = 0;
-    unsigned stored_lead = 0;
-
-    int prev_alpha = 0;
-    for (size_t i = 0; i < n; ++i) {
-      bool erased = true;
-      unsigned alpha = 0;
-      if (!reader.ReadBit()) {
-        alpha = static_cast<unsigned>(prev_alpha);
-      } else if (!reader.ReadBit()) {
-        alpha = static_cast<unsigned>(reader.ReadBits(kAlphaBits));
         // The 5-bit field can hold up to 31, but Recover indexes the
         // power-of-ten tables, which stop at kMaxAlpha.
         if (alpha > kMaxAlpha) {
@@ -260,7 +205,7 @@ class ElfCodec final : public Codec<double> {
         }
         prev_alpha = static_cast<int>(alpha);
       } else {
-        erased = false;
+        erased = false;  // '11'.
       }
 
       uint64_t truncated;

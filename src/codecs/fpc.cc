@@ -107,35 +107,6 @@ class FpcCodec final : public Codec<double> {
     return out.Take();
   }
 
-  void Decompress(const uint8_t* in, size_t size, size_t n, double* out) override {
-    ByteReader reader(in, size);
-    const uint64_t count = reader.Read<uint64_t>();
-    (void)count;
-    const uint64_t header_bytes = reader.Read<uint64_t>();
-    const uint8_t* headers = reader.Here();
-    reader.Skip(header_bytes);
-    const uint8_t* residuals = reader.Here();
-
-    Predictors predictors;
-    size_t r = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const uint8_t header = headers[i / 2];
-      const uint8_t nibble = (i % 2 == 0) ? (header & 0xF) : (header >> 4);
-      const bool use_dfcm = (nibble & 0x8) != 0;
-      const unsigned stored_bytes = 8 - BytesOf(nibble & 0x7);
-
-      uint64_t x = 0;
-      for (unsigned b = 0; b < stored_bytes; ++b) {
-        x = (x << 8) | residuals[r++];
-      }
-      const uint64_t prediction =
-          use_dfcm ? predictors.PredictDfcm() : predictors.PredictFcm();
-      const uint64_t bits = x ^ prediction;
-      predictors.Update(bits);
-      out[i] = DoubleFromBits(bits);
-    }
-  }
-
   Status TryDecompress(const uint8_t* in, size_t size, size_t n, double* out) override {
     ByteReader reader(in, size);
     const uint64_t count = reader.Read<uint64_t>();

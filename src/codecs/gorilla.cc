@@ -67,36 +67,6 @@ class GorillaCodec final : public Codec<T> {
     return writer.Finish();
   }
 
-  void Decompress(const uint8_t* in, size_t size, size_t n, T* out) override {
-    if (n == 0) return;
-    BitReader reader(in, size);
-    Bits prev = static_cast<Bits>(reader.ReadBits(kWidth));
-    out[0] = std::bit_cast<T>(prev);
-    unsigned win_lead = 0;
-    unsigned win_trail = 0;
-
-    for (size_t i = 1; i < n; ++i) {
-      if (!reader.ReadBit()) {
-        out[i] = std::bit_cast<T>(prev);
-        continue;
-      }
-      if (reader.ReadBit()) {
-        // "11": new window.
-        win_lead = static_cast<unsigned>(reader.ReadBits(5));
-        const unsigned len = static_cast<unsigned>(reader.ReadBits(kLenBits)) + 1;
-        win_trail = kWidth - win_lead - len;
-        const Bits x = static_cast<Bits>(reader.ReadBits(len)) << win_trail;
-        prev ^= x;
-      } else {
-        // "10": reuse window.
-        const unsigned len = kWidth - win_lead - win_trail;
-        const Bits x = static_cast<Bits>(reader.ReadBits(len)) << win_trail;
-        prev ^= x;
-      }
-      out[i] = std::bit_cast<T>(prev);
-    }
-  }
-
   Status TryDecompress(const uint8_t* in, size_t size, size_t n, T* out) override {
     if (n == 0) return Status::Ok();
     BitReader reader(in, size);
@@ -114,6 +84,7 @@ class GorillaCodec final : public Codec<T> {
         continue;
       }
       if (reader.ReadBit()) {
+        // "11": new window.
         win_lead = static_cast<unsigned>(reader.ReadBits(5));
         const unsigned len = static_cast<unsigned>(reader.ReadBits(kLenBits)) + 1;
         // A corrupted header can claim lead + len > width, which would
@@ -125,6 +96,7 @@ class GorillaCodec final : public Codec<T> {
         win_trail = kWidth - win_lead - len;
         prev ^= static_cast<Bits>(reader.ReadBits(len)) << win_trail;
       } else {
+        // "10": reuse window.
         const unsigned len = kWidth - win_lead - win_trail;
         prev ^= static_cast<Bits>(reader.ReadBits(len)) << win_trail;
       }

@@ -81,43 +81,6 @@ std::vector<uint8_t> CompressBytes(const uint8_t* in, size_t n) {
   return out;
 }
 
-void DecompressBytes(const uint8_t* in, size_t size, uint8_t* out, size_t out_size) {
-  size_t ip = 0;
-  size_t op = 0;
-  while (ip < size && op < out_size) {
-    const uint8_t token = in[ip++];
-    size_t literal_len = token >> 4;
-    if (literal_len == 15) {
-      uint8_t b;
-      do {
-        b = in[ip++];
-        literal_len += b;
-      } while (b == 255);
-    }
-    std::memcpy(out + op, in + ip, literal_len);
-    ip += literal_len;
-    op += literal_len;
-    if (ip >= size) break;  // Final literal-only sequence.
-
-    const uint16_t offset =
-        static_cast<uint16_t>(in[ip] | (static_cast<uint16_t>(in[ip + 1]) << 8));
-    ip += 2;
-    size_t match_len = (token & 0xF) + kMinMatch;
-    if ((token & 0xF) == 15) {
-      uint8_t b;
-      do {
-        b = in[ip++];
-        match_len += b;
-      } while (b == 255);
-    }
-    // Byte-wise copy: offsets may be smaller than the match length
-    // (overlapping copy semantics, like LZ4).
-    const uint8_t* src = out + op - offset;
-    for (size_t i = 0; i < match_len; ++i) out[op + i] = src[i];
-    op += match_len;
-  }
-}
-
 bool TryDecompressBytes(const uint8_t* in, size_t size, uint8_t* out, size_t out_size) {
   size_t ip = 0;
   size_t op = 0;
@@ -154,6 +117,8 @@ bool TryDecompressBytes(const uint8_t* in, size_t size, uint8_t* out, size_t out
       } while (b == 255);
     }
     if (match_len > out_size - op) return false;
+    // Byte-wise copy: offsets may be smaller than the match length
+    // (overlapping copy semantics, like LZ4).
     const uint8_t* src = out + op - offset;
     for (size_t i = 0; i < match_len; ++i) out[op + i] = src[i];
     op += match_len;
@@ -171,10 +136,6 @@ class LzCodec final : public Codec<double> {
 
   std::vector<uint8_t> Compress(const double* in, size_t n) override {
     return lz::CompressBytes(reinterpret_cast<const uint8_t*>(in), n * sizeof(double));
-  }
-
-  void Decompress(const uint8_t* in, size_t size, size_t n, double* out) override {
-    lz::DecompressBytes(in, size, reinterpret_cast<uint8_t*>(out), n * sizeof(double));
   }
 
   Status TryDecompress(const uint8_t* in, size_t size, size_t n, double* out) override {

@@ -13,19 +13,14 @@
 
 namespace alp::codecs::lz {
 
-/// Compresses \p n bytes; the output is self-contained for DecompressBytes.
+/// Compresses \p n bytes; the output is self-contained for TryDecompressBytes.
 std::vector<uint8_t> CompressBytes(const uint8_t* in, size_t n);
 
 /// Decompresses into \p out, which must hold exactly \p out_size bytes (the
-/// size originally compressed). Trusted path: assumes a CompressBytes
-/// output; garbage input can produce garbage output (but see the checked
-/// variant below for untrusted data).
-void DecompressBytes(const uint8_t* in, size_t size, uint8_t* out, size_t out_size);
-
-/// Bounds-checked variant for untrusted input: every token, length and
-/// match offset is validated against the input and output extents. Returns
-/// false (leaving \p out unspecified) on a malformed or truncated stream;
-/// true only if exactly \p out_size bytes were produced.
+/// size originally compressed). The input is untrusted: every token, length
+/// and match offset is validated against the input and output extents.
+/// Returns false (leaving \p out unspecified) on a malformed or truncated
+/// stream; true only if exactly \p out_size bytes were produced.
 bool TryDecompressBytes(const uint8_t* in, size_t size, uint8_t* out, size_t out_size);
 
 }  // namespace alp::codecs::lz

@@ -65,34 +65,6 @@ class PatasCodec final : public Codec<T> {
     return out.Take();
   }
 
-  void Decompress(const uint8_t* in, size_t size, size_t n, T* out) override {
-    if (n == 0) return;
-    ByteReader reader(in, size);
-    RingBuffer<Bits> ring;
-    Bits prev = reader.Read<Bits>();
-    out[0] = std::bit_cast<T>(prev);
-    ring.Push(prev);
-
-    for (size_t i = 1; i < n; ++i) {
-      const uint16_t packet = reader.Read<uint16_t>();
-      const unsigned index = packet >> 9;
-      const unsigned bytes_code = (packet >> 6) & 7;
-      const unsigned tz = packet & 63;
-
-      Bits value;
-      if (bytes_code == 0 && tz == kZeroXorTz) {
-        value = ring.At(index);
-      } else {
-        const unsigned sig_bytes = bytes_code == 0 ? 8 : bytes_code;
-        Bits stripped = 0;
-        reader.ReadArray(reinterpret_cast<uint8_t*>(&stripped), sig_bytes);
-        value = ring.At(index) ^ (stripped << tz);
-      }
-      out[i] = std::bit_cast<T>(value);
-      ring.Push(value);
-    }
-  }
-
   Status TryDecompress(const uint8_t* in, size_t size, size_t n, T* out) override {
     if (n == 0) return Status::Ok();
     ByteReader reader(in, size);

@@ -140,46 +140,6 @@ class PdeCodec final : public Codec<double> {
     return out.Take();
   }
 
-  void Decompress(const uint8_t* in, size_t size, size_t n, double* out) override {
-    ByteReader reader(in, size);
-    const uint64_t count = reader.Read<uint64_t>();
-    (void)count;
-    const size_t blocks = (n + kBlock - 1) / kBlock;
-
-    for (size_t b = 0; b < blocks; ++b) {
-      const size_t off = b * kBlock;
-      const unsigned len = static_cast<unsigned>(std::min<size_t>(kBlock, n - off));
-      const auto header = reader.Read<BlockHeader>();
-
-      uint64_t sig_zz[kBlock];
-      uint64_t exps[kBlock];
-      fastlanes::Unpack(reinterpret_cast<const uint64_t*>(reader.Here()), sig_zz,
-                        header.sig_width);
-      reader.Skip(static_cast<size_t>(header.sig_width) * 16 * sizeof(uint64_t));
-      fastlanes::Unpack(reinterpret_cast<const uint64_t*>(reader.Here()), exps,
-                        header.exp_width);
-      reader.Skip(static_cast<size_t>(header.exp_width) * 16 * sizeof(uint64_t));
-
-      // The hot decode loop: one division per value.
-      double block[kBlock];
-      const uint64_t sig_base = header.sig_base;
-      for (unsigned i = 0; i < kBlock; ++i) {
-        const int64_t d = fastlanes::ZigZagDecode(sig_zz[i] + sig_base);
-        block[i] = static_cast<double>(d) / alp::AlpTraits<double>::kF10[exps[i]];
-      }
-
-      uint64_t exc_bits[kBlock];
-      uint16_t exc_pos[kBlock];
-      reader.ReadArray(exc_bits, header.exc_count);
-      reader.ReadArray(exc_pos, header.exc_count);
-      for (unsigned i = 0; i < header.exc_count; ++i) {
-        block[exc_pos[i]] = DoubleFromBits(exc_bits[i]);
-      }
-      std::memcpy(out + off, block, len * sizeof(double));
-      reader.AlignTo(8);
-    }
-  }
-
   Status TryDecompress(const uint8_t* in, size_t size, size_t n, double* out) override {
     ByteReader reader(in, size);
     const uint64_t count = reader.Read<uint64_t>();
@@ -218,6 +178,7 @@ class PdeCodec final : public Codec<double> {
                         header.exp_width);
       reader.Skip(static_cast<size_t>(header.exp_width) * 16 * sizeof(uint64_t));
 
+      // The hot decode loop: one division per value.
       double block[kBlock];
       const uint64_t sig_base = header.sig_base;
       for (unsigned i = 0; i < kBlock; ++i) {

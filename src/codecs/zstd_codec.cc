@@ -54,21 +54,6 @@ class ZstdCodec final : public Codec<T> {
     return out.Take();
   }
 
-  void Decompress(const uint8_t* in, size_t size, size_t n, T* out) override {
-    uint8_t* dst = reinterpret_cast<uint8_t*>(out);
-    ByteReader reader(in, size);
-    const uint64_t blocks = reader.Read<uint64_t>();
-    size_t off = 0;
-    (void)n;
-    for (uint64_t b = 0; b < blocks; ++b) {
-      const uint64_t compressed_size = reader.Read<uint64_t>();
-      const uint64_t raw_size = reader.Read<uint64_t>();
-      DecompressBlock(reader.Here(), compressed_size, dst + off, raw_size);
-      reader.Skip(compressed_size);
-      off += raw_size;
-    }
-  }
-
   Status TryDecompress(const uint8_t* in, size_t size, size_t n, T* out) override {
     uint8_t* dst = reinterpret_cast<uint8_t*>(out);
     const size_t total = n * sizeof(T);
@@ -115,18 +100,9 @@ class ZstdCodec final : public Codec<T> {
     return lz::CompressBytes(src, len);
   }
 
-  static void DecompressBlock(const uint8_t* src, size_t len, uint8_t* dst,
-                              size_t raw_size) {
-#ifdef ALP_HAVE_ZSTD
-    const size_t got = ZSTD_decompress(dst, raw_size, src, len);
-    if (ZSTD_isError(got) == 0 && got == raw_size) return;
-#endif
-    lz::DecompressBytes(src, len, dst, raw_size);
-  }
-
-  /// Checked block decode: real zstd first (its decoder is hardened and
-  /// bounded by dstCapacity), then the checked LZ fallback — which also
-  /// covers buffers produced on a build without libzstd.
+  /// Block decode: real zstd first (its decoder is hardened and bounded by
+  /// dstCapacity), then the checked LZ fallback — which also covers buffers
+  /// produced on a build without libzstd.
   static bool TryDecompressBlock(const uint8_t* src, size_t len, uint8_t* dst,
                                  size_t raw_size) {
 #ifdef ALP_HAVE_ZSTD

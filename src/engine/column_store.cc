@@ -47,23 +47,24 @@ unsigned StoredColumn::RowgroupLength(size_t rg) const {
   return static_cast<unsigned>(std::min<size_t>(kRowgroupSize, value_count_ - off));
 }
 
-void StoredColumn::DecodeRowgroup(size_t rg, double* out) const {
+Status StoredColumn::DecodeRowgroup(size_t rg, double* out) const {
   const size_t off = rg * kRowgroupSize;
   const unsigned len = RowgroupLength(rg);
   if (!raw_.empty()) {
     std::memcpy(out, raw_.data() + off, len * sizeof(double));
-    return;
+    return Status::Ok();
   }
   if (alp_reader_ != nullptr) {
     const size_t first_vector = rg * kRowgroupVectors;
     const size_t vectors = (len + kVectorSize - 1) / kVectorSize;
     for (size_t v = 0; v < vectors; ++v) {
-      alp_reader_->DecodeVector(first_vector + v, out + v * kVectorSize);
+      Status s = alp_reader_->TryDecodeVector(first_vector + v, out + v * kVectorSize);
+      if (!s.ok()) return s;
     }
-    return;
+    return Status::Ok();
   }
   const std::vector<uint8_t>& block = codec_blocks_[rg];
-  codec_->Decompress(block.data(), block.size(), len, out);
+  return codec_->TryDecompress(block.data(), block.size(), len, out);
 }
 
 const double* StoredColumn::RowgroupPointer(size_t rg) const {

@@ -48,9 +48,10 @@ class StoredColumn {
   /// Values in rowgroup \p rg.
   unsigned RowgroupLength(size_t rg) const;
 
-  /// Decodes rowgroup \p rg into \p out (room for RowgroupLength(rg));
-  /// uncompressed columns copy (modeling a buffer-pool read).
-  void DecodeRowgroup(size_t rg, double* out) const;
+  /// Decodes rowgroup \p rg into \p out (room for RowgroupLength(rg))
+  /// through the scheme's checked decoder; uncompressed columns copy
+  /// (modeling a buffer-pool read).
+  Status DecodeRowgroup(size_t rg, double* out) const;
 
   /// For uncompressed columns: zero-copy view of a rowgroup (nullptr for
   /// compressed columns). SUM uses this to aggregate in place.
@@ -160,7 +161,8 @@ class VectorSource {
     } else {
       if (rg != rg_) {
         if (block_.empty()) block_ = AlignedBuffer<double>(kRowgroupSize);
-        column_.DecodeRowgroup(rg, block_.data());
+        Status s = column_.DecodeRowgroup(rg, block_.data());
+        if (!s.ok()) return s;
         rg_ = rg;
       }
       out->values = block_.data() + local * kVectorSize;

@@ -188,7 +188,8 @@ StatusOr<XRayDecodePerf> MeasureDecodePerfAs(const uint8_t* data,
   constexpr uint64_t kMinCycles = 20'000'000;
   uint64_t passes = 0;
   do {
-    reader.DecodeAll(out.data());
+    Status pass = reader.TryDecodeAll(out.data());
+    if (!pass.ok()) return pass;
     ++passes;
   } while (::alp::CycleNow() - cycles_begin < kMinCycles && passes < 1000);
   const uint64_t cycles = ::alp::CycleNow() - cycles_begin;

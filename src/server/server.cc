@@ -122,25 +122,33 @@ void Server::AppendSlowLog(const std::string& line) {
 }
 
 void Server::SnapshotLoop() {
+  // A failed write (disk full, directory gone) has no caller to return to on
+  // this thread: it is counted, and the next period writes again.
+  const auto write_snapshot = [this] {
+    const Status written = obs::WriteTextFile(
+        config_.snapshot_path,
+        obs::PrometheusText(obs::MetricRegistry::Global().Snapshot()),
+        /*atomic=*/true);
+    if (written.ok()) return;
+    ALP_OBS_ONLY({
+      static obs::Counter& failed =
+          obs::MetricRegistry::Global().GetCounter("server.snapshot_write_failed");
+      failed.Increment();
+    });
+  };
   const auto period = std::chrono::milliseconds(config_.snapshot_period_ms);
   std::unique_lock<std::mutex> lock(snapshot_mutex_);
   while (!snapshot_stop_) {
     snapshot_cv_.wait_for(lock, period, [this] { return snapshot_stop_; });
     if (snapshot_stop_) break;
     lock.unlock();
-    obs::WriteTextFile(
-        config_.snapshot_path,
-        obs::PrometheusText(obs::MetricRegistry::Global().Snapshot()),
-        /*atomic=*/true);
+    write_snapshot();
     lock.lock();
   }
   lock.unlock();
   // Final snapshot at shutdown: servers shorter-lived than one period still
   // leave an artifact, and the last one reflects the complete run.
-  obs::WriteTextFile(
-      config_.snapshot_path,
-      obs::PrometheusText(obs::MetricRegistry::Global().Snapshot()),
-      /*atomic=*/true);
+  write_snapshot();
 }
 
 Status Server::AddColumn(const std::string& name, const double* data,

@@ -62,8 +62,10 @@ constexpr std::string_view StatusCodeName(StatusCode code) {
 
 /// A cheap, value-semantic error descriptor. The OK status carries no
 /// allocation; error statuses hold a message and an optional byte offset
-/// into the offending buffer (kNoOffset when not applicable).
-class Status {
+/// into the offending buffer (kNoOffset when not applicable). [[nodiscard]],
+/// like StatusOr: the build sets -Werror=unused-result, so a caller that
+/// drops one does not compile.
+class [[nodiscard]] Status {
  public:
   static constexpr uint64_t kNoOffset = ~uint64_t{0};
 
@@ -143,7 +145,7 @@ class Status {
 /// release builds either; it returns the error-state reference only after
 /// the assert, so callers must check ok() first).
 template <typename T>
-class StatusOr {
+class [[nodiscard]] StatusOr {
  public:
   StatusOr(Status status) : status_(std::move(status)) {  // NOLINT(runtime/explicit)
     assert(!status_.ok() && "OK StatusOr must carry a value");

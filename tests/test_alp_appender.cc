@@ -53,7 +53,7 @@ TEST(Appender, BatchAppendAcrossRowgroupBoundaries) {
   }
   const auto buffer = appender.Finish();
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
 }
 
@@ -97,10 +97,10 @@ TEST(Appender, ReusableAfterFinish) {
   const auto buffer2 = appender.Finish();
 
   std::vector<double> out1(first.size());
-  DecompressColumn(buffer1, out1.data());
+  ASSERT_TRUE(DecompressColumn(buffer1, out1.data()).ok());
   ExpectBitExact(first, out1);
   std::vector<double> out2(second.size());
-  DecompressColumn(buffer2, out2.data());
+  ASSERT_TRUE(DecompressColumn(buffer2, out2.data()).ok());
   ExpectBitExact(second, out2);
 }
 
@@ -122,7 +122,7 @@ TEST(Appender, FloatColumn) {
   appender.AppendBatch(data.data(), data.size());
   const auto buffer = appender.Finish();
   std::vector<float> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   for (size_t i = 0; i < data.size(); ++i) {
     ASSERT_EQ(BitsOf(out[i]), BitsOf(data[i]));
   }

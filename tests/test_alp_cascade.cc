@@ -25,7 +25,8 @@ std::vector<double> RoundTrip(const std::vector<double>& data,
   const auto buffer = CascadeCompress(data.data(), data.size(), {}, used);
   EXPECT_EQ(CascadeValueCount(buffer), data.size());
   std::vector<double> out(data.size());
-  CascadeDecompress(buffer, out.data());
+  const Status s = CascadeDecompress(buffer, out.data());
+  EXPECT_TRUE(s.ok()) << s.ToString();
   return out;
 }
 
@@ -101,7 +102,7 @@ TEST(Cascade, DictionaryFallsBackWhenTooManyDistinct) {
   const auto buffer = CascadeCompress(data.data(), data.size(), config, &used);
   EXPECT_EQ(used, CascadeStrategy::kPlain);
   std::vector<double> out(data.size());
-  CascadeDecompress(buffer, out.data());
+  ASSERT_TRUE(CascadeDecompress(buffer, out.data()).ok());
   ExpectBitExact(data, out);
 }
 

@@ -44,7 +44,7 @@ TEST(Column, RoundTripSingleVector) {
   const auto data = Decimals(kVectorSize, 2, 1);
   const auto buffer = CompressColumn(data.data(), data.size());
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
 }
 
@@ -52,7 +52,7 @@ TEST(Column, RoundTripPartialVector) {
   const auto data = Decimals(777, 3, 2);
   const auto buffer = CompressColumn(data.data(), data.size());
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
 }
 
@@ -63,7 +63,7 @@ TEST(Column, RoundTripMultiRowgroup) {
   EXPECT_EQ(info.rowgroups, 3u);
   EXPECT_EQ(info.vectors, (data.size() + kVectorSize - 1) / kVectorSize);
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
 }
 
@@ -117,7 +117,7 @@ TEST(Column, RdRowgroupRoundTrip) {
   const auto buffer = CompressColumn(data.data(), data.size(), {}, &info);
   EXPECT_EQ(info.rowgroups_rd, info.rowgroups);  // All rowgroups fell back.
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
 
   ColumnReader<double> reader(buffer.data(), buffer.size());
@@ -137,7 +137,7 @@ TEST(Column, MixedSchemesAcrossRowgroups) {
   EXPECT_EQ(info.rowgroups_rd, 1u);
 
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
 
   ColumnReader<double> reader(buffer.data(), buffer.size());
@@ -155,7 +155,7 @@ TEST(Column, SpecialValuesSurvive) {
   data[3000] = std::numeric_limits<double>::denorm_min();
   const auto buffer = CompressColumn(data.data(), data.size());
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
 }
 
@@ -180,7 +180,7 @@ TEST(Column, ZeroHeavyColumn) {
   for (size_t i = 0; i < data.size(); i += 97) data[i] = 12.75;
   const auto buffer = CompressColumn(data.data(), data.size());
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
   EXPECT_LT(BitsPerValue<double>(buffer, data.size()), 12.0);
 }
@@ -219,7 +219,7 @@ TEST(Column, DeltaIntegerEncodingOnSortedData) {
   EXPECT_LT(delta_buf.size(), ffor_buf.size() / 2);
 
   std::vector<double> out(data.size());
-  DecompressColumn(delta_buf, out.data());
+  ASSERT_TRUE(DecompressColumn(delta_buf, out.data()).ok());
   ExpectBitExact(data, out);
   const Status s =
       ValidateColumnEx<double>(delta_buf.data(), delta_buf.size());
@@ -234,7 +234,7 @@ TEST(Column, DeltaFallsBackToForOnUnsortedData) {
   with_delta.try_delta_encoding = true;
   const auto buffer = CompressColumn(data.data(), data.size(), with_delta);
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
 }
 
@@ -260,7 +260,7 @@ TEST(Column, DecodeAllEqualsPerVectorDecode) {
   ColumnReader<double> reader(buffer.data(), buffer.size());
 
   std::vector<double> all(data.size() + kVectorSize);  // Slack for full tail.
-  reader.DecodeAll(all.data());
+  ASSERT_TRUE(reader.TryDecodeAll(all.data()).ok());
   for (size_t v = 0; v < reader.vector_count(); ++v) {
     std::vector<double> one(reader.VectorLength(v));
     reader.DecodeVector(v, one.data());

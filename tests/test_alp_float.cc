@@ -77,7 +77,7 @@ TEST(FloatColumn, RoundTripDecimals) {
   const auto data = FloatDecimals(kRowgroupSize + 777, 2, 4);
   const auto buffer = CompressColumn(data.data(), data.size());
   std::vector<float> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
   EXPECT_LT(BitsPerValue<float>(buffer, data.size()), 26.0);
 }
@@ -92,7 +92,7 @@ TEST(FloatColumn, MlWeightsFallBackToRd) {
   const auto buffer = CompressColumn(data.data(), data.size(), {}, &info);
   EXPECT_EQ(info.rowgroups_rd, info.rowgroups);
   std::vector<float> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
   EXPECT_LT(BitsPerValue<float>(buffer, data.size()), 32.0);
 }

@@ -94,7 +94,9 @@ TEST_P(CodecRoundTripTest, BitExact) {
 
   const auto compressed = codec->Compress(data.data(), data.size());
   std::vector<double> out(data.size(), -777.0);
-  codec->Decompress(compressed.data(), compressed.size(), data.size(), out.data());
+  const Status decoded =
+      codec->TryDecompress(compressed.data(), compressed.size(), data.size(), out.data());
+  ASSERT_TRUE(decoded.ok()) << decoded.ToString();
   for (size_t i = 0; i < data.size(); ++i) {
     ASSERT_EQ(BitsOf(out[i]), BitsOf(data[i]))
         << codec->name() << " shape=" << shape << " index=" << i;
@@ -114,8 +116,9 @@ TEST_P(CodecEdgeTest, EmptyInput) {
                                        &MakeFpc};
   const auto codec = kFactories[GetParam()]();
   const auto compressed = codec->Compress(nullptr, 0);
-  codec->Decompress(compressed.data(), compressed.size(), 0, nullptr);
-  SUCCEED();
+  const Status decoded =
+      codec->TryDecompress(compressed.data(), compressed.size(), 0, nullptr);
+  ASSERT_TRUE(decoded.ok()) << decoded.ToString();
 }
 
 TEST_P(CodecEdgeTest, SingleValue) {
@@ -127,7 +130,9 @@ TEST_P(CodecEdgeTest, SingleValue) {
   const double v = -273.15;
   const auto compressed = codec->Compress(&v, 1);
   double out = 0;
-  codec->Decompress(compressed.data(), compressed.size(), 1, &out);
+  const Status decoded =
+      codec->TryDecompress(compressed.data(), compressed.size(), 1, &out);
+  ASSERT_TRUE(decoded.ok()) << decoded.ToString();
   EXPECT_EQ(BitsOf(out), BitsOf(v)) << codec->name();
 }
 
@@ -140,7 +145,9 @@ TEST_P(CodecEdgeTest, AllIdenticalValues) {
   const std::vector<double> data(10000, 9.875);
   const auto compressed = codec->Compress(data.data(), data.size());
   std::vector<double> out(data.size());
-  codec->Decompress(compressed.data(), compressed.size(), data.size(), out.data());
+  const Status decoded =
+      codec->TryDecompress(compressed.data(), compressed.size(), data.size(), out.data());
+  ASSERT_TRUE(decoded.ok()) << decoded.ToString();
   for (double o : out) ASSERT_EQ(BitsOf(o), BitsOf(9.875));
   // Identical values must compress below raw (Patas pays a fixed 16-bit
   // packet per value, the loosest of the family).
@@ -171,7 +178,10 @@ TEST(CodecRegistry, FloatCodecsRoundTrip) {
   for (const auto& codec : AllFloatCodecs()) {
     const auto compressed = codec->Compress(data.data(), data.size());
     std::vector<float> out(data.size());
-    codec->Decompress(compressed.data(), compressed.size(), data.size(), out.data());
+    const Status decoded =
+        codec->TryDecompress(compressed.data(), compressed.size(), data.size(),
+                             out.data());
+    ASSERT_TRUE(decoded.ok()) << decoded.ToString();
     for (size_t i = 0; i < data.size(); ++i) {
       ASSERT_EQ(BitsOf(out[i]), BitsOf(data[i])) << codec->name() << " " << i;
     }
@@ -224,7 +234,9 @@ TEST(Fpc, PredictsSmoothSeries) {
   const auto compressed = codec->Compress(data.data(), data.size());
   EXPECT_LT(compressed.size(), data.size() * 8);
   std::vector<double> out(data.size());
-  codec->Decompress(compressed.data(), compressed.size(), data.size(), out.data());
+  const Status decoded =
+      codec->TryDecompress(compressed.data(), compressed.size(), data.size(), out.data());
+  ASSERT_TRUE(decoded.ok()) << decoded.ToString();
   for (size_t i = 0; i < data.size(); ++i) {
     ASSERT_EQ(BitsOf(out[i]), BitsOf(data[i]));
   }
@@ -237,7 +249,9 @@ TEST(Fpc, HeaderCodeMapping) {
   const auto codec = MakeFpc();
   const auto compressed = codec->Compress(data.data(), data.size());
   std::vector<double> out(data.size());
-  codec->Decompress(compressed.data(), compressed.size(), data.size(), out.data());
+  const Status decoded =
+      codec->TryDecompress(compressed.data(), compressed.size(), data.size(), out.data());
+  ASSERT_TRUE(decoded.ok()) << decoded.ToString();
   for (size_t i = 0; i < data.size(); ++i) {
     ASSERT_EQ(BitsOf(out[i]), BitsOf(data[i]));
   }
@@ -253,7 +267,8 @@ TEST(Lz, RawBytesRoundTrip) {
   const auto compressed = lz::CompressBytes(data.data(), data.size());
   EXPECT_LT(compressed.size(), data.size());
   std::vector<uint8_t> out(data.size());
-  lz::DecompressBytes(compressed.data(), compressed.size(), out.data(), out.size());
+  ASSERT_TRUE(lz::TryDecompressBytes(compressed.data(), compressed.size(), out.data(),
+                                     out.size()));
   EXPECT_EQ(out, data);
 }
 
@@ -263,7 +278,8 @@ TEST(Lz, IncompressibleBytesRoundTrip) {
   for (auto& b : data) b = static_cast<uint8_t>(rng());
   const auto compressed = lz::CompressBytes(data.data(), data.size());
   std::vector<uint8_t> out(data.size());
-  lz::DecompressBytes(compressed.data(), compressed.size(), out.data(), out.size());
+  ASSERT_TRUE(lz::TryDecompressBytes(compressed.data(), compressed.size(), out.data(),
+                                     out.size()));
   EXPECT_EQ(out, data);
 }
 
@@ -273,7 +289,8 @@ TEST(Lz, OverlappingMatchSemantics) {
   const auto compressed = lz::CompressBytes(data.data(), data.size());
   EXPECT_LT(compressed.size(), 200u);
   std::vector<uint8_t> out(data.size());
-  lz::DecompressBytes(compressed.data(), compressed.size(), out.data(), out.size());
+  ASSERT_TRUE(lz::TryDecompressBytes(compressed.data(), compressed.size(), out.data(),
+                                     out.size()));
   EXPECT_EQ(out, data);
 }
 

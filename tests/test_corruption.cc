@@ -235,11 +235,11 @@ TEST(ColumnV2Compat, V2BuffersStillDecode) {
     EXPECT_EQ(reader->format_version(), 2);
     EXPECT_EQ(Classify(v2, corpus->values), MutationOutcome::kRoundTripped);
 
-    // The trusted tier reads v2 too.
-    ColumnReader<double> trusted(v2.data(), v2.size());
-    ASSERT_TRUE(trusted.ok());
-    std::vector<double> out(trusted.value_count());
-    trusted.DecodeAll(out.data());
+    // The unverified constructor reads v2 too.
+    ColumnReader<double> unverified(v2.data(), v2.size());
+    ASSERT_TRUE(unverified.ok());
+    std::vector<double> out(unverified.value_count());
+    ASSERT_TRUE(unverified.TryDecodeAll(out.data()).ok());
     EXPECT_EQ(std::memcmp(out.data(), corpus->values.data(),
                           out.size() * sizeof(double)),
               0);
@@ -502,11 +502,11 @@ void ExpectParserParity(const std::vector<uint8_t>& buffer, size_t rg, size_t v)
           .status(),
       rg_at);
 
-  ColumnReader<double> trusted(buffer.data(), buffer.size());
+  ColumnReader<double> unverified(buffer.data(), buffer.size());
   std::vector<double> out(kVectorSize);
-  const EntryOutcome decoded = Absolute(trusted.TryDecodeVector(v, out.data()));
+  const EntryOutcome decoded = Absolute(unverified.TryDecodeVector(v, out.data()));
   ColumnReader<double>::PackedVectorView view;
-  EXPECT_FALSE(trusted.GetPackedVectorView(v, &view));
+  EXPECT_FALSE(unverified.GetPackedVectorView(v, &view));
 
   for (const EntryOutcome& other : {cursor, opened_chunk, decoded}) {
     EXPECT_EQ(other.code, open.code);
@@ -651,6 +651,134 @@ TEST(CodecHardening, FloatCodecsSurviveTruncationAndFlips) {
     CheckCodecHardening(*codec, data);
   }
   CheckCodecHardening(*codecs::MakeAlpCodec32(), data);
+}
+
+// ---------------------------------------------------------------------------
+// Cascade hardening (alp/cascade.h): every strict prefix and seeded bit
+// flips for all three strategies, plus forged header counts, FFOR widths,
+// dictionary codes and run lengths. A caller sizes the output from
+// CascadeValueCount, so each decode gets exactly that many values and the
+// sanitizer job catches any write past them.
+
+/// Byte offsets of the width byte of every FFOR block in a dictionary or
+/// RLE cascade buffer, walking the layout CascadeCompress writes: header,
+/// length-prefixed nested column, then {count, {width, pad, base, words}...}.
+std::vector<size_t> CascadeFforBlocks(const std::vector<uint8_t>& cascade) {
+  uint64_t nested_size = 0;
+  std::memcpy(&nested_size, cascade.data() + 16, sizeof(nested_size));
+  size_t at = (24 + nested_size + 7) / 8 * 8;
+  uint64_t count = 0;
+  std::memcpy(&count, cascade.data() + at, sizeof(count));
+  at += 8;
+  std::vector<size_t> blocks;
+  for (uint64_t b = 0; b < (count + kVectorSize - 1) / kVectorSize; ++b) {
+    blocks.push_back(at);
+    at += 16 + size_t{cascade[at]} * 16 * sizeof(uint64_t);
+  }
+  EXPECT_EQ(at, cascade.size());
+  return blocks;
+}
+
+/// Decodes \p buffer into CascadeValueCount values. With \p exact, a
+/// decode that succeeds must equal \p data bit for bit.
+Status DecodeCascade(const std::vector<uint8_t>& buffer,
+                     const std::vector<double>& data, bool exact = true) {
+  std::vector<double> out(CascadeValueCount(buffer));
+  const Status s = CascadeDecompress(buffer, out.data());
+  if (s.ok() && exact) {
+    EXPECT_EQ(out.size(), data.size());
+    EXPECT_EQ(std::memcmp(out.data(), data.data(),
+                          std::min(out.size(), data.size()) * sizeof(double)),
+              0);
+  }
+  return s;
+}
+
+void CheckCascadeHardening(const std::vector<double>& data, CascadeStrategy want) {
+  CascadeStrategy used;
+  const std::vector<uint8_t> buffer =
+      CascadeCompress(data.data(), data.size(), {}, &used);
+  ASSERT_EQ(used, want);
+  SCOPED_TRACE(testing::Message() << "strategy " << int{static_cast<uint8_t>(used)});
+  const Status full = DecodeCascade(buffer, data);
+  ASSERT_TRUE(full.ok()) << full.ToString();
+
+  // Every strict prefix: rejected, or (lost tail was padding) bit-exact.
+  for (size_t len = 0; len < buffer.size(); ++len) {
+    (void)DecodeCascade(std::vector<uint8_t>(buffer.begin(), buffer.begin() + len),
+                        data);
+  }
+
+  // Seeded bit flips: memory safety only, since the FFOR codes and run
+  // lengths carry no checksum and a flip there can decode to other values.
+  // A flipped header count no caller could allocate is skipped: the
+  // allocation, not the decode, would fail.
+  std::mt19937_64 rng(4343);
+  for (int trial = 0; trial < 256; ++trial) {
+    std::vector<uint8_t> bad = buffer;
+    const size_t bit = rng() % (bad.size() * 8);
+    bad[bit / 8] ^= uint8_t{1} << (bit % 8);
+    if (CascadeValueCount(bad) > 16 * data.size()) continue;
+    (void)DecodeCascade(bad, data, /*exact=*/false);
+  }
+
+  // Forged header: a count off by one either way, an unknown strategy.
+  for (const int64_t delta : {-1, 1}) {
+    std::vector<uint8_t> bad = buffer;
+    const uint64_t count = data.size() + delta;
+    std::memcpy(bad.data() + 8, &count, sizeof(count));
+    EXPECT_EQ(DecodeCascade(bad, data).code(), StatusCode::kCorrupt) << delta;
+  }
+  std::vector<uint8_t> unknown = buffer;
+  unknown[0] = 3;
+  EXPECT_EQ(DecodeCascade(unknown, data).code(), StatusCode::kCorrupt);
+  if (used == CascadeStrategy::kPlain) return;
+
+  // Forged FFOR blocks (dictionary codes or run lengths).
+  const std::vector<size_t> blocks = CascadeFforBlocks(buffer);
+  ASSERT_GE(blocks.size(), 2u);
+  std::vector<uint8_t> wide = buffer;
+  wide[blocks[0]] = 65;  // Past the unpack table.
+  EXPECT_EQ(DecodeCascade(wide, data).code(), StatusCode::kCorrupt);
+  std::vector<uint8_t> overlong = buffer;
+  overlong[blocks.back()] = 64;  // Packed words past the end of the buffer.
+  EXPECT_EQ(DecodeCascade(overlong, data).code(), StatusCode::kTruncated);
+  std::vector<uint8_t> miscounted = buffer;
+  miscounted[blocks[0] - 8] ^= 1;  // The FFOR column's own count.
+  EXPECT_EQ(DecodeCascade(miscounted, data).code(), StatusCode::kCorrupt);
+
+  // The base is added to every unpacked value: raising it forges a code
+  // past the dictionary or runs longer than the column; lowering it makes
+  // the runs fall short of the header count.
+  uint64_t base = 0;
+  std::memcpy(&base, buffer.data() + blocks[0] + 8, sizeof(base));
+  std::vector<uint64_t> forged_bases = {base + data.size()};
+  if (used == CascadeStrategy::kRle) forged_bases.push_back(base - 1);
+  for (const uint64_t forged : forged_bases) {
+    std::vector<uint8_t> bad = buffer;
+    std::memcpy(bad.data() + blocks[0] + 8, &forged, sizeof(forged));
+    EXPECT_EQ(DecodeCascade(bad, data).code(), StatusCode::kCorrupt) << forged;
+  }
+}
+
+TEST(CodecHardening, CascadeSurvivesTruncationFlipsAndForgedFields) {
+  std::mt19937_64 rng(7070);
+  const size_t n = 2 * kVectorSize + 313;
+  // Dictionary: 300 distinct prices in random order (duplicates, no runs).
+  std::vector<double> prices(300);
+  for (auto& p : prices) p = static_cast<double>(rng() % 100000) / 100.0;
+  std::vector<double> dict(n);
+  for (auto& v : dict) v = prices[rng() % prices.size()];
+  CheckCascadeHardening(dict, CascadeStrategy::kDictionary);
+
+  // RLE: runs of 1..16 equal decimals, long enough for two blocks of lengths.
+  std::vector<double> runs;
+  while (runs.size() < 12 * kVectorSize) {
+    runs.insert(runs.end(), 1 + rng() % 16, static_cast<double>(rng() % 10000) / 10.0);
+  }
+  CheckCascadeHardening(runs, CascadeStrategy::kRle);
+
+  CheckCascadeHardening(CodecData<double>(7171, n), CascadeStrategy::kPlain);
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ TEST(StoredColumn, UncompressedBasics) {
   ASSERT_NE(column.RowgroupPointer(0), nullptr);
 
   std::vector<double> out(kRowgroupSize);
-  column.DecodeRowgroup(0, out.data());
+  ASSERT_TRUE(column.DecodeRowgroup(0, out.data()).ok());
   EXPECT_EQ(out[123], data[123]);
 }
 
@@ -65,7 +65,7 @@ TEST(StoredColumn, AlpRoundTrip) {
 
   std::vector<double> out(kRowgroupSize);
   for (size_t rg = 0; rg < column.rowgroup_count(); ++rg) {
-    column.DecodeRowgroup(rg, out.data());
+    ASSERT_TRUE(column.DecodeRowgroup(rg, out.data()).ok());
     const size_t off = rg * kRowgroupSize;
     for (unsigned i = 0; i < column.RowgroupLength(rg); ++i) {
       ASSERT_EQ(out[i], data[off + i]) << rg << ":" << i;
@@ -79,7 +79,7 @@ TEST(StoredColumn, CodecRoundTrip) {
       StoredColumn::MakeCodec(codecs::MakePatas(), data.data(), data.size());
   EXPECT_EQ(column.scheme(), "Patas");
   std::vector<double> out(kRowgroupSize);
-  column.DecodeRowgroup(1, out.data());
+  ASSERT_TRUE(column.DecodeRowgroup(1, out.data()).ok());
   for (unsigned i = 0; i < column.RowgroupLength(1); ++i) {
     ASSERT_EQ(out[i], data[kRowgroupSize + i]);
   }

@@ -95,7 +95,7 @@ TEST_P(FuzzSeedTest, AlpColumnRoundTrips) {
   const auto buffer = CompressColumn(data.data(), data.size());
   ASSERT_TRUE(ValidateColumnEx<double>(buffer.data(), buffer.size()).ok());
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   for (size_t i = 0; i < data.size(); ++i) {
     ASSERT_EQ(BitsOf(out[i]), BitsOf(data[i])) << "seed=" << seed << " i=" << i;
   }
@@ -116,7 +116,10 @@ TEST_P(FuzzSeedTest, AllCodecsRoundTrip) {
   for (const auto& codec : codecs::AllDoubleCodecs()) {
     const auto compressed = codec->Compress(data.data(), data.size());
     std::vector<double> out(data.size(), -1.0);
-    codec->Decompress(compressed.data(), compressed.size(), data.size(), out.data());
+    const Status decoded =
+        codec->TryDecompress(compressed.data(), compressed.size(), data.size(),
+                             out.data());
+    ASSERT_TRUE(decoded.ok()) << decoded.ToString();
     for (size_t i = 0; i < data.size(); ++i) {
       ASSERT_EQ(BitsOf(out[i]), BitsOf(data[i]))
           << codec->name() << " seed=" << seed << " i=" << i;
@@ -129,7 +132,7 @@ TEST_P(FuzzSeedTest, CascadeRoundTrips) {
   const auto data = FuzzData(seed, 50000);
   const auto buffer = CascadeCompress(data.data(), data.size());
   std::vector<double> out(data.size());
-  CascadeDecompress(buffer, out.data());
+  ASSERT_TRUE(CascadeDecompress(buffer, out.data()).ok());
   for (size_t i = 0; i < data.size(); ++i) {
     ASSERT_EQ(BitsOf(out[i]), BitsOf(data[i])) << "seed=" << seed << " i=" << i;
   }
@@ -142,7 +145,7 @@ TEST_P(FuzzSeedTest, DeltaModeRoundTrips) {
   config.try_delta_encoding = true;
   const auto buffer = CompressColumn(data.data(), data.size(), config);
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   for (size_t i = 0; i < data.size(); ++i) {
     ASSERT_EQ(BitsOf(out[i]), BitsOf(data[i])) << "seed=" << seed << " i=" << i;
   }
@@ -176,7 +179,7 @@ TEST_P(FuzzSeedTest, FloatColumnRoundTrips) {
   const auto buffer = CompressColumn(data.data(), data.size());
   ASSERT_TRUE(ValidateColumnEx<float>(buffer.data(), buffer.size()).ok());
   std::vector<float> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   for (size_t i = 0; i < data.size(); ++i) {
     ASSERT_EQ(BitsOf(out[i]), BitsOf(data[i])) << "seed=" << seed << " i=" << i;
   }
@@ -196,7 +199,10 @@ TEST_P(FuzzSeedTest, FloatCodecsRoundTrip) {
   for (const auto& codec : codecs::AllFloatCodecs()) {
     const auto compressed = codec->Compress(data.data(), data.size());
     std::vector<float> out(data.size(), -1.0f);
-    codec->Decompress(compressed.data(), compressed.size(), data.size(), out.data());
+    const Status decoded =
+        codec->TryDecompress(compressed.data(), compressed.size(), data.size(),
+                             out.data());
+    ASSERT_TRUE(decoded.ok()) << decoded.ToString();
     for (size_t i = 0; i < data.size(); ++i) {
       ASSERT_EQ(BitsOf(out[i]), BitsOf(data[i]))
           << codec->name() << " seed=" << seed << " i=" << i;
@@ -246,7 +252,7 @@ TEST_P(FuzzSeedTest, FloatMixtureRoundTripsEverywhere) {
   const auto buffer = CompressColumn(data.data(), data.size());
   ASSERT_TRUE(ValidateColumnEx<float>(buffer.data(), buffer.size()).ok());
   std::vector<float> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   for (size_t i = 0; i < data.size(); ++i) {
     ASSERT_EQ(BitsOf(out[i]), BitsOf(data[i])) << "seed=" << seed << " i=" << i;
   }
@@ -254,8 +260,10 @@ TEST_P(FuzzSeedTest, FloatMixtureRoundTripsEverywhere) {
   for (const auto& codec : codecs::AllFloatCodecs()) {
     const auto compressed = codec->Compress(data.data(), data.size());
     std::vector<float> cout(data.size(), -1.0f);
-    codec->Decompress(compressed.data(), compressed.size(), data.size(),
-                      cout.data());
+    const Status decoded =
+        codec->TryDecompress(compressed.data(), compressed.size(), data.size(),
+                             cout.data());
+    ASSERT_TRUE(decoded.ok()) << decoded.ToString();
     for (size_t i = 0; i < data.size(); ++i) {
       ASSERT_EQ(BitsOf(cout[i]), BitsOf(data[i]))
           << codec->name() << " seed=" << seed << " i=" << i;
@@ -337,7 +345,7 @@ TEST(TortureVectors, DoubleColumnAndCodecsRoundTrip) {
     const auto buffer = CompressColumn(data.data(), data.size());
     ASSERT_TRUE(ValidateColumnEx<double>(buffer.data(), buffer.size()).ok());
     std::vector<double> out(data.size());
-    DecompressColumn(buffer, out.data());
+    ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
     for (size_t i = 0; i < data.size(); ++i) {
       ASSERT_EQ(BitsOf(out[i]), BitsOf(data[i])) << "i=" << i;
     }
@@ -345,8 +353,10 @@ TEST(TortureVectors, DoubleColumnAndCodecsRoundTrip) {
     for (const auto& codec : codecs::AllDoubleCodecs()) {
       const auto compressed = codec->Compress(data.data(), data.size());
       std::vector<double> cout(data.size(), -1.0);
-      codec->Decompress(compressed.data(), compressed.size(), data.size(),
-                        cout.data());
+      const Status decoded =
+          codec->TryDecompress(compressed.data(), compressed.size(), data.size(),
+                               cout.data());
+      ASSERT_TRUE(decoded.ok()) << decoded.ToString();
       for (size_t i = 0; i < data.size(); ++i) {
         ASSERT_EQ(BitsOf(cout[i]), BitsOf(data[i]))
             << codec->name() << " i=" << i;
@@ -355,7 +365,7 @@ TEST(TortureVectors, DoubleColumnAndCodecsRoundTrip) {
 
     const auto cascade = CascadeCompress(data.data(), data.size());
     std::vector<double> casc_out(data.size());
-    CascadeDecompress(cascade, casc_out.data());
+    ASSERT_TRUE(CascadeDecompress(cascade, casc_out.data()).ok());
     for (size_t i = 0; i < data.size(); ++i) {
       ASSERT_EQ(BitsOf(casc_out[i]), BitsOf(data[i])) << "cascade i=" << i;
     }
@@ -406,7 +416,7 @@ TEST(TortureVectors, FloatColumnAndCodecsRoundTrip) {
     const auto buffer = CompressColumn(data.data(), data.size());
     ASSERT_TRUE(ValidateColumnEx<float>(buffer.data(), buffer.size()).ok());
     std::vector<float> out(data.size());
-    DecompressColumn(buffer, out.data());
+    ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
     for (size_t i = 0; i < data.size(); ++i) {
       ASSERT_EQ(BitsOf(out[i]), BitsOf(data[i])) << "i=" << i;
     }
@@ -414,8 +424,10 @@ TEST(TortureVectors, FloatColumnAndCodecsRoundTrip) {
     for (const auto& codec : codecs::AllFloatCodecs()) {
       const auto compressed = codec->Compress(data.data(), data.size());
       std::vector<float> cout(data.size(), -1.0f);
-      codec->Decompress(compressed.data(), compressed.size(), data.size(),
-                        cout.data());
+      const Status decoded =
+          codec->TryDecompress(compressed.data(), compressed.size(), data.size(),
+                               cout.data());
+      ASSERT_TRUE(decoded.ok()) << decoded.ToString();
       for (size_t i = 0; i < data.size(); ++i) {
         ASSERT_EQ(BitsOf(cout[i]), BitsOf(data[i]))
             << codec->name() << " i=" << i;

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <random>
 #include <vector>
@@ -563,6 +564,48 @@ TEST(PushdownParity, EmptyAndUniversalRanges) {
     ExpectModeParity(spiked_column, Predicate::Between(1e299, 1e301), &r);
     EXPECT_EQ(BitsOf(r.sum), BitsOf(1e300));
     EXPECT_EQ(r.vectors_packed_eval, 1u);
+  }
+
+  // A hostile vector whose two exceptions share one position: the second
+  // position entry is overwritten with the first, so 1e300 and then -1e300
+  // both patch lane 5. The unverified constructor skips the checksums, so
+  // the forged bytes need no re-signing; the parser only bounds positions.
+  // Decode resolves the clash later-wins (-1e300), and the packed select's
+  // exception fixup must agree at every tier, with and without a survivor.
+  const std::vector<uint8_t> buffer = CompressColumn(spiked.data(), spiked.size());
+  ColumnReader<double> clean(buffer.data(), buffer.size());
+  ColumnReader<double>::PackedVectorView view;
+  ASSERT_TRUE(clean.GetPackedVectorView(1, &view));
+  ASSERT_EQ(view.exc_count, 2u);
+  ASSERT_EQ(view.exc_positions[0], 5u);
+  std::vector<uint8_t> forged = buffer;
+  const size_t positions_at =
+      reinterpret_cast<const uint8_t*>(view.exc_positions) - buffer.data();
+  std::memcpy(forged.data() + positions_at + sizeof(uint16_t),
+              forged.data() + positions_at, sizeof(uint16_t));
+  ColumnReader<double> shared(forged.data(), forged.size());
+  std::vector<double> values(kVectorSize);
+  ASSERT_TRUE(shared.TryDecodeVector(1, values.data()).ok());
+  ASSERT_EQ(BitsOf(values[5]), BitsOf(-1e300));
+  const unsigned len = shared.VectorLength(1);
+  const struct {
+    Predicate pred;
+    double sum;
+  } clashes[] = {{Predicate::Between(1e299, 1e301), 0.0},  // 1e300 was overwritten.
+                 {Predicate::Between(-1e301, -1e299), -1e300}};
+  pushdown::EvalScratch scratch;
+  for (const DecodeKernels* k : AvailableTiers()) {
+    SCOPED_TRACE(kernels::TierName(k->tier));
+    ASSERT_TRUE(kernels::ForceTier(k->tier));
+    for (const auto& clash : clashes) {
+      double got = 0.0;
+      pushdown::VectorCounters counters;
+      EXPECT_TRUE(pushdown::FilterSumVector(shared, 1, TranslatedPredicate(clash.pred),
+                                            &scratch, &got, &counters));
+      const double oracle = pushdown::FilterSumValues(values.data(), len, clash.pred);
+      EXPECT_EQ(BitsOf(got), BitsOf(oracle));
+      EXPECT_EQ(BitsOf(got), BitsOf(clash.sum));
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <future>
 #include <random>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "alp/pushdown.h"
 #include "engine/column_store.h"
 #include "engine/operators.h"
+#include "obs/metrics.h"
 #include "server/server.h"
 #include "util/bits.h"
 #include "util/cancellation.h"
@@ -338,6 +340,30 @@ TEST(Server, NonAlpColumnsAreRejectedAtRegistration) {
       server.AddColumn("raw", engine::StoredColumn::MakeUncompressed(values))
           .code(),
       StatusCode::kCorrupt);
+}
+
+TEST(Server, SnapshotWriteFailuresAreCounted) {
+  // The snapshot thread has no caller to hand a failed write to, so it
+  // counts it. A path below a regular file fails every write, the final one
+  // at shutdown included.
+  const std::string blocker = testing::TempDir() + "snapshot_blocker";
+  std::ofstream(blocker) << "not a directory";
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  obs::Counter& failed =
+      obs::MetricRegistry::Global().GetCounter("server.snapshot_write_failed");
+  const uint64_t before = failed.Total();
+  {
+    Server server({.workers = 1,
+                   .snapshot_period_ms = 1,
+                   .snapshot_path = blocker + "/metrics.prom"});
+  }
+  obs::SetEnabled(was_enabled);
+#if ALP_OBS
+  EXPECT_GE(failed.Total(), before + 1);
+#else
+  EXPECT_EQ(failed.Total(), before);
+#endif
 }
 
 TEST(Server, ScanReturnsByteIdenticalValues) {

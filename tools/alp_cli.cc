@@ -373,8 +373,9 @@ int CmdBench(const std::string& in_path) {
     const auto buffer = alp::CompressColumn(values->data(), n);
     const uint64_t t1 = alp::CycleNow();
     std::vector<double> out(n);
-    alp::DecompressColumn(buffer, out.data());
+    const alp::Status s = alp::DecompressColumn(buffer, out.data());
     const uint64_t t2 = alp::CycleNow();
+    if (!s.ok()) return Fail(s, "ALP decode failed");
     report("ALP", buffer.size(), t1 - t0, t2 - t1);
   }
 
@@ -384,9 +385,12 @@ int CmdBench(const std::string& in_path) {
     const auto buffer = codec->Compress(values->data(), n);
     const uint64_t t1 = alp::CycleNow();
     std::vector<double> out(n);
-    codec->Decompress(buffer.data(), buffer.size(), n, out.data());
+    const alp::Status s =
+        codec->TryDecompress(buffer.data(), buffer.size(), n, out.data());
     const uint64_t t2 = alp::CycleNow();
-    report(std::string(codec->name()).c_str(), buffer.size(), t1 - t0, t2 - t1);
+    const std::string name(codec->name());
+    if (!s.ok()) return Fail(s, (name + " decode failed").c_str());
+    report(name.c_str(), buffer.size(), t1 - t0, t2 - t1);
   }
   return 0;
 }
