@@ -1,7 +1,7 @@
 // Parallel rowgroup pipeline scaling: encode and decode throughput of the
 // Table 5 corpus (every dataset surrogate, concatenated into one column)
-// versus worker count, through CompressColumnParallel / OpenParallel /
-// TryDecodeAllParallel. Timing is wall-clock (std::chrono), not cycles —
+// versus worker count, through CompressColumn, ColumnReader::Open and
+// TryDecodeAll with a ThreadPool. Timing is wall-clock (std::chrono), not cycles —
 // parallel work spreads over cores, so per-core cycle counts undercount it.
 //
 // The harness also *verifies* the pipeline's determinism contract on every
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
     std::vector<uint8_t> buffer;
     const double encode_s = BestSeconds(
         [&] {
-          buffer = alp::CompressColumnParallel(corpus.data(), n, {}, nullptr, &pool);
+          buffer = alp::CompressColumn(corpus.data(), n, {}, nullptr, &pool);
         },
         reps);
     if (buffer != reference) {
@@ -97,10 +97,10 @@ int main(int argc, char** argv) {
 
     const double decode_s = BestSeconds(
         [&] {
-          auto reader = alp::ColumnReader<double>::OpenParallel(
+          auto reader = alp::ColumnReader<double>::Open(
               buffer.data(), buffer.size(), &pool);
           if (!reader.ok() ||
-              !reader->TryDecodeAllParallel(restored.data(), &pool).ok()) {
+              !reader->TryDecodeAll(restored.data(), nullptr, &pool).ok()) {
             std::printf("FAIL: parallel open/decode rejected a valid buffer\n");
             std::exit(1);
           }

@@ -53,7 +53,11 @@ int main() {
   //    the capability block-based compressors like Zstd cannot offer.
   alp::ColumnReader<double> reader(compressed.data(), compressed.size());
   std::vector<double> one_vector(reader.VectorLength(42));
-  reader.DecodeVector(42, one_vector.data());
+  const alp::Status one = reader.TryDecodeVector(42, one_vector.data());
+  if (!one.ok()) {
+    std::printf("decode failed: %s\n", one.ToString().c_str());
+    return 1;
+  }
   std::printf("vector 42, first value: %.2f (expected %.2f)\n", one_vector[0],
               prices[42 * alp::kVectorSize]);
 

@@ -37,7 +37,12 @@ int main() {
   size_t count = 0;
   std::vector<double> buffer(alp::kVectorSize);
   for (size_t v = vec_begin; v < vec_end; ++v) {
-    reader.DecodeVector(v, buffer.data());  // Only these vectors are touched.
+    // Only these vectors are touched.
+    const alp::Status s = reader.TryDecodeVector(v, buffer.data());
+    if (!s.ok()) {
+      std::printf("decode failed: %s\n", s.ToString().c_str());
+      return 1;
+    }
     const size_t base = v * alp::kVectorSize;
     const size_t lo = base < row_begin ? row_begin - base : 0;
     const size_t hi = std::min<size_t>(reader.VectorLength(v), row_end - base);

@@ -395,17 +395,14 @@ template std::vector<uint8_t> AssembleColumnFromSegments<float>(
 
 }  // namespace internal
 
-namespace {
-
-/// Shared compression driver: rowgroup rg is compressed into segments[rg]
-/// (concurrently when \p pool is non-null), then everything is stitched in
-/// rowgroup order. Because each rowgroup is compressed into a standalone,
-/// position-independent segment and the stitch order is fixed, the output
-/// bytes — and the merged counters — cannot depend on the worker count.
+/// Rowgroup rg is compressed into segments[rg] (concurrently when \p pool
+/// is non-null), then everything is stitched in rowgroup order. Because
+/// each rowgroup is compressed into a standalone, position-independent
+/// segment and the stitch order is fixed, the output bytes — and the
+/// merged counters — cannot depend on the worker count.
 template <typename T>
-std::vector<uint8_t> CompressColumnImpl(const T* data, size_t n,
-                                        const SamplerConfig& config,
-                                        CompressionInfo* info, ThreadPool* pool) {
+std::vector<uint8_t> CompressColumn(const T* data, size_t n, const SamplerConfig& config,
+                                    CompressionInfo* info, ThreadPool* pool) {
   const size_t total_vectors = (n + kVectorSize - 1) / kVectorSize;
   const size_t rowgroup_count =
       std::max<size_t>((total_vectors + kRowgroupVectors - 1) / kRowgroupVectors, 1);
@@ -430,21 +427,6 @@ std::vector<uint8_t> CompressColumnImpl(const T* data, size_t n,
     *info = merged;
   }
   return internal::AssembleColumnFromSegments<T>(n, segments, stats);
-}
-
-}  // namespace
-
-template <typename T>
-std::vector<uint8_t> CompressColumn(const T* data, size_t n, const SamplerConfig& config,
-                                    CompressionInfo* info) {
-  return CompressColumnImpl(data, n, config, info, nullptr);
-}
-
-template <typename T>
-std::vector<uint8_t> CompressColumnParallel(const T* data, size_t n,
-                                            const SamplerConfig& config,
-                                            CompressionInfo* info, ThreadPool* pool) {
-  return CompressColumnImpl(data, n, config, info, pool);
 }
 
 // ---------------------------------------------------------------------------
@@ -594,11 +576,18 @@ Status ValidateZoneMap(const uint8_t* data, const IndexLayout& layout) {
   return Status::Ok();
 }
 
-/// Runs fn(i) for every i in [0, n) on \p pool (inline when null) and
-/// returns the lowest-indexed failure — the Status a serial loop would have
-/// stopped at — so serial and parallel callers report identically.
+/// Runs fn(i) for i in [0, n) and returns the lowest-indexed failure, so
+/// the Status does not depend on \p pool. Inline (null pool) the loop stops
+/// at that failure; on a pool every index runs.
 template <typename Fn>
 Status FirstFailure(ThreadPool* pool, size_t n, const Fn& fn) {
+  if (pool == nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      Status s = fn(i);
+      if (!s.ok()) return s;
+    }
+    return Status::Ok();
+  }
   std::vector<Status> results(n);
   ParallelFor(pool, n, [&](size_t i) { results[i] = fn(i); });
   for (Status& r : results) {
@@ -843,14 +832,8 @@ ColumnReader<T>::ColumnReader(const uint8_t* data, size_t size) {
 }
 
 template <typename T>
-StatusOr<ColumnReader<T>> ColumnReader<T>::Open(const uint8_t* data, size_t size) {
-  return OpenParallel(data, size, nullptr);
-}
-
-template <typename T>
-StatusOr<ColumnReader<T>> ColumnReader<T>::OpenParallel(const uint8_t* data,
-                                                        size_t size,
-                                                        ThreadPool* pool) {
+StatusOr<ColumnReader<T>> ColumnReader<T>::Open(const uint8_t* data, size_t size,
+                                                ThreadPool* pool) {
   ColumnReader<T> reader;
   Status s = reader.Load(data, size, /*verify=*/true, pool, nullptr);
   if (!s.ok()) return s;
@@ -987,25 +970,11 @@ Status ColumnReader<T>::TryDecodeVector(size_t v, T* out,
 }
 
 template <typename T>
-Status ColumnReader<T>::TryDecodeAll(T* out, const OpContext* ctx) const {
+Status ColumnReader<T>::TryDecodeAll(T* out, const OpContext* ctx,
+                                     ThreadPool* pool) const {
   if (!ok()) return status_;
-  ALP_OBS_SPAN(decode_span, "decompress.column", value_count_);
-  for (size_t v = 0; v < vector_count_; ++v) {
-    Status s = TryDecodeVector(v, out + v * kVectorSize, ctx);
-    if (!s.ok()) return s;
-  }
-  return Status::Ok();
-}
-
-template <typename T>
-Status ColumnReader<T>::TryDecodeAllParallel(T* out, ThreadPool* pool,
-                                             const OpContext* ctx) const {
-  if (!ok()) return status_;
-  // Partition by rowgroup-sized blocks of *global vector indexes* — the
-  // exact ranges the serial loop walks — so each task writes a disjoint
-  // region of out and hits the same per-vector Statuses the serial scan
-  // would. A task stops at its block's first failure; the lowest-indexed
-  // block's Status wins, which is the Status TryDecodeAll returns.
+  // Rowgroup-sized blocks of global vector indexes: each block writes a
+  // disjoint region of out and stops at its first failing vector.
   const size_t blocks = (vector_count_ + kRowgroupVectors - 1) / kRowgroupVectors;
   return FirstFailure(pool, blocks, [&](size_t b) {
     const size_t v_begin = b * kRowgroupVectors;
@@ -1034,14 +1003,8 @@ Status ColumnReader<T>::TryDecodeAllParallel(T* out, ThreadPool* pool,
 }
 
 template <typename T>
-Status ValidateColumnEx(const uint8_t* data, size_t size,
-                        const OpContext* ctx) {
-  return ValidateColumnParallelEx<T>(data, size, nullptr, ctx);
-}
-
-template <typename T>
-Status ValidateColumnParallelEx(const uint8_t* data, size_t size,
-                                ThreadPool* pool, const OpContext* ctx) {
+Status ValidateColumnEx(const uint8_t* data, size_t size, const OpContext* ctx,
+                        ThreadPool* pool) {
   ColumnReader<T> reader;
   return reader.Load(data, size, /*verify=*/true, pool, ctx);
 }
@@ -1273,30 +1236,18 @@ Status ColumnMetaCursor<T>::ReadExceptionPositions(
 
 template std::vector<uint8_t> CompressColumn<double>(const double*, size_t,
                                                      const SamplerConfig&,
-                                                     CompressionInfo*);
+                                                     CompressionInfo*, ThreadPool*);
 template std::vector<uint8_t> CompressColumn<float>(const float*, size_t,
                                                     const SamplerConfig&,
-                                                    CompressionInfo*);
-template std::vector<uint8_t> CompressColumnParallel<double>(const double*, size_t,
-                                                             const SamplerConfig&,
-                                                             CompressionInfo*,
-                                                             ThreadPool*);
-template std::vector<uint8_t> CompressColumnParallel<float>(const float*, size_t,
-                                                            const SamplerConfig&,
-                                                            CompressionInfo*,
-                                                            ThreadPool*);
+                                                    CompressionInfo*, ThreadPool*);
 template class ColumnReader<double>;
 template class ColumnReader<float>;
 template class ColumnMetaCursor<double>;
 template class ColumnMetaCursor<float>;
 template Status ValidateColumnEx<double>(const uint8_t*, size_t,
-                                         const OpContext*);
+                                         const OpContext*, ThreadPool*);
 template Status ValidateColumnEx<float>(const uint8_t*, size_t,
-                                        const OpContext*);
-template Status ValidateColumnParallelEx<double>(const uint8_t*, size_t,
-                                                 ThreadPool*, const OpContext*);
-template Status ValidateColumnParallelEx<float>(const uint8_t*, size_t,
-                                                ThreadPool*, const OpContext*);
+                                        const OpContext*, ThreadPool*);
 template Status DecompressColumn<double>(const std::vector<uint8_t>&, double*);
 template Status DecompressColumn<float>(const std::vector<uint8_t>&, float*);
 

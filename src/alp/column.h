@@ -40,21 +40,21 @@
 /// (v3) XXH64 checksums, the zone map and every vector up front. Either way
 /// no read leaves the buffer, even on adversarial bytes. There is one
 /// checked decoder per format and no trusted twin: TryDecodeVector and
-/// TryDecodeAll return its alp::Status, and DecodeVector (kept for callers
-/// that fall back from a compressed-domain path on an already-open reader)
-/// runs the same body and drops it.
+/// TryDecodeAll return its alp::Status. DecodeVector runs the same body and
+/// drops the Status; no library path calls it.
 ///
 /// Parallelism: rowgroups are fully independent on both sides of the
-/// pipeline, so CompressColumnParallel, ColumnReader::OpenParallel (parallel
-/// checksum + structure verification) and TryDecodeAllParallel fan rowgroups
-/// out over a ThreadPool. All three carry a hard determinism contract:
+/// pipeline, so CompressColumn, ValidateColumnEx, ColumnReader::Open and
+/// TryDecodeAll take an optional ThreadPool and fan rowgroups out over it
+/// (a null pool runs inline on the calling thread). All four carry a hard
+/// determinism contract:
 ///  - encode: the produced buffer is byte-identical for every worker count
 ///    (rowgroups are compressed into standalone segments and stitched in
 ///    rowgroup order; nothing downstream depends on completion order);
-///  - decode/validate: the values and the reported Status are identical to
-///    the serial path's — when several rowgroups are bad, the Status of the
-///    lowest-indexed failure wins, which is exactly the one the serial scan
-///    would have hit first.
+///  - decode/validate: the values and the reported Status do not depend on
+///    the pool — when several rowgroups are bad, the Status of the
+///    lowest-indexed failure wins, which is exactly the one a serial scan
+///    hits first.
 /// tests/test_parallel.cc enforces both oracles; see also bench/
 /// bench_parallel_scaling.cc.
 
@@ -103,22 +103,15 @@ struct CompressionInfo {
   }
 };
 
-/// Compresses \p n values into a self-describing byte buffer.
+/// Compresses \p n values into a self-describing byte buffer. With a
+/// \p pool, rowgroups are compressed concurrently and stitched in rowgroup
+/// order: the bytes (and \p info's counters) are identical at every worker
+/// count, null included.
 template <typename T>
 std::vector<uint8_t> CompressColumn(const T* data, size_t n,
                                     const SamplerConfig& config = {},
-                                    CompressionInfo* info = nullptr);
-
-/// Parallel CompressColumn: rowgroups are compressed concurrently on
-/// \p pool and stitched in rowgroup order. Guaranteed byte-identical to
-/// CompressColumn (and to itself at every worker count); \p info, when
-/// requested, carries identical counters too. A null \p pool falls back to
-/// the serial path.
-template <typename T>
-std::vector<uint8_t> CompressColumnParallel(const T* data, size_t n,
-                                            const SamplerConfig& config = {},
-                                            CompressionInfo* info = nullptr,
-                                            ThreadPool* pool = &ThreadPool::Shared());
+                                    CompressionInfo* info = nullptr,
+                                    ThreadPool* pool = nullptr);
 
 /// Current (newest) and oldest-readable versions of the column container.
 inline constexpr uint8_t kColumnFormatVersion = 3;     ///< v3: checksums.
@@ -130,20 +123,14 @@ inline constexpr uint8_t kColumnFormatMinVersion = 2;  ///< v2: zone maps.
 /// for v3 buffers (kChecksumMismatch on a flipped bit; skipped for v2).
 /// Never reads past \p size, never crashes on adversarial input. A non-null
 /// \p ctx is polled between phases and per rowgroup, so validation of a
-/// large column stops mid-flight on cancellation / deadline expiry.
+/// large column stops mid-flight on cancellation / deadline expiry. A
+/// \p pool fans the per-rowgroup work (checksums, then the structural walk)
+/// out; within a phase the lowest-indexed rowgroup's failure is reported,
+/// so the Status does not depend on the pool.
 template <typename T>
 Status ValidateColumnEx(const uint8_t* data, size_t size,
-                        const OpContext* ctx = nullptr);
-
-/// ValidateColumnEx with the per-rowgroup work (checksum verification, then
-/// structural walk) fanned out over \p pool. Same accept/reject decisions
-/// and same Status as the serial validator: when several rowgroups are bad
-/// the lowest-indexed rowgroup's failure is reported, per verification
-/// phase. A null \p pool degenerates to the serial validator.
-template <typename T>
-Status ValidateColumnParallelEx(const uint8_t* data, size_t size,
-                                ThreadPool* pool = &ThreadPool::Shared(),
-                                const OpContext* ctx = nullptr);
+                        const OpContext* ctx = nullptr,
+                        ThreadPool* pool = nullptr);
 
 /// Random-access reader over a compressed column buffer.
 template <typename T>
@@ -152,16 +139,11 @@ class ColumnReader {
   /// Fallible entry point for untrusted buffers: the constructor's parse
   /// plus, for v3 buffers, header and rowgroup checksum verification, then
   /// zone-map sanity and a ParseVector check of every vector — exactly what
-  /// ValidateColumnEx accepts. v2 buffers are accepted with checksum
+  /// ValidateColumnEx accepts, with the per-rowgroup checks fanned out over
+  /// \p pool when one is given. v2 buffers are accepted with checksum
   /// verification skipped. The buffer must outlive the reader.
-  static StatusOr<ColumnReader<T>> Open(const uint8_t* data, size_t size);
-
-  /// Open with the rowgroup checksum + structure verification fanned out
-  /// over \p pool. Accepts and rejects exactly the same buffers as Open,
-  /// with the same Status (lowest-offending-rowgroup reporting); a null
-  /// \p pool degenerates to Open.
-  static StatusOr<ColumnReader<T>> OpenParallel(const uint8_t* data, size_t size,
-                                                ThreadPool* pool = &ThreadPool::Shared());
+  static StatusOr<ColumnReader<T>> Open(const uint8_t* data, size_t size,
+                                        ThreadPool* pool = nullptr);
 
   /// Parses the column header, the rowgroup offset index and every
   /// rowgroup's header and vector offset index through the same checked
@@ -243,7 +225,8 @@ class ColumnReader {
 
   /// Decodes vector \p v into \p out (room for VectorLength(v) values)
   /// through the same checked body as TryDecodeVector, dropping the Status:
-  /// a vector the parser rejects leaves \p out unwritten.
+  /// a vector the parser rejects leaves \p out unwritten. Library code
+  /// calls TryDecodeVector; this is kept for external callers only.
   void DecodeVector(size_t v, T* out) const;
 
   /// Bounds-checked decode of vector \p v: ParseVector verifies every
@@ -255,26 +238,23 @@ class ColumnReader {
   Status TryDecodeVector(size_t v, T* out, const OpContext* ctx = nullptr) const;
 
   /// Bounds-checked decode of the whole column (room for value_count()),
-  /// each vector decoded in place. A non-null \p ctx is polled once per vector, so a cancelled or
+  /// each vector decoded in place, one rowgroup-sized block of vectors at a
+  /// time. A non-null \p ctx is polled once per vector, so a cancelled or
   /// deadline-missed decode stops within one vector's worth of work; \p out
-  /// must then be treated as garbage (see util/cancellation.h).
-  Status TryDecodeAll(T* out, const OpContext* ctx = nullptr) const;
-
-  /// TryDecodeAll with rowgroups decoded concurrently on \p pool. Values
-  /// written to \p out are identical to the serial path's; on failure the
-  /// returned Status is the serial path's (the lowest-indexed failing
-  /// vector's). Safe to call from several threads on one reader — decoding
-  /// is read-only — including several concurrent calls sharing one pool.
-  /// \p ctx as in TryDecodeAll (each worker polls it per vector).
-  Status TryDecodeAllParallel(T* out, ThreadPool* pool = &ThreadPool::Shared(),
-                              const OpContext* ctx = nullptr) const;
+  /// must then be treated as garbage (see util/cancellation.h). With a
+  /// \p pool the blocks decode concurrently; the values and the Status (the
+  /// lowest-indexed failing vector's) are the same as without one. Safe to
+  /// call from several threads on one reader — decoding is read-only —
+  /// including several concurrent calls sharing one pool.
+  Status TryDecodeAll(T* out, const OpContext* ctx = nullptr,
+                      ThreadPool* pool = nullptr) const;
 
  private:
   template <typename U>
   friend class ColumnMetaCursor;
   template <typename U>
-  friend Status ValidateColumnParallelEx(const uint8_t*, size_t, ThreadPool*,
-                                         const OpContext*);
+  friend Status ValidateColumnEx(const uint8_t*, size_t, const OpContext*,
+                                 ThreadPool*);
 
   ColumnReader() = default;  ///< Empty reader, filled by Load/OpenRowgroupChunk.
 

@@ -97,13 +97,6 @@ struct DecodeKernels {
                      unsigned right_bits, unsigned dict_width,
                      const uint32_t* dict_shifted, float* out);
 
-  /// ALP_rd glue over already-unpacked codes/right arrays (1024 each):
-  /// out[i] = bit_cast<T>(dict_shifted[codes[i]] | right_parts[i]).
-  void (*rd_glue64)(const uint16_t* codes, const uint64_t* right_parts,
-                    const uint64_t* dict_shifted, double* out);
-  void (*rd_glue32)(const uint16_t* codes, const uint32_t* right_parts,
-                    const uint32_t* dict_shifted, float* out);
-
   /// Compressed-domain range filter over FFOR-packed 64-bit lanes (double
   /// columns): unpacks `packed` (width bits/lane) into `lanes` (1024
   /// entries, 64-byte aligned scratch owned by the caller so a following
@@ -258,17 +251,6 @@ inline void RdDecodeFused(const typename AlpTraits<T>::Uint* packed_right,
   } else {
     Active().rd_fused32(packed_right, packed_codes, right_bits, dict_width,
                         dict_shifted, out);
-  }
-}
-
-template <typename T>
-inline void RdGlue(const uint16_t* codes,
-                   const typename AlpTraits<T>::Uint* right_parts,
-                   const typename AlpTraits<T>::Uint* dict_shifted, T* out) {
-  if constexpr (sizeof(T) == 8) {
-    Active().rd_glue64(codes, right_parts, dict_shifted, out);
-  } else {
-    Active().rd_glue32(codes, right_parts, dict_shifted, out);
   }
 }
 

@@ -32,7 +32,7 @@ constexpr Tier kSelfTier = Tier::kAvx2;
 // ALP_rd glue: the left part comes from an 8-entry pre-shifted dictionary,
 // fetched in-register with a gather (64-bit) / lane permute (32-bit). The
 // plain loop does scalar loads and inserts: 32-bit 1.00 vs 0.24; 64-bit
-// 1.11 vs 1.07 alone and 1.62 vs 1.54 in rd_glue64.
+// 1.11 vs 1.07.
 void GlueJoin64(const uint64_t* codes, const uint64_t* right,
                 const uint64_t* dict_shifted, double* out) {
   for (unsigned i = 0; i < kVectorSize; i += 4) {

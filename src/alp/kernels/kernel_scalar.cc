@@ -105,20 +105,6 @@ void RdFused32(const uint32_t* packed_right, const uint32_t* packed_codes,
               out, kUnpack32);
 }
 
-void RdGlue64(const uint16_t* codes, const uint64_t* right_parts,
-              const uint64_t* dict_shifted, double* out) {
-  for (unsigned i = 0; i < kVectorSize; ++i) {
-    out[i] = std::bit_cast<double>(dict_shifted[codes[i]] | right_parts[i]);
-  }
-}
-
-void RdGlue32(const uint16_t* codes, const uint32_t* right_parts,
-              const uint32_t* dict_shifted, float* out) {
-  for (unsigned i = 0; i < kVectorSize; ++i) {
-    out[i] = std::bit_cast<float>(dict_shifted[codes[i]] | right_parts[i]);
-  }
-}
-
 // Compressed-domain range filter: unpack into the caller's lane scratch,
 // then a branchless unsigned range test per 64-lane bitmap word. This loop
 // is the portable reference the SIMD tiers' CmpMask64 hooks are tested
@@ -161,7 +147,7 @@ unsigned AlpEncode(const T* in, unsigned n, double f10_e, double if10_f,
 
 constexpr DecodeKernels kKernels = {
     Tier::kScalar, AlpFused64, AlpFused32, Patch64,  Patch32,
-    RdFused64,     RdFused32,  RdGlue64,   RdGlue32, CmpRange64, Gather64,
+    RdFused64,     RdFused32,  CmpRange64, Gather64,
     AlpEncode<double, int64_t>,   AlpEncode<float, int32_t>,
     FrameFold<int64_t>,           FrameFold<int32_t>,
 };

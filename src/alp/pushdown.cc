@@ -176,17 +176,17 @@ unsigned CompactSelected(const double* values, unsigned n,
   return count;
 }
 
-bool FilterSumVector(const ColumnReader<double>& reader, size_t v,
-                     const TranslatedPredicate& pred, EvalScratch* scratch,
-                     double* sum, VectorCounters* counters) {
+Status FilterSumVector(const ColumnReader<double>& reader, size_t v,
+                       const TranslatedPredicate& pred, EvalScratch* scratch,
+                       double* sum, VectorCounters* counters) {
   const PackedPlan plan = PlanPacked(reader, v, pred);
   if (!plan.ok) {
     const unsigned len = reader.VectorLength(v);
     ALP_OBS_SPAN(span, "engine.pushdown.decode", len);
     NoteMaterialized(counters);
-    reader.DecodeVector(v, scratch->values);
-    *sum += FilterSumValues(scratch->values, len, pred.pred());
-    return false;
+    Status s = reader.TryDecodeVector(v, scratch->values);
+    if (s.ok()) *sum += FilterSumValues(scratch->values, len, pred.pred());
+    return s;
   }
   const unsigned len = plan.view.n;
   ALP_OBS_SPAN(span, "engine.pushdown.packed", len);
@@ -197,50 +197,53 @@ bool FilterSumVector(const ColumnReader<double>& reader, size_t v,
   // lemma). Everything survives (the zone map could not prove it, e.g.
   // exceptions in range): the fused decode beats a gather of all lanes.
   if (count == len) {
-    reader.DecodeVector(v, scratch->values);
+    Status s = reader.TryDecodeVector(v, scratch->values);
+    if (!s.ok()) return s;
     *sum += StripedSumAll(scratch->values, len);
   } else if (count != 0) {
     GatherPacked(plan.view, scratch->lanes, scratch->bitmap, scratch->values);
     *sum += StripedSumAll(scratch->values, count);
   }
-  return true;
+  return Status::Ok();
 }
 
-bool SelectVector(const ColumnReader<double>& reader, size_t v,
-                  const TranslatedPredicate& pred, EvalScratch* scratch,
-                  uint64_t* bitmap, unsigned* count, VectorCounters* counters) {
+Status SelectVector(const ColumnReader<double>& reader, size_t v,
+                    const TranslatedPredicate& pred, EvalScratch* scratch,
+                    uint64_t* bitmap, unsigned* count, VectorCounters* counters) {
   const PackedPlan plan = PlanPacked(reader, v, pred);
   if (!plan.ok) {
     const unsigned len = reader.VectorLength(v);
     ALP_OBS_SPAN(span, "engine.pushdown.decode", len);
     NoteMaterialized(counters);
-    reader.DecodeVector(v, scratch->values);
-    *count = SelectValues(scratch->values, len, pred.pred(), bitmap);
-    return false;
+    Status s = reader.TryDecodeVector(v, scratch->values);
+    if (s.ok()) *count = SelectValues(scratch->values, len, pred.pred(), bitmap);
+    return s;
   }
   ALP_OBS_SPAN(span, "engine.pushdown.packed", plan.view.n);
   NotePackedEval(counters);
   *count = SelectPacked(plan, pred, scratch->lanes, bitmap);
-  return true;
+  return Status::Ok();
 }
 
-unsigned GatherVector(const ColumnReader<double>& reader, size_t v,
-                      const uint64_t* bitmap, EvalScratch* scratch,
-                      double* out, VectorCounters* counters) {
+Status GatherVector(const ColumnReader<double>& reader, size_t v,
+                    const uint64_t* bitmap, EvalScratch* scratch, double* out,
+                    VectorCounters* counters) {
   ColumnReader<double>::PackedVectorView view;
   if (!reader.GetPackedVectorView(v, &view)) {
     const unsigned len = reader.VectorLength(v);
     ALP_OBS_SPAN(span, "engine.pushdown.decode", len);
     NoteMaterialized(counters);
-    reader.DecodeVector(v, scratch->values);
-    return CompactSelected(scratch->values, len, bitmap, out);
+    Status s = reader.TryDecodeVector(v, scratch->values);
+    if (s.ok()) CompactSelected(scratch->values, len, bitmap, out);
+    return s;
   }
   ALP_OBS_SPAN(span, "engine.pushdown.gather", view.n);
   // Unpack the lanes through the compare kernel with the full range (the
   // all-ones side bitmap is discarded); then gather the selection.
   kernels::Active().cmp_range64(view.packed, view.ffor.width, 0, ~uint64_t{0},
                                 scratch->lanes, scratch->bitmap);
-  return GatherPacked(view, scratch->lanes, bitmap, out);
+  GatherPacked(view, scratch->lanes, bitmap, out);
+  return Status::Ok();
 }
 
 void NoteSkippedVectors(size_t n) {

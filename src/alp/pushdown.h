@@ -54,8 +54,11 @@
 ///   - ALP_rd rowgroups (lanes are bit-split raw doubles, not decimals;
 ///     RD also round-trips NaN *without* exceptions),
 ///   - Delta-encoded vectors (no frame-of-reference lane domain),
-///   - corrupt/hostile headers (invalid width/e/f, out-of-buffer extents,
-///     base + mask overflowing int64).
+///   - hand-built frames whose base + mask overflows int64 (the lane
+///     range does not apply; the decode still may).
+/// A corrupt/hostile header (invalid width/e/f, out-of-buffer extents, an
+/// exception position >= n) has no packed view either. Its fallback decode
+/// is TryDecodeVector's, so the call returns kCorrupt and adds nothing.
 /// NaN/±inf/-0.0 *values* need no fallback: they only ever appear as ALP
 /// exceptions, which are always checked with the double predicate.
 
@@ -169,30 +172,34 @@ unsigned SelectValues(const double* values, unsigned n, const Predicate& pred,
 unsigned CompactSelected(const double* values, unsigned n,
                          const uint64_t* bitmap, double* out);
 
+/// The three per-vector steps below evaluate on packed lanes when the
+/// vector has a packed plan and otherwise decode through TryDecodeVector
+/// (see the fallback matrix); counters->packed_eval or counters->decoded
+/// records which path ran. Each returns the decode's Status: a vector the
+/// decoder rejects (or an injected column.decode_vector fault) returns
+/// non-OK and leaves every output argument untouched.
+
 /// Filters vector \p v and adds the qualifying values to *sum in index
 /// order: select, then gather + StripedSumAll (see the file comment).
-/// Returns true when the vector was evaluated on packed lanes, false when
-/// it decoded and ran FilterSumValues (fallback). Zone-map skipping and
-/// the full-inside fast path are the caller's job.
-bool FilterSumVector(const ColumnReader<double>& reader, size_t v,
-                     const TranslatedPredicate& pred, EvalScratch* scratch,
-                     double* sum, VectorCounters* counters);
+/// Zone-map skipping and the full-inside fast path are the caller's job.
+Status FilterSumVector(const ColumnReader<double>& reader, size_t v,
+                       const TranslatedPredicate& pred, EvalScratch* scratch,
+                       double* sum, VectorCounters* counters);
 
 /// The select step alone: vector \p v's selection bitmap (16 words) under
-/// \p pred and its survivor count. Returns true when evaluated on packed
-/// lanes.
-bool SelectVector(const ColumnReader<double>& reader, size_t v,
-                  const TranslatedPredicate& pred, EvalScratch* scratch,
-                  uint64_t* bitmap, unsigned* count, VectorCounters* counters);
+/// \p pred and its survivor count.
+Status SelectVector(const ColumnReader<double>& reader, size_t v,
+                    const TranslatedPredicate& pred, EvalScratch* scratch,
+                    uint64_t* bitmap, unsigned* count, VectorCounters* counters);
 
 /// The gather step alone: materializes vector \p v's survivors per
-/// \p bitmap into out[] in ascending index order, returning the survivor
-/// count. Works for any selection bitmap (the predicate is not needed):
-/// unpacks and gathers when the vector is FFOR-packed, else decodes and
-/// compacts.
-unsigned GatherVector(const ColumnReader<double>& reader, size_t v,
-                      const uint64_t* bitmap, EvalScratch* scratch,
-                      double* out, VectorCounters* counters);
+/// \p bitmap into out[] (room for the bitmap's popcount) in ascending
+/// index order. Works for any selection bitmap (the predicate is not
+/// needed): unpacks and gathers when the vector is FFOR-packed, else
+/// decodes and compacts.
+Status GatherVector(const ColumnReader<double>& reader, size_t v,
+                    const uint64_t* bitmap, EvalScratch* scratch, double* out,
+                    VectorCounters* counters);
 
 /// Records zone-map-skipped vectors on the obs counter
 /// engine.pushdown.vectors_skipped (no-op without ALP_OBS).

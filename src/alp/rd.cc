@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "alp/kernel_dispatch.h"
 #include "obs/trace.h"
 #include "util/bits.h"
 
@@ -185,11 +184,13 @@ template <typename T>
 void RdDecodeVector(const RdEncodedVector<T>& enc, const RdParams<T>& params, T* out) {
   using Uint = typename AlpTraits<T>::Uint;
 
-  // Glue (dictionary load + shift + OR, no control flow) through the
-  // dispatched kernel tier; exceptions overwrite their left parts after.
+  // Glue (dictionary load + shift + OR); exceptions overwrite their left
+  // parts after. Column decode runs the fused kernel instead (RdDecodeFused).
   Uint dict_shifted[kRdMaxDictSize];
   RdDictShifted(params, dict_shifted);
-  kernels::RdGlue<T>(enc.left_codes, enc.right_parts, dict_shifted, out);
+  for (unsigned i = 0; i < kVectorSize; ++i) {
+    out[i] = std::bit_cast<T>(dict_shifted[enc.left_codes[i]] | enc.right_parts[i]);
+  }
   RdPatchExceptions(out, enc.exceptions, enc.exc_positions, enc.exc_count,
                     params.right_bits);
 }

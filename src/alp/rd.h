@@ -72,9 +72,9 @@ template <typename T>
 void RdEncodeVector(const T* in, unsigned n, const RdParams<T>& params,
                     RdEncodedVector<T>* out);
 
-/// Rebuilds 1024 values from codes + right parts; exceptions must already
-/// be patched into left_codes' companion array by the caller via
-/// RdPatchAndDecode (the usual entry point).
+/// Rebuilds 1024 values from \p enc's codes and right parts with a plain
+/// glue loop, then patches its exceptions: the encoder's round-trip
+/// reference (column decode runs the dispatched RdDecodeFused instead).
 template <typename T>
 void RdDecodeVector(const RdEncodedVector<T>& enc, const RdParams<T>& params, T* out);
 

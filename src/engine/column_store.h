@@ -48,17 +48,14 @@ class StoredColumn {
   /// Values in rowgroup \p rg.
   unsigned RowgroupLength(size_t rg) const;
 
-  /// Decodes rowgroup \p rg into \p out (room for RowgroupLength(rg))
-  /// through the scheme's checked decoder; uncompressed columns copy
-  /// (modeling a buffer-pool read).
-  Status DecodeRowgroup(size_t rg, double* out) const;
-
   /// For uncompressed columns: zero-copy view of a rowgroup (nullptr for
   /// compressed columns). SUM uses this to aggregate in place.
   const double* RowgroupPointer(size_t rg) const;
 
-  /// For ALP columns: the vector-level reader with zone maps (nullptr for
-  /// other storage). FILTER queries use it to skip compressed vectors.
+  /// For ALP columns: the in-memory vector-level reader with zone maps
+  /// (nullptr for other storage), built by MakeAlp whether or not the
+  /// column is also seekable. VectorSource reads through it only while
+  /// Seekable() is null; MIN/MAX answers from its zone map.
   const ColumnReader<double>* AlpReader() const { return alp_reader_.get(); }
 
   /// Routes this column's decode paths through an out-of-core
@@ -76,7 +73,14 @@ class StoredColumn {
   const io::SeekableReader<double>* Seekable() const { return seekable_.get(); }
 
  private:
+  friend class VectorSource;
+
   StoredColumn() = default;
+
+  /// Decodes block-codec rowgroup \p rg into \p out (room for
+  /// RowgroupLength(rg)) through the codec's checked decoder: the one
+  /// storage VectorSource cannot read per vector.
+  Status DecodeRowgroup(size_t rg, double* out) const;
 
   std::string scheme_;
   size_t value_count_ = 0;
@@ -175,14 +179,11 @@ class VectorSource {
   /// published to the decoded-vector cache unless \p publish is false.
   Status Decode(size_t v, Vector* out, bool publish = true) {
     if (out->values != nullptr) return Status::Ok();
-    if (seekable_ != nullptr) {
-      Status s = cursor_->Decode(v, buffer_.data(), publish);
-      if (!s.ok()) return s;
-    } else {
-      out->reader->DecodeVector(out->local, buffer_.data());
-    }
-    out->values = buffer_.data();
-    return Status::Ok();
+    Status s = seekable_ != nullptr
+                   ? cursor_->Decode(v, buffer_.data(), publish)
+                   : out->reader->TryDecodeVector(out->local, buffer_.data());
+    if (s.ok()) out->values = buffer_.data();
+    return s;
   }
 
   /// Fetch, then Decode when needed: vector \p v's values in memory.

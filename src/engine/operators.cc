@@ -10,7 +10,6 @@
 
 #include "alp/pushdown.h"
 #include "engine/table.h"
-#include "obs/flight_recorder.h"
 #include "util/cycle_clock.h"
 #include "util/fault_injection.h"
 
@@ -67,21 +66,6 @@ QueryResult RunParallel(const StoredColumn& column, ThreadPool& pool,
   });
   const uint64_t cycles = CycleNow() - start;
 
-#if ALP_OBS
-  // Flight-recorder attribution happens here, after the join, from the
-  // orchestrating thread only: the recorder is single-writer and the pool
-  // workers above must never touch it (they also run without the ambient
-  // attribution TLS, so their ScopedTimers stay recorder-free).
-  if (ctx != nullptr && ctx->request != nullptr &&
-      ctx->request->recorder != nullptr) {
-    obs::FlightRecorder* recorder = ctx->request->recorder;
-    recorder->Annotate("engine.rowgroups", rowgroups);
-    recorder->Annotate("engine.threads", pool.size());
-    recorder->Span({"engine.parallel", start, start + cycles,
-                    column.value_count(), ctx->request->trace_id});
-  }
-#endif
-
   QueryResult result;
   result.status = std::move(fail_status);
   for (double p : partials) result.sum += p;
@@ -115,11 +99,10 @@ Status GatherSurvivors(VectorSource& source, size_t v, const uint64_t* bitmap,
   Status s = source.Fetch(v, &vec);
   if (!s.ok()) return s;
   if (vec.values == nullptr) {
-    pushdown::GatherVector(*vec.reader, vec.local, bitmap, scratch, out,
-                           counters);
-  } else {
-    pushdown::CompactSelected(vec.values, vec.len, bitmap, out);
+    return pushdown::GatherVector(*vec.reader, vec.local, bitmap, scratch, out,
+                                  counters);
   }
+  pushdown::CompactSelected(vec.values, vec.len, bitmap, out);
   return Status::Ok();
 }
 
@@ -168,8 +151,8 @@ Status RowgroupFilterSum(VectorSource& source, size_t rg,
         s = source.Decode(v, &vec, /*publish=*/false);
         if (s.ok()) *sum += pushdown::StripedSumAll(vec.values, vec.len);
       } else {
-        pushdown::FilterSumVector(reader, vec.local, pred, &scratch, sum,
-                                  counters);
+        s = pushdown::FilterSumVector(reader, vec.local, pred, &scratch, sum,
+                                      counters);
       }
       continue;
     }
@@ -375,8 +358,9 @@ QueryResult RunFilteredDotSum(const Table& table, std::string_view filter_column
           if (!s.ok()) break;
           unsigned count = 0;
           if (mode == FilterMode::kAuto && fv.values == nullptr) {
-            pushdown::SelectVector(*fv.reader, fv.local, tp, &w.scratch, bitmap,
-                                   &count, &counters);
+            s = pushdown::SelectVector(*fv.reader, fv.local, tp, &w.scratch,
+                                       bitmap, &count, &counters);
+            if (!s.ok()) break;
           } else {
             s = w.f.Decode(v, &fv);
             if (!s.ok()) break;

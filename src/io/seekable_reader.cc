@@ -140,13 +140,8 @@ SeekableReader<T>::RowgroupCursor::RowgroupCursor(
       rg_(rg),
       ctx_(ctx),
       caching_(reader.options_.cache != nullptr &&
-               reader.options_.cache->capacity_bytes() > 0) {
-  // Per-request attribution: every cache decision, chunk fetch and decode
-  // on this path is credited to the owning request's flight recorder.
-  if (ctx != nullptr && ctx->request != nullptr) {
-    recorder_ = ctx->request->recorder;
-  }
-}
+               reader.options_.cache->capacity_bytes() > 0),
+      recorder_(obs::CurrentFlightRecorder()) {}
 
 template <typename T>
 Status SeekableReader<T>::RowgroupCursor::Fetch(size_t v, const T** values) {
@@ -267,22 +262,6 @@ Status SeekableReader<T>::TryDecodeVector(size_t v, T* out,
   if (!s.ok()) return s;
   std::memcpy(out, values, size_t{VectorLength(v)} * sizeof(T));
   return Status::Ok();
-}
-
-template <typename T>
-Status SeekableReader<T>::TryDecodeRowgroup(size_t rg, T* out,
-                                            const OpContext* ctx) const {
-  if (rg >= rowgroup_count()) {
-    return Status::Corrupt("rowgroup index out of range");
-  }
-  const size_t first_vector = rg * kRowgroupVectors;
-  const Visitor copy_out = [out, first_vector](size_t v, const T* values,
-                                               unsigned len) {
-    std::memcpy(out + (v - first_vector) * kVectorSize, values,
-                size_t{len} * sizeof(T));
-    return Status::Ok();
-  };
-  return ScanRowgroup(rg, copy_out, ctx);
 }
 
 template <typename T>

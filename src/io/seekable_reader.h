@@ -130,10 +130,6 @@ class SeekableReader {
   /// at all on a cache hit.
   Status TryDecodeVector(size_t v, T* out, const OpContext* ctx = nullptr) const;
 
-  /// Decodes all of rowgroup \p rg contiguously into \p out with a single
-  /// chunk fetch (cache hits are served without the fetch).
-  Status TryDecodeRowgroup(size_t rg, T* out, const OpContext* ctx = nullptr) const;
-
   /// Full-column decode into \p out (room for value_count() values);
   /// byte-identical to ColumnReader::TryDecodeAll on the same file.
   Status TryDecodeAll(T* out, const OpContext* ctx = nullptr) const;
@@ -173,7 +169,10 @@ class SeekableReader {
     size_t rg_;
     const OpContext* ctx_;
     bool caching_;
-    obs::FlightRecorder* recorder_ = nullptr;
+    /// The calling thread's ambient request recorder (obs::
+    /// ScopedRequestAttribution), read once at construction: every cache
+    /// decision, chunk fetch and decode of this visit is credited to it.
+    obs::FlightRecorder* recorder_;
     DecodedVectorCache::Value hit_;
     std::vector<uint8_t> chunk_;
     std::optional<ColumnReader<T>> chunk_reader_;
@@ -192,8 +191,8 @@ class SeekableReader {
   /// Runs the io.chunk_read fault site.
   Status LoadChunk(size_t rg, std::vector<uint8_t>* bytes) const;
 
-  /// The one per-rowgroup visit loop behind Scan, TryDecodeAll and
-  /// TryDecodeRowgroup: Fetch each vector, Decode it on a cache miss, and
+  /// The one per-rowgroup visit loop behind Scan and TryDecodeAll: Fetch
+  /// each vector, Decode it on a cache miss, and
   /// hand it to \p visit.
   Status ScanRowgroup(size_t rg, const Visitor& visit,
                       const OpContext* ctx) const;

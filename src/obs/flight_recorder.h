@@ -15,11 +15,10 @@
 #include "util/status.h"
 
 /// \file flight_recorder.h
-/// Request-scoped telemetry: a trace-identified context threaded through
-/// OpContext, and a per-request *flight recorder* that dumps to JSON (the
-/// slow-query log) when the request fails, is cancelled, trips a fault
-/// site, or exceeds the slow-query threshold, and costs nothing to drop on
-/// fast success.
+/// Request-scoped telemetry: a per-request *flight recorder* that dumps to
+/// JSON (the slow-query log) when the request fails, is cancelled, trips a
+/// fault site, or exceeds the slow-query threshold, and costs nothing to
+/// drop on fast success.
 ///
 /// Where the MetricRegistry answers "how is the process doing" and the
 /// trace rings answer "what ran when", the flight recorder answers "why was
@@ -50,30 +49,20 @@
 /// Threading: one recorder belongs to one request and is written by one
 /// thread at a time — the submitter during admission, then the worker that
 /// executes the request (the server's queue hand-off sequences the two).
-/// Code that fans a request out across threads (the engine's data-parallel
-/// operators) must record from the orchestrating thread only.
 ///
-/// Ambient attribution: the executing worker installs a
-/// ScopedRequestAttribution for the request's lifetime, which makes the
-/// recorder and trace ID visible to instrumentation that has no OpContext
-/// in scope — ScopedTimer feeds every ALP_OBS_SPAN site on the thread into
-/// the recorder, the trace rings stamp spans with the trace ID, and the
-/// fault layer's fire observer attributes injected faults to the request.
+/// Ambient attribution is the one channel to the recorder: the executing
+/// worker installs a ScopedRequestAttribution for the request's lifetime,
+/// which makes the recorder and trace ID visible to everything the thread
+/// runs — ScopedTimer feeds every ALP_OBS_SPAN site into the recorder,
+/// io::SeekableReader's cursors count cache and chunk events into it, the
+/// trace rings stamp spans with the trace ID, and the fault layer's fire
+/// observer attributes injected faults to the request. The attribution is
+/// thread-local, so a ThreadPool worker that runs part of a request records
+/// nothing into it, and the recorder keeps its single writer.
 
 namespace alp::obs {
 
 class FlightRecorder;
-
-/// Identity of one in-flight request, carried by OpContext::request through
-/// every layer a request touches (server → engine → SeekableReader →
-/// decode). The strings must outlive the context (the server points them at
-/// static class names and the request-owned tenant string).
-struct RequestContext {
-  uint64_t trace_id = 0;          ///< 64-bit request identity; 0 = none.
-  const char* query_class = "";   ///< Static class label.
-  const char* tenant = "";        ///< Tenant label (request-owned storage).
-  FlightRecorder* recorder = nullptr;  ///< Null = not recording.
-};
 
 /// Bounded per-request recorder. See the file comment for the model.
 class FlightRecorder {

@@ -336,22 +336,16 @@ void Server::WorkerLoop() {
 
     const Clock::time_point started = Clock::now();
     obs::FlightRecorder* recorder = pending->recorder.get();
-    // The request context rides OpContext through every layer below; the
-    // ambient attribution covers instrumentation (spans, fault fires, trace
-    // rings) that has no OpContext in scope.
-    obs::RequestContext request_ctx;
-    request_ctx.trace_id = pending->request.trace_id;
-    request_ctx.query_class = QueryClassName(pending->request.query_class);
-    request_ctx.tenant = pending->request.tenant.c_str();
-    request_ctx.recorder = recorder;
     OpContext ctx;
     ctx.cancel = pending->request.cancel;
     ctx.deadline = pending->request.deadline;
-    ctx.request = &request_ctx;
 
     Response response;
     {
-      obs::ScopedRequestAttribution attribution(request_ctx.trace_id,
+      // The ambient attribution credits everything this thread runs for the
+      // request (spans, cache and chunk counts, fault fires, trace rings)
+      // to its recorder and trace ID.
+      obs::ScopedRequestAttribution attribution(pending->request.trace_id,
                                                 recorder);
       ALP_OBS_SPAN(request_span, "server.request", 1);
       // The request's one hardware-counter sample, over the whole execute

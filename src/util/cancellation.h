@@ -32,10 +32,6 @@
 
 namespace alp {
 
-namespace obs {
-struct RequestContext;  // obs/flight_recorder.h
-}  // namespace obs
-
 /// Thread-safe one-way cancellation flag. The requester keeps the token and
 /// calls Cancel(); workers poll cancelled() through an OpContext. Once set
 /// the flag never clears (create a new token per request instead).
@@ -92,13 +88,6 @@ class Deadline {
 struct OpContext {
   const CancelToken* cancel = nullptr;
   Deadline deadline;
-
-  /// Request identity (trace ID, class/tenant labels, flight recorder) for
-  /// attribution; null = anonymous work. Forward-declared so this header
-  /// stays free of the obs layer — consumers that attribute (SeekableReader,
-  /// the engine operators, the server) include obs/flight_recorder.h; code
-  /// that only polls for cancellation never dereferences it.
-  const obs::RequestContext* request = nullptr;
 
   /// OK to continue, or the Status the operation must return: cancellation
   /// wins over deadline expiry so both paths report deterministically when

@@ -13,8 +13,8 @@
 
 /// \file thread_pool.h
 /// A small work-stealing task pool for rowgroup-granular parallelism in the
-/// column pipeline (CompressColumnParallel / TryDecodeAllParallel) and the
-/// scaling benchmarks. Design points:
+/// column pipeline (CompressColumn, ColumnReader::Open and TryDecodeAll
+/// given a pool) and the scaling benchmarks. Design points:
 ///
 ///  - Per-worker deques with the classic stealing discipline: an owner pops
 ///    its own queue LIFO (locality), a thief steals a victim's oldest task

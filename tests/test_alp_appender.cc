@@ -71,7 +71,7 @@ TEST(Appender, SingleValue) {
   ColumnReader<double> reader(buffer.data(), buffer.size());
   ASSERT_EQ(reader.value_count(), 1u);
   double out = 0;
-  reader.DecodeVector(0, &out);
+  ASSERT_TRUE(reader.TryDecodeVector(0, &out).ok());
   EXPECT_EQ(out, -42.125);
 }
 

@@ -80,7 +80,7 @@ TEST(Column, SingleValue) {
   ColumnReader<double> reader(buffer.data(), buffer.size());
   ASSERT_EQ(reader.value_count(), 1u);
   double out = 0;
-  reader.DecodeVector(0, &out);
+  ASSERT_TRUE(reader.TryDecodeVector(0, &out).ok());
   EXPECT_EQ(BitsOf(out), BitsOf(v));
 }
 
@@ -94,7 +94,7 @@ TEST(Column, RandomVectorAccess) {
   for (size_t v : indices) {
     if (v >= reader.vector_count()) continue;
     std::vector<double> out(reader.VectorLength(v));
-    reader.DecodeVector(v, out.data());
+    ASSERT_TRUE(reader.TryDecodeVector(v, out.data()).ok());
     const std::vector<double> expected(data.begin() + v * kVectorSize,
                                        data.begin() + v * kVectorSize + out.size());
     ExpectBitExact(expected, out);
@@ -248,7 +248,7 @@ TEST(Column, DeltaModeRandomAccessStillWorks) {
   const auto buffer = CompressColumn(data.data(), data.size(), with_delta);
   ColumnReader<double> reader(buffer.data(), buffer.size());
   std::vector<double> out(kVectorSize);
-  reader.DecodeVector(3, out.data());
+  ASSERT_TRUE(reader.TryDecodeVector(3, out.data()).ok());
   for (unsigned i = 0; i < kVectorSize; ++i) {
     ASSERT_EQ(BitsOf(out[i]), BitsOf(data[3 * kVectorSize + i]));
   }
@@ -263,7 +263,7 @@ TEST(Column, DecodeAllEqualsPerVectorDecode) {
   ASSERT_TRUE(reader.TryDecodeAll(all.data()).ok());
   for (size_t v = 0; v < reader.vector_count(); ++v) {
     std::vector<double> one(reader.VectorLength(v));
-    reader.DecodeVector(v, one.data());
+    ASSERT_TRUE(reader.TryDecodeVector(v, one.data()).ok());
     for (size_t i = 0; i < one.size(); ++i) {
       ASSERT_EQ(BitsOf(one[i]), BitsOf(all[v * kVectorSize + i]));
     }

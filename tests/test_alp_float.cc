@@ -129,7 +129,7 @@ TEST(FloatColumn, RandomVectorAccess) {
   const auto buffer = CompressColumn(data.data(), data.size());
   ColumnReader<float> reader(buffer.data(), buffer.size());
   std::vector<float> out(reader.VectorLength(3));
-  reader.DecodeVector(3, out.data());
+  ASSERT_TRUE(reader.TryDecodeVector(3, out.data()).ok());
   const std::vector<float> expected(data.begin() + 3 * kVectorSize,
                                     data.begin() + 3 * kVectorSize + out.size());
   ExpectBitExact(expected, out);

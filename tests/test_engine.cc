@@ -42,6 +42,21 @@ double ExactSum(const std::vector<double>& data) {
   return total;
 }
 
+/// Every value of \p column, read vector by vector through VectorSource
+/// (the one way the operators read a column).
+std::vector<double> ReadAll(const StoredColumn& column) {
+  VectorSource source(column);
+  std::vector<double> out;
+  for (size_t v = 0; v < source.vector_count(); ++v) {
+    VectorSource::Vector vec;
+    const Status s = source.Values(v, &vec);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    if (!s.ok()) break;
+    out.insert(out.end(), vec.values, vec.values + vec.len);
+  }
+  return out;
+}
+
 TEST(StoredColumn, UncompressedBasics) {
   auto data = TestData(kRowgroupSize + 500);
   const auto column = StoredColumn::MakeUncompressed(data);
@@ -51,8 +66,8 @@ TEST(StoredColumn, UncompressedBasics) {
   EXPECT_EQ(column.RowgroupLength(1), 500u);
   ASSERT_NE(column.RowgroupPointer(0), nullptr);
 
-  std::vector<double> out(kRowgroupSize);
-  ASSERT_TRUE(column.DecodeRowgroup(0, out.data()).ok());
+  const std::vector<double> out = ReadAll(column);
+  ASSERT_EQ(out.size(), data.size());
   EXPECT_EQ(out[123], data[123]);
 }
 
@@ -63,13 +78,10 @@ TEST(StoredColumn, AlpRoundTrip) {
   EXPECT_LT(column.compressed_bytes(), data.size() * sizeof(double));
   EXPECT_EQ(column.RowgroupPointer(0), nullptr);
 
-  std::vector<double> out(kRowgroupSize);
-  for (size_t rg = 0; rg < column.rowgroup_count(); ++rg) {
-    ASSERT_TRUE(column.DecodeRowgroup(rg, out.data()).ok());
-    const size_t off = rg * kRowgroupSize;
-    for (unsigned i = 0; i < column.RowgroupLength(rg); ++i) {
-      ASSERT_EQ(out[i], data[off + i]) << rg << ":" << i;
-    }
+  const std::vector<double> out = ReadAll(column);
+  ASSERT_EQ(out.size(), data.size());
+  for (size_t i = 0; i < data.size(); ++i) {
+    ASSERT_EQ(BitsOf(out[i]), BitsOf(data[i])) << i;
   }
 }
 
@@ -78,10 +90,10 @@ TEST(StoredColumn, CodecRoundTrip) {
   const auto column =
       StoredColumn::MakeCodec(codecs::MakePatas(), data.data(), data.size());
   EXPECT_EQ(column.scheme(), "Patas");
-  std::vector<double> out(kRowgroupSize);
-  ASSERT_TRUE(column.DecodeRowgroup(1, out.data()).ok());
-  for (unsigned i = 0; i < column.RowgroupLength(1); ++i) {
-    ASSERT_EQ(out[i], data[kRowgroupSize + i]);
+  const std::vector<double> out = ReadAll(column);
+  ASSERT_EQ(out.size(), data.size());
+  for (size_t i = 0; i < data.size(); ++i) {
+    ASSERT_EQ(BitsOf(out[i]), BitsOf(data[i])) << i;
   }
 }
 

@@ -151,10 +151,10 @@ void ExpectDecodesTo(const std::vector<uint8_t>& column,
   // The parallel pipeline reads the same golden bytes to the same values.
   ThreadPool pool(2);
   StatusOr<ColumnReader<T>> preader =
-      ColumnReader<T>::OpenParallel(column.data(), column.size(), &pool);
+      ColumnReader<T>::Open(column.data(), column.size(), &pool);
   ASSERT_TRUE(preader.ok()) << preader.status().ToString();
   std::vector<T> pout(n);
-  const Status pdecode = preader->TryDecodeAllParallel(pout.data(), &pool);
+  const Status pdecode = preader->TryDecodeAll(pout.data(), nullptr, &pool);
   ASSERT_TRUE(pdecode.ok()) << pdecode.ToString();
   EXPECT_EQ(std::memcmp(pout.data(), raw.data(), raw.size()), 0);
 }
@@ -181,7 +181,7 @@ void ExpectReencodesTo(const std::vector<uint8_t>& column,
       << "serial encoder no longer reproduces the committed bytes";
 
   ThreadPool pool(3);
-  EXPECT_EQ(CompressColumnParallel(values.data(), values.size(), {}, nullptr, &pool),
+  EXPECT_EQ(CompressColumn(values.data(), values.size(), {}, nullptr, &pool),
             column)
       << "parallel encoder no longer reproduces the committed bytes";
 }

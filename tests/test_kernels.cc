@@ -321,53 +321,6 @@ TEST(KernelTiers, RdFusedMatchesScalarFloat) {
   }
 }
 
-TEST(KernelTiers, RdGlueMatchesScalar) {
-  const auto tiers = AvailableTiers();
-  std::mt19937_64 rng(44);
-  const unsigned right_bits = 52;
-  alignas(64) uint64_t dict_shifted[kRdMaxDictSize];
-  for (auto& d : dict_shifted) d = (rng() & LowMask64(12)) << right_bits;
-  uint16_t codes[kVectorSize];
-  // Deliberately unaligned right-parts storage (the column decode path
-  // hands the kernels a pointer into a packed struct).
-  std::vector<uint64_t> right_storage(kVectorSize + 1);
-  uint64_t* right = right_storage.data() + 1;
-  for (auto& c : codes) c = static_cast<uint16_t>(rng() % kRdMaxDictSize);
-  for (unsigned i = 0; i < kVectorSize; ++i) right[i] = rng() & LowMask64(right_bits);
-
-  alignas(64) double ref[kVectorSize];
-  ScalarKernels().rd_glue64(codes, right, dict_shifted, ref);
-  for (unsigned i = 0; i < kVectorSize; ++i) {
-    ASSERT_EQ(BitsOf(ref[i]), dict_shifted[codes[i]] | right[i]) << i;
-  }
-  for (const DecodeKernels* k : tiers) {
-    alignas(64) double out[kVectorSize];
-    k->rd_glue64(codes, right, dict_shifted, out);
-    for (unsigned i = 0; i < kVectorSize; ++i) {
-      ASSERT_EQ(BitsOf(out[i]), BitsOf(ref[i])) << kernels::TierName(k->tier);
-    }
-  }
-
-  // Float flavour.
-  alignas(64) uint32_t dict32[kRdMaxDictSize];
-  const unsigned rb32 = 24;
-  for (auto& d : dict32) d = (static_cast<uint32_t>(rng()) & LowMask32(8)) << rb32;
-  std::vector<uint32_t> right32_storage(kVectorSize + 1);
-  uint32_t* right32 = right32_storage.data() + 1;
-  for (unsigned i = 0; i < kVectorSize; ++i) {
-    right32[i] = static_cast<uint32_t>(rng()) & LowMask32(rb32);
-  }
-  alignas(64) float ref32[kVectorSize];
-  ScalarKernels().rd_glue32(codes, right32, dict32, ref32);
-  for (const DecodeKernels* k : tiers) {
-    alignas(64) float out[kVectorSize];
-    k->rd_glue32(codes, right32, dict32, out);
-    for (unsigned i = 0; i < kVectorSize; ++i) {
-      ASSERT_EQ(BitsOf(out[i]), BitsOf(ref32[i])) << kernels::TierName(k->tier);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Exception patching: every tier, including duplicate positions.
 // ---------------------------------------------------------------------------

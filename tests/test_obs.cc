@@ -507,7 +507,7 @@ TEST_F(ObsTest, TelemetryNeverChangesEncodedBytes) {
 
   ThreadPool pool(4);
   const std::vector<uint8_t> measured_parallel =
-      CompressColumnParallel(values.data(), values.size(), {}, nullptr, &pool);
+      CompressColumn(values.data(), values.size(), {}, nullptr, &pool);
   EXPECT_EQ(quiet, measured_parallel);
 
 #if ALP_OBS

@@ -199,18 +199,10 @@ TEST(ParallelEncode, ByteIdenticalAcrossThreadCounts) {
     const std::vector<uint8_t> serial = CompressColumn(
         corpus->values.data(), corpus->values.size(), {}, &serial_info);
 
-    // Null pool: the documented serial fallback.
-    CompressionInfo inline_info;
-    EXPECT_EQ(CompressColumnParallel(corpus->values.data(),
-                                     corpus->values.size(), {}, &inline_info,
-                                     nullptr),
-              serial);
-    ExpectInfoEqual(inline_info, serial_info);
-
     for (const unsigned threads : {1u, 2u, 8u}) {
       ThreadPool pool(threads);
       CompressionInfo info;
-      const std::vector<uint8_t> parallel = CompressColumnParallel(
+      const std::vector<uint8_t> parallel = CompressColumn(
           corpus->values.data(), corpus->values.size(), {}, &info, &pool);
       EXPECT_EQ(parallel, serial) << threads << " threads";
       ExpectInfoEqual(info, serial_info);
@@ -224,9 +216,8 @@ TEST(ParallelEncode, ManyRowgroupsByteIdentical) {
   const std::vector<uint8_t> serial =
       CompressColumn(values.data(), values.size());
   ThreadPool pool(8);
-  EXPECT_EQ(
-      CompressColumnParallel(values.data(), values.size(), {}, nullptr, &pool),
-      serial);
+  EXPECT_EQ(CompressColumn(values.data(), values.size(), {}, nullptr, &pool),
+            serial);
 }
 
 // ---------------------------------------------------------------------------
@@ -245,11 +236,11 @@ TEST(ParallelDecode, MatchesSerialAtEveryThreadCount) {
     }
     for (const unsigned threads : {1u, 2u, 8u}) {
       ThreadPool pool(threads);
-      StatusOr<ColumnReader<double>> reader = ColumnReader<double>::OpenParallel(
+      StatusOr<ColumnReader<double>> reader = ColumnReader<double>::Open(
           c.buffer.data(), c.buffer.size(), &pool);
       ASSERT_TRUE(reader.ok()) << reader.status().ToString();
       std::vector<double> out(c.values.size(), -1.0);
-      const Status decode = reader->TryDecodeAllParallel(out.data(), &pool);
+      const Status decode = reader->TryDecodeAll(out.data(), nullptr, &pool);
       ASSERT_TRUE(decode.ok()) << decode.ToString();
       EXPECT_EQ(std::memcmp(out.data(), c.values.data(),
                             out.size() * sizeof(double)),
@@ -281,7 +272,7 @@ TEST(ParallelDecode, ConcurrentReadersSeeIdenticalValues) {
       // Half the readers fan out on the shared pool, half decode serially;
       // both classes run concurrently against the same reader.
       statuses[r] = (r % 2 == 0)
-                        ? reader->TryDecodeAllParallel(outs[r].data(), &pool)
+                        ? reader->TryDecodeAll(outs[r].data(), nullptr, &pool)
                         : reader->TryDecodeAll(outs[r].data());
     });
   }
@@ -327,7 +318,7 @@ TEST(ParallelStatusParity, CorruptRowgroupPayloadsReportIdentically) {
     const StatusOr<ColumnReader<double>> serial =
         ColumnReader<double>::Open(bad.data(), bad.size());
     const StatusOr<ColumnReader<double>> parallel =
-        ColumnReader<double>::OpenParallel(bad.data(), bad.size(), &pool);
+        ColumnReader<double>::Open(bad.data(), bad.size(), &pool);
     ASSERT_FALSE(serial.ok());
     ASSERT_FALSE(parallel.ok());
     EXPECT_EQ(parallel.status().ToString(), serial.status().ToString());
@@ -356,7 +347,7 @@ TEST(ParallelStatusParity, HeaderAndTruncationFailuresReportIdentically) {
     const StatusOr<ColumnReader<double>> serial =
         ColumnReader<double>::Open(bad.data(), bad.size());
     const StatusOr<ColumnReader<double>> parallel =
-        ColumnReader<double>::OpenParallel(bad.data(), bad.size(), &pool);
+        ColumnReader<double>::Open(bad.data(), bad.size(), &pool);
     ASSERT_FALSE(serial.ok());
     ASSERT_FALSE(parallel.ok());
     EXPECT_EQ(parallel.status().ToString(), serial.status().ToString());
@@ -380,7 +371,7 @@ TEST(ParallelStatusParity, V2DecodeFailuresReportIdentically) {
     const StatusOr<ColumnReader<double>> serial_reader =
         ColumnReader<double>::Open(bad.data(), bad.size());
     const StatusOr<ColumnReader<double>> parallel_reader =
-        ColumnReader<double>::OpenParallel(bad.data(), bad.size(), &pool);
+        ColumnReader<double>::Open(bad.data(), bad.size(), &pool);
     ASSERT_EQ(parallel_reader.ok(), serial_reader.ok()) << "byte " << byte;
     if (!serial_reader.ok()) {
       EXPECT_EQ(parallel_reader.status().ToString(),
@@ -392,7 +383,7 @@ TEST(ParallelStatusParity, V2DecodeFailuresReportIdentically) {
     std::vector<double> parallel_out(parallel_reader->value_count(), -2.0);
     const Status serial_status = serial_reader->TryDecodeAll(serial_out.data());
     const Status parallel_status =
-        parallel_reader->TryDecodeAllParallel(parallel_out.data(), &pool);
+        parallel_reader->TryDecodeAll(parallel_out.data(), nullptr, &pool);
     EXPECT_EQ(parallel_status.ToString(), serial_status.ToString())
         << "byte " << byte;
     if (serial_status.ok() && parallel_status.ok()) {

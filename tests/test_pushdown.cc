@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -381,10 +382,12 @@ TEST(PushdownParity, ClusteredDataEveryTier) {
       for (size_t v = 0; v < reader.vector_count(); ++v) {
         double got = 0.0;
         pushdown::VectorCounters counters;
-        const bool packed =
-            pushdown::FilterSumVector(reader, v, tp, &scratch, &got, &counters);
+        ASSERT_TRUE(
+            pushdown::FilterSumVector(reader, v, tp, &scratch, &got, &counters)
+                .ok());
+        const bool packed = counters.packed_eval == 1;
         const unsigned len = reader.VectorLength(v);
-        reader.DecodeVector(v, values.data());
+        ASSERT_TRUE(reader.TryDecodeVector(v, values.data()).ok());
         pushdown::SurvivorSum oracle;
         unsigned survivors = 0;
         for (unsigned i = 0; i < len; ++i) {
@@ -600,12 +603,80 @@ TEST(PushdownParity, EmptyAndUniversalRanges) {
     for (const auto& clash : clashes) {
       double got = 0.0;
       pushdown::VectorCounters counters;
-      EXPECT_TRUE(pushdown::FilterSumVector(shared, 1, TranslatedPredicate(clash.pred),
-                                            &scratch, &got, &counters));
+      ASSERT_TRUE(pushdown::FilterSumVector(shared, 1, TranslatedPredicate(clash.pred),
+                                            &scratch, &got, &counters)
+                      .ok());
+      EXPECT_EQ(counters.packed_eval, 1u);
       const double oracle = pushdown::FilterSumValues(values.data(), len, clash.pred);
       EXPECT_EQ(BitsOf(got), BitsOf(oracle));
       EXPECT_EQ(BitsOf(got), BitsOf(clash.sum));
     }
+  }
+}
+
+TEST(PushdownParity, RejectedVectorReturnsCorruptEveryTier) {
+  // Vector 1's first exception position is forged to n, out of range. The
+  // unverified constructor leaves vector checks to decode, so the vector
+  // has no packed view and every per-vector step falls back to its decode.
+  // That decode must report kCorrupt and leave the caller's outputs as they
+  // were, not filter whatever values the scratch held before.
+  auto data = Clustered(kRowgroupSize + 1, 59);
+  data[kVectorSize + 5] = 1e300;
+  data[kVectorSize + 900] = -1e300;
+  const std::vector<uint8_t> buffer = CompressColumn(data.data(), data.size());
+  ColumnReader<double> clean(buffer.data(), buffer.size());
+  ColumnReader<double>::PackedVectorView view;
+  ASSERT_TRUE(clean.GetPackedVectorView(1, &view));
+  ASSERT_EQ(view.exc_count, 2u);
+  std::vector<uint8_t> forged = buffer;
+  const size_t positions_at =
+      reinterpret_cast<const uint8_t*>(view.exc_positions) - buffer.data();
+  const uint16_t out_of_range = static_cast<uint16_t>(view.n);
+  std::memcpy(forged.data() + positions_at, &out_of_range, sizeof(uint16_t));
+  ColumnReader<double> reader(forged.data(), forged.size());
+  ASSERT_TRUE(reader.ok());
+  std::vector<double> probe(kVectorSize);
+  ASSERT_EQ(reader.TryDecodeVector(1, probe.data()).code(), StatusCode::kCorrupt);
+
+  const TranslatedPredicate everything(Predicate::Between(-kInf, kInf));
+  constexpr uint64_t kBitmapSentinel = 0xA5A5A5A5A5A5A5A5ull;
+  pushdown::EvalScratch scratch;
+  TierGuard guard;
+  for (const DecodeKernels* k : AvailableTiers()) {
+    SCOPED_TRACE(kernels::TierName(k->tier));
+    ASSERT_TRUE(kernels::ForceTier(k->tier));
+    std::fill(std::begin(scratch.values), std::end(scratch.values), 7.0);
+    pushdown::VectorCounters counters;
+
+    double sum = -1.0;
+    EXPECT_EQ(pushdown::FilterSumVector(reader, 1, everything, &scratch, &sum,
+                                        &counters)
+                  .code(),
+              StatusCode::kCorrupt);
+    EXPECT_EQ(BitsOf(sum), BitsOf(-1.0));
+
+    uint64_t bitmap[kVectorSize / 64];
+    std::fill(std::begin(bitmap), std::end(bitmap), kBitmapSentinel);
+    unsigned count = 12345;
+    EXPECT_EQ(pushdown::SelectVector(reader, 1, everything, &scratch, bitmap,
+                                     &count, &counters)
+                  .code(),
+              StatusCode::kCorrupt);
+    EXPECT_EQ(count, 12345u);
+    for (uint64_t word : bitmap) EXPECT_EQ(word, kBitmapSentinel);
+
+    uint64_t all[kVectorSize / 64];
+    std::fill(std::begin(all), std::end(all), ~uint64_t{0});
+    std::vector<double> out(kVectorSize, -2.0);
+    EXPECT_EQ(pushdown::GatherVector(reader, 1, all, &scratch, out.data(),
+                                     &counters)
+                  .code(),
+              StatusCode::kCorrupt);
+    EXPECT_EQ(std::count(out.begin(), out.end(), -2.0),
+              static_cast<std::ptrdiff_t>(kVectorSize));
+
+    EXPECT_EQ(counters.packed_eval, 0u);
+    EXPECT_EQ(counters.decoded, 3u);
   }
 }
 

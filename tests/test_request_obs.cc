@@ -18,6 +18,8 @@
 
 #include "alp/alp.h"
 #include "alp/kernel_dispatch.h"
+#include "engine/operators.h"
+#include "io/decoded_vector_cache.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
@@ -184,6 +186,35 @@ TEST(Attribution, ScopedInstallAndNestedRestore) {
   }
   EXPECT_EQ(obs::CurrentFlightRecorder(), nullptr);
   EXPECT_EQ(obs::CurrentTraceId(), 0u);
+}
+
+TEST(Attribution, PoolWorkersNeverWriteTheCallersRecorder) {
+  // The recorder has one writer. Attribution is thread-local, so an engine
+  // query fanned out over a 4-worker pool records nothing into the recorder
+  // installed on the calling thread — not even over a seekable column,
+  // whose cursors count cache and chunk events into the current recorder,
+  // nor with a non-null ctx.
+  const auto data = ServingData(3 * kRowgroupSize + 77);
+  engine::StoredColumn column =
+      engine::StoredColumn::MakeAlp(data.data(), data.size());
+  io::DecodedVectorCache cache(4 << 20);
+  ASSERT_TRUE(column.EnableSeekable(&cache).ok());
+  engine::ThreadPool pool(4);
+  CancelToken cancel;
+  OpContext ctx;
+  ctx.cancel = &cancel;
+  FlightRecorder recorder;
+  recorder.Reset(obs::NewTraceId(), "aggregate", "acme");
+  const size_t events_before = recorder.EventCount();
+  {
+    obs::ScopedRequestAttribution attribution(recorder.trace_id(), &recorder);
+    const engine::QueryResult sum = engine::RunSum(column, pool, &ctx);
+    EXPECT_TRUE(sum.status.ok()) << sum.status.ToString();
+    const engine::QueryResult filtered =
+        engine::RunFilterSum(column, -100.0, 300.0, pool, &ctx);
+    EXPECT_TRUE(filtered.status.ok()) << filtered.status.ToString();
+  }
+  EXPECT_EQ(recorder.EventCount(), events_before);
 }
 
 // ---------------------------------------------------------------------------

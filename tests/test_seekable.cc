@@ -120,6 +120,19 @@ std::shared_ptr<SeekableReader<double>> OpenSeekable(
   return reader.ok() ? *reader : nullptr;
 }
 
+/// Decodes rowgroup \p rg vector by vector (point lookups) into \p out,
+/// stopping at the first failing vector.
+Status DecodeRowgroupVectors(const SeekableReader<double>& reader, size_t rg,
+                             double* out) {
+  const size_t first = rg * kRowgroupVectors;
+  const size_t end = std::min(first + kRowgroupVectors, reader.vector_count());
+  for (size_t v = first; v < end; ++v) {
+    Status s = reader.TryDecodeVector(v, out + (v - first) * kVectorSize);
+    if (!s.ok()) return s;
+  }
+  return Status::Ok();
+}
+
 /// End-to-end Status of the seekable path on \p buffer: open + full decode.
 Status SeekableOutcome(const std::vector<uint8_t>& buffer) {
   auto reader = SeekableReader<double>::Open(
@@ -232,35 +245,7 @@ TEST_P(SeekableOracleTest, RandomizedSeeksAreByteIdentical) {
       }
     }
 
-    // Rowgroup reads and the full scan agree too.
-    const size_t rowgroups = (oracle->vector_count() + kRowgroupVectors - 1) /
-                             kRowgroupVectors;
-    std::vector<double> expect_rg(kRowgroupSize);
-    std::vector<double> got_rg(kRowgroupSize);
-    for (size_t rg = 0; rg < rowgroups; ++rg) {
-      const size_t first = rg * kRowgroupVectors;
-      const size_t count =
-          std::min<size_t>(kRowgroupVectors, oracle->vector_count() - first);
-      for (size_t lv = 0; lv < count; ++lv) {
-        ASSERT_TRUE(oracle
-                        ->TryDecodeVector(first + lv,
-                                          expect_rg.data() + lv * kVectorSize)
-                        .ok());
-      }
-      for (auto* reader : {cached.get(), uncached.get()}) {
-        ASSERT_TRUE(reader->TryDecodeRowgroup(rg, got_rg.data()).ok());
-        const uint64_t rg_values = reader->RowgroupValueCount(rg);
-        for (size_t lv = 0; lv < count; ++lv) {
-          const unsigned len = reader->VectorLength(first + lv);
-          ASSERT_EQ(std::memcmp(got_rg.data() + lv * kVectorSize,
-                                expect_rg.data() + lv * kVectorSize,
-                                len * sizeof(double)),
-                    0);
-        }
-        ASSERT_GT(rg_values, 0u);
-      }
-    }
-
+    // The full scan (one cursor per rowgroup) agrees too.
     std::vector<double> all_expect(oracle->vector_count() * kVectorSize);
     std::vector<double> all_got(all_expect.size());
     ASSERT_TRUE(oracle->TryDecodeAll(all_expect.data()).ok());
@@ -359,9 +344,6 @@ TEST(SeekableStatusParity, OutOfRangeIndexesMatchOracle) {
       oracle->TryDecodeVector(oracle->vector_count(), out.data());
   EXPECT_EQ(seekable_vec.code(), oracle_vec.code());
   EXPECT_EQ(seekable_vec.code(), StatusCode::kCorrupt);
-  EXPECT_EQ(reader->TryDecodeRowgroup(reader->rowgroup_count(), out.data())
-                .code(),
-            StatusCode::kCorrupt);
 }
 
 TEST(SeekableStatusParity, CancellationAndDeadlineShortCircuit) {
@@ -467,7 +449,7 @@ TEST(SeekableCorruption, UncachedChunkCorruptionSurfacesOnFirstTouch) {
 
   // Warm rowgroup 0 while the file is intact.
   std::vector<double> out(kRowgroupSize);
-  ASSERT_TRUE(reader->TryDecodeRowgroup(0, out.data()).ok());
+  ASSERT_TRUE(DecodeRowgroupVectors(*reader, 0, out.data()).ok());
   const uint64_t inserts_after_rg0 = cache.TotalStats().inserts;
   ASSERT_GT(inserts_after_rg0, 0u);
 
@@ -481,7 +463,7 @@ TEST(SeekableCorruption, UncachedChunkCorruptionSurfacesOnFirstTouch) {
   // First touch of the damaged chunk: checksum mismatch, and repeatably so.
   const size_t rg1_first_vector = 1 * kRowgroupVectors;
   for (int attempt = 0; attempt < 3; ++attempt) {
-    EXPECT_EQ(reader->TryDecodeRowgroup(1, out.data()).code(),
+    EXPECT_EQ(DecodeRowgroupVectors(*reader, 1, out.data()).code(),
               StatusCode::kChecksumMismatch);
     EXPECT_EQ(reader->TryDecodeVector(rg1_first_vector, out.data()).code(),
               StatusCode::kChecksumMismatch);
@@ -490,7 +472,7 @@ TEST(SeekableCorruption, UncachedChunkCorruptionSurfacesOnFirstTouch) {
   EXPECT_EQ(cache.TotalStats().inserts, inserts_after_rg0);
   EXPECT_TRUE(cache.CheckInvariants());
   // ...and rowgroup 0 still serves, from cache, byte-identically.
-  ASSERT_TRUE(reader->TryDecodeRowgroup(0, out.data()).ok());
+  ASSERT_TRUE(DecodeRowgroupVectors(*reader, 0, out.data()).ok());
   EXPECT_EQ(std::memcmp(out.data(), corpus.values.data(),
                         reader->RowgroupValueCount(0) * sizeof(double)),
             0);
@@ -498,7 +480,7 @@ TEST(SeekableCorruption, UncachedChunkCorruptionSurfacesOnFirstTouch) {
   // Heal the byte: the chunk decodes correctly — proof no poisoned entry
   // was left behind to satisfy the read.
   buffer[victim] ^= 0xFF;
-  ASSERT_TRUE(reader->TryDecodeRowgroup(1, out.data()).ok());
+  ASSERT_TRUE(DecodeRowgroupVectors(*reader, 1, out.data()).ok());
   EXPECT_EQ(std::memcmp(out.data(), corpus.values.data() + kRowgroupSize,
                         reader->RowgroupValueCount(1) * sizeof(double)),
             0);
@@ -538,10 +520,10 @@ TEST(SeekableCorruption, StructuralCorruptionPastChecksumNeverPoisons) {
   ASSERT_NE(reader, nullptr);
 
   std::vector<double> out(kRowgroupSize);
-  ASSERT_TRUE(reader->TryDecodeRowgroup(0, out.data()).ok());
+  ASSERT_TRUE(DecodeRowgroupVectors(*reader, 0, out.data()).ok());
   const uint64_t inserts_after_rg0 = cache.TotalStats().inserts;
 
-  EXPECT_EQ(reader->TryDecodeRowgroup(1, out.data()).code(),
+  EXPECT_EQ(DecodeRowgroupVectors(*reader, 1, out.data()).code(),
             StatusCode::kCorrupt);
   EXPECT_EQ(cache.TotalStats().inserts, inserts_after_rg0);
   EXPECT_TRUE(cache.CheckInvariants());
@@ -720,7 +702,7 @@ TEST(SeekableConcurrency, ConcurrentReadersShareOneCacheConsistently) {
     for (unsigned t = 0; t < threads; ++t) {
       workers.emplace_back([&, t] {
         std::mt19937_64 rng(1000 + t);
-        std::vector<double> got(kRowgroupSize);
+        std::vector<double> got(reader->vector_count() * kVectorSize);
         for (int i = 0; i < 300; ++i) {
           const size_t v = rng() % reader->vector_count();
           const unsigned len = reader->VectorLength(v);
@@ -731,12 +713,10 @@ TEST(SeekableConcurrency, ConcurrentReadersShareOneCacheConsistently) {
             mismatches.fetch_add(1, std::memory_order_relaxed);
           }
         }
-        // One full rowgroup read per thread for the multi-vector path.
-        const size_t rg = t % reader->rowgroup_count();
-        if (!reader->TryDecodeRowgroup(rg, got.data()).ok() ||
-            std::memcmp(got.data(),
-                        corpus.values.data() + rg * kRowgroupSize,
-                        reader->RowgroupValueCount(rg) * sizeof(double)) != 0) {
+        // One full-column read per thread for the multi-vector path.
+        if (!reader->TryDecodeAll(got.data()).ok() ||
+            std::memcmp(got.data(), corpus.values.data(),
+                        reader->value_count() * sizeof(double)) != 0) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
       });

@@ -236,11 +236,11 @@ TEST(CancellationThreading, ExpiredDeadlineStopsDecodeAndValidate) {
             StatusCode::kDeadlineExceeded);
   for (unsigned threads : {1u, 2u, 4u}) {
     ThreadPool pool(threads);
-    EXPECT_EQ(reader->TryDecodeAllParallel(out.data(), &pool, &ctx).code(),
+    EXPECT_EQ(reader->TryDecodeAll(out.data(), &ctx, &pool).code(),
               StatusCode::kDeadlineExceeded)
         << threads << " threads";
-    EXPECT_EQ(ValidateColumnParallelEx<double>(buffer.data(), buffer.size(),
-                                               &pool, &ctx)
+    EXPECT_EQ(ValidateColumnEx<double>(buffer.data(), buffer.size(), &ctx,
+                                       &pool)
                   .code(),
               StatusCode::kDeadlineExceeded)
         << threads << " threads";

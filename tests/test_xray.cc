@@ -438,7 +438,7 @@ TEST(Trace, EightWorkerCaptureNestsPerThread) {
 
   obs::StartTracing();
   const std::vector<uint8_t> compressed =
-      CompressColumnParallel(values.data(), values.size(), {}, nullptr, &pool);
+      CompressColumn(values.data(), values.size(), {}, nullptr, &pool);
   obs::StopTracing();
 
   EXPECT_EQ(compressed, CompressColumn(values.data(), values.size()))

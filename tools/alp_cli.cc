@@ -181,7 +181,7 @@ int CompressValues(const std::vector<T>& values, const std::string& out_path) {
   alp::CompressionInfo info;
   const uint64_t t0 = alp::CycleNow();
   const auto buffer =
-      alp::CompressColumnParallel(values.data(), values.size(), {}, &info, &Pool());
+      alp::CompressColumn(values.data(), values.size(), {}, &info, &Pool());
   const uint64_t cycles = alp::CycleNow() - t0;
 
   if (!alp::WriteFileBytes(out_path, buffer.data(), buffer.size())) {
@@ -212,7 +212,7 @@ template <typename T>
 int DecompressAs(const std::vector<uint8_t>& buffer, const std::string& out_path,
                  const alp::Status& open_error) {
   auto reader =
-      alp::ColumnReader<T>::OpenParallel(buffer.data(), buffer.size(), &Pool());
+      alp::ColumnReader<T>::Open(buffer.data(), buffer.size(), &Pool());
   if (!reader.ok()) {
     // The double error names the real problem when both types fail.
     return Fail(open_error.ok() ? reader.status() : open_error,
@@ -220,7 +220,7 @@ int DecompressAs(const std::vector<uint8_t>& buffer, const std::string& out_path
   }
   std::vector<T> values(reader->value_count());
   const uint64_t t0 = alp::CycleNow();
-  const alp::Status decode = reader->TryDecodeAllParallel(values.data(), &Pool());
+  const alp::Status decode = reader->TryDecodeAll(values.data(), nullptr, &Pool());
   const uint64_t cycles = alp::CycleNow() - t0;
   if (!decode.ok()) return Fail(decode, "cannot decode column");
   // Output files are always float64; float32 columns are widened (lossless).
@@ -238,8 +238,8 @@ int DecompressAs(const std::vector<uint8_t>& buffer, const std::string& out_path
 int CmdDecompress(const std::string& in_path, const std::string& out_path) {
   const auto buffer = alp::ReadFileBytes(in_path);
   if (!buffer.has_value()) return Fail(alp::Status::Io(in_path), "cannot read input");
-  auto reader = alp::ColumnReader<double>::OpenParallel(buffer->data(),
-                                                        buffer->size(), &Pool());
+  auto reader = alp::ColumnReader<double>::Open(buffer->data(), buffer->size(),
+                                                &Pool());
   if (!reader.ok()) {
     // The header's type tag decides which reader opens; fall back to float32.
     return DecompressAs<float>(*buffer, out_path, reader.status());
@@ -327,8 +327,8 @@ int CmdVerify(const std::string& alp_path, const std::string& original_path) {
   if (!original.ok()) {
     return Fail(original.status(), "cannot read original");
   }
-  auto reader = alp::ColumnReader<double>::OpenParallel(buffer->data(),
-                                                        buffer->size(), &Pool());
+  auto reader = alp::ColumnReader<double>::Open(buffer->data(), buffer->size(),
+                                                &Pool());
   if (!reader.ok()) {
     return Fail(reader.status(), "not a valid ALP column");
   }
@@ -336,7 +336,7 @@ int CmdVerify(const std::string& alp_path, const std::string& original_path) {
     return Fail("value counts differ");
   }
   std::vector<double> restored(reader->value_count());
-  const alp::Status decode = reader->TryDecodeAllParallel(restored.data(), &Pool());
+  const alp::Status decode = reader->TryDecodeAll(restored.data(), nullptr, &Pool());
   if (!decode.ok()) return Fail(decode, "cannot decode column");
   for (size_t i = 0; i < restored.size(); ++i) {
     if (alp::BitsOf(restored[i]) != alp::BitsOf((*original)[i])) {
@@ -424,14 +424,13 @@ int CmdStats(const std::string& in_path, bool prom, bool perf) {
 
   alp::CompressionInfo info;
   const auto buffer =
-      alp::CompressColumnParallel(values->data(), values->size(), {}, &info, &Pool());
-  auto reader = alp::ColumnReader<double>::OpenParallel(buffer.data(),
-                                                        buffer.size(), &Pool());
+      alp::CompressColumn(values->data(), values->size(), {}, &info, &Pool());
+  auto reader = alp::ColumnReader<double>::Open(buffer.data(), buffer.size(), &Pool());
   if (!reader.ok()) {
     return Fail(reader.status(), "round-trip open failed");
   }
   std::vector<double> restored(reader->value_count());
-  const alp::Status decode = reader->TryDecodeAllParallel(restored.data(), &Pool());
+  const alp::Status decode = reader->TryDecodeAll(restored.data(), nullptr, &Pool());
   if (!decode.ok()) return Fail(decode, "round-trip decode failed");
   for (size_t i = 0; i < restored.size(); ++i) {
     if (alp::BitsOf(restored[i]) != alp::BitsOf((*values)[i])) {
