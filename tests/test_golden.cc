@@ -103,6 +103,16 @@ const std::vector<float>& FloatSmall() {
   return values;
 }
 
+/// A double ALP_rd column whose rowgroup takes a multi-entry dictionary
+/// and has exceptions: POI-lat latitudes cut at 51 right bits with an
+/// 8-entry dictionary (rd_small.alp's cut has a single entry). It pins the
+/// dictionary-code path of the ALP_rd encoder.
+const std::vector<double>& RdDict() {
+  static const std::vector<double> values =
+      data::Generate(*data::FindDataset("POI-lat"), 3000, 42);
+  return values;
+}
+
 struct GoldenCase {
   const char* values_file;
   const char* column_file;
@@ -117,6 +127,8 @@ const std::vector<GoldenCase>& Cases() {
        AlpSmall().buffer},
       {"rd_small.bin", "rd_small.alp", false, ValueBytes(RdSmall().values),
        RdSmall().buffer},
+      {"rd_dict.bin", "rd_dict.alp", false, ValueBytes(RdDict()),
+       CompressColumn(RdDict().data(), RdDict().size())},
       {"alp_small_float.bin", "alp_small_float.alp", true, ValueBytes(FloatSmall()),
        CompressColumn(FloatSmall().data(), FloatSmall().size())},
   };
@@ -198,6 +210,27 @@ TEST(Golden, ReencodingReproducesCommittedBytes) {
       ExpectReencodesTo<double>(column, raw);
     }
   }
+}
+
+TEST(Golden, RdDictFixtureTakesMultiEntryDictionaryWithExceptions) {
+  if (!HostIsLittleEndian()) GTEST_SKIP() << "golden files are little-endian";
+  const std::vector<uint8_t> column = LoadGolden(
+      "rd_dict.alp", CompressColumn(RdDict().data(), RdDict().size()));
+  StatusOr<ColumnMetaCursor<double>> cursor =
+      ColumnMetaCursor<double>::Open(column.data(), column.size());
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  ASSERT_EQ(cursor->rowgroup_count(), 1u);
+  StatusOr<RowgroupMeta> rg = cursor->Rowgroup(0);
+  ASSERT_TRUE(rg.ok()) << rg.status().ToString();
+  EXPECT_EQ(rg->scheme, Scheme::kAlpRd);
+  EXPECT_GE(rg->rd_dict_size, 4u);
+  size_t exceptions = 0;
+  for (size_t v = 0; v < cursor->vector_count(); ++v) {
+    StatusOr<VectorMeta> vm = cursor->Vector(v);
+    ASSERT_TRUE(vm.ok()) << vm.status().ToString();
+    exceptions += vm->exc_count;
+  }
+  EXPECT_GT(exceptions, 0u);
 }
 
 TEST(Golden, CommittedV2ColumnStillDecodes) {
