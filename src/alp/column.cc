@@ -1,6 +1,7 @@
 #include "alp/column.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
@@ -170,6 +171,15 @@ void WriteRdVector(const RdEncodedVector<T>& enc, const RdParams<T>& params,
 /// which of two equal values wins. Only +0.0 and -0.0 compare equal with different bits, and
 /// the serial fold keeps the first zero in index order, so a zero result
 /// takes that zero's bits.
+///
+/// Built for the SSE2 baseline. An AVX-512 fold (`_mm512_min_pd(x, lo)`
+/// returns lo when x is NaN or both are zeros, which is this fold) gave
+/// bit-identical results on 20,000 mixed, NaN and ±0 vectors, and on an
+/// AVX-512 Xeon ran 0.14 ns/value against 0.40 for this loop on L2-resident
+/// vectors. Whole perfbench `ingest` (seed 500, 10 s runs) read 214.3,
+/// 221.3 and 217.4 Mvalues/s with it against 207.6, 212.5 and 202.3
+/// without: about +4%, three pairs. This stays the baseline until the
+/// fold moves into the dispatched kernel table.
 template <typename T>
 VectorStats ZoneStats(const T* values, unsigned len) {
   constexpr unsigned kStripes = 8;
@@ -247,9 +257,11 @@ void CompressRowgroupTo(const T* rg_data, size_t rg_len, const SamplerConfig& co
   out->Append(rg_header);
 
   RdParams<T> rd_params;
+  std::vector<uint8_t> rd_codes;
   if (analysis.scheme == Scheme::kAlpRd) {
     ALP_OBS_SPAN(rd_sample_span, "compress.sample_rd", rg_len);
     rd_params = RdAnalyzeRowgroup(rg_data, rg_len, config);
+    rd_codes = RdCodeTable(rd_params);
     RdHeader rd_header{};
     rd_header.right_bits = rd_params.right_bits;
     rd_header.dict_width = rd_params.dict_width;
@@ -291,7 +303,7 @@ void CompressRowgroupTo(const T* rg_data, size_t rg_len, const SamplerConfig& co
       RdEncodedVector<T> enc;
       {
         ALP_OBS_SPAN(encode_rd_span, "compress.encode_rd", len);
-        RdEncodeVector(rg_data + off, len, rd_params, &enc);
+        RdEncodeVector(rg_data + off, len, rd_params, rd_codes.data(), &enc);
       }
       WriteRdVector(enc, rd_params, out);
       out->PatchAt(vec_header_at + offsetof(RdVectorHeader, n),
@@ -312,13 +324,24 @@ std::vector<uint8_t> AssembleColumn(uint64_t value_count,
                                     const std::vector<std::vector<uint8_t>>& segments,
                                     const std::vector<VectorStats>& stats) {
   ALP_OBS_SPAN(assemble_span, "compress.assemble", value_count);
-  ByteBuffer out;
   ColumnHeader header{};
   header.magic = kMagic;
   header.version = kVersion;
   header.type = TypeTag<T>();
   header.value_count = value_count;
   header.rowgroup_count = static_cast<uint32_t>(std::max<size_t>(segments.size(), 1));
+
+  // The exact column size, reserved once so the buffer never regrows: the
+  // header, the offset, checksum and zone-map slots, the header checksum,
+  // then each segment, every section padded to 8 bytes.
+  const auto align8 = [](size_t bytes) { return (bytes + 7) & ~size_t{7}; };
+  size_t column_bytes =
+      align8(sizeof(ColumnHeader) + 2 * sizeof(uint64_t) * header.rowgroup_count +
+             sizeof(VectorStats) * stats.size() + sizeof(uint64_t));
+  for (const auto& segment : segments) column_bytes = align8(column_bytes + segment.size());
+
+  ByteBuffer out;
+  out.Reserve(column_bytes);
   out.Append(header);
   const size_t rg_offsets_slot = out.ReserveSlot<uint64_t>(header.rowgroup_count);
   const size_t rg_checksums_slot = out.ReserveSlot<uint64_t>(header.rowgroup_count);
@@ -350,6 +373,7 @@ std::vector<uint8_t> AssembleColumn(uint64_t value_count,
   // The header checksum covers every byte before its own slot: column
   // header, rowgroup offsets, rowgroup checksums and the zone map.
   out.PatchAt(header_checksum_slot, Checksum64(out.data(), header_checksum_slot));
+  assert(out.size() == column_bytes);
   return out.Take();
 }
 

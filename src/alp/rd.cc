@@ -1,6 +1,7 @@
 #include "alp/rd.h"
 
 #include <algorithm>
+#include <cassert>
 #include <unordered_map>
 #include <vector>
 
@@ -110,10 +111,24 @@ RdParams<T> RdAnalyzeRowgroup(const T* data, size_t n, const SamplerConfig& conf
 }
 
 template <typename T>
+std::vector<uint8_t> RdCodeTable(const RdParams<T>& params) {
+  const unsigned left_bits = params.left_bits();
+  assert(left_bits >= 1 && left_bits <= kRdMaxLeftBits);
+  std::vector<uint8_t> table(size_t{1} << left_bits, params.dict_size);
+  // Highest index first, so the lowest index of a duplicate entry is the
+  // one left standing. An entry too wide for the cut matches no left part.
+  for (unsigned d = params.dict_size; d-- > 0;) {
+    if (params.dict[d] < table.size()) table[params.dict[d]] = static_cast<uint8_t>(d);
+  }
+  return table;
+}
+
+template <typename T>
 void RdEncodeVector(const T* in, unsigned n, const RdParams<T>& params,
-                    RdEncodedVector<T>* out) {
+                    const uint8_t* code_table, RdEncodedVector<T>* out) {
   using Uint = typename AlpTraits<T>::Uint;
   const unsigned p = params.right_bits;
+  const uint8_t miss = params.dict_size;
   const Uint right_mask = static_cast<Uint>(
       p >= AlpTraits<T>::kValueBits ? ~Uint{0} : ((Uint{1} << p) - 1));
 
@@ -123,14 +138,8 @@ void RdEncodeVector(const T* in, unsigned n, const RdParams<T>& params,
     const uint16_t left = static_cast<uint16_t>(bits >> p);
     out->right_parts[i] = bits & right_mask;
 
-    // Small linear dictionary probe: at most 8 comparisons, no hashing.
-    uint16_t code = params.dict_size;  // Sentinel: not found.
-    for (unsigned d = 0; d < params.dict_size; ++d) {
-      code = (params.dict[d] == left && code == params.dict_size)
-                 ? static_cast<uint16_t>(d)
-                 : code;
-    }
-    if (code == params.dict_size) {
+    uint16_t code = code_table[left];
+    if (code == miss) {
       out->exceptions[exc_count] = left;
       out->exc_positions[exc_count] = static_cast<uint16_t>(i);
       ++exc_count;
@@ -152,6 +161,12 @@ void RdEncodeVector(const T* in, unsigned n, const RdParams<T>& params,
     out->left_codes[i] = 0;
     out->right_parts[i] = n > 0 ? out->right_parts[0] : Uint{0};
   }
+}
+
+template <typename T>
+void RdEncodeVector(const T* in, unsigned n, const RdParams<T>& params,
+                    RdEncodedVector<T>* out) {
+  RdEncodeVector(in, n, params, RdCodeTable(params).data(), out);
 }
 
 template <typename T>
@@ -215,6 +230,12 @@ template RdParams<double> RdAnalyzeRowgroup<double>(const double*, size_t,
                                                     const SamplerConfig&);
 template RdParams<float> RdAnalyzeRowgroup<float>(const float*, size_t,
                                                   const SamplerConfig&);
+template std::vector<uint8_t> RdCodeTable<double>(const RdParams<double>&);
+template std::vector<uint8_t> RdCodeTable<float>(const RdParams<float>&);
+template void RdEncodeVector<double>(const double*, unsigned, const RdParams<double>&,
+                                     const uint8_t*, RdEncodedVector<double>*);
+template void RdEncodeVector<float>(const float*, unsigned, const RdParams<float>&,
+                                    const uint8_t*, RdEncodedVector<float>*);
 template void RdEncodeVector<double>(const double*, unsigned, const RdParams<double>&,
                                      RdEncodedVector<double>*);
 template void RdEncodeVector<float>(const float*, unsigned, const RdParams<float>&,

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "alp/constants.h"
 #include "alp/sampler.h"
@@ -66,8 +67,23 @@ template <typename T>
 RdParams<T> RdAnalyzeRowgroup(const T* data, size_t n,
                               const SamplerConfig& config = {});
 
-/// Cuts and dictionary-encodes one vector of \p n values (n <= 1024).
+/// The left-part-to-code table of \p params: 2^left_bits one-byte entries
+/// (1 <= left_bits <= kRdMaxLeftBits, so at most 64 KiB). Entry x holds the
+/// lowest dictionary index whose entry equals x, so duplicate entries keep
+/// first-match-wins; a left part missing from the dictionary reads
+/// dict_size. Built once per rowgroup, it turns each value's code into one
+/// lookup instead of a probe of up to 8 entries.
+template <typename T>
+std::vector<uint8_t> RdCodeTable(const RdParams<T>& params);
+
+/// Cuts and dictionary-encodes one vector of \p n values (n <= 1024), coding
+/// each left part through \p code_table (RdCodeTable of \p params).
 /// Positions >= n are padded with the first value's parts.
+template <typename T>
+void RdEncodeVector(const T* in, unsigned n, const RdParams<T>& params,
+                    const uint8_t* code_table, RdEncodedVector<T>* out);
+
+/// The same, building the code table for this one call.
 template <typename T>
 void RdEncodeVector(const T* in, unsigned n, const RdParams<T>& params,
                     RdEncodedVector<T>* out);

@@ -25,26 +25,28 @@
 
 namespace alp {
 
-/// Growable byte buffer with aligned appends and patchable slots.
+/// Growable byte buffer with aligned appends and patchable slots. Appends
+/// copy their bytes in once (no zero-fill first); ReserveSlot and AlignTo
+/// write zeros.
 class ByteBuffer {
  public:
+  /// Makes room for \p total_bytes without regrowing: a writer that knows
+  /// its final size reserves it once.
+  void Reserve(size_t total_bytes) { bytes_.reserve(total_bytes); }
+
   /// Appends one trivially-copyable value.
   template <typename T>
   void Append(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const size_t at = bytes_.size();
-    bytes_.resize(at + sizeof(T));
-    std::memcpy(bytes_.data() + at, &value, sizeof(T));
+    AppendArray(&value, 1);
   }
 
   /// Appends \p count values from \p data.
   template <typename T>
   void AppendArray(const T* data, size_t count) {
     static_assert(std::is_trivially_copyable_v<T>);
-    if (count == 0) return;  // memcpy from a null source is UB even for 0.
-    const size_t at = bytes_.size();
-    bytes_.resize(at + count * sizeof(T));
-    std::memcpy(bytes_.data() + at, data, count * sizeof(T));
+    if (count == 0) return;  // \p data may be null.
+    const auto* first = reinterpret_cast<const uint8_t*>(data);
+    bytes_.insert(bytes_.end(), first, first + count * sizeof(T));
   }
 
   /// Pads with zero bytes so the next append starts at a multiple of

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -140,6 +144,131 @@ TEST(RdEncode, DictionaryProbeTakesFirstMatch) {
   RdEncodeVector(in.data(), 1, params, &enc);
   EXPECT_EQ(enc.left_codes[0], 0);
   EXPECT_EQ(enc.exc_count, 0);
+}
+
+/// The linear dictionary probe the code table replaced: for each value,
+/// the lowest dictionary index whose entry equals its left part.
+template <typename T>
+void LinearProbeEncode(const T* in, unsigned n, const RdParams<T>& params,
+                       RdEncodedVector<T>* out) {
+  using Uint = typename AlpTraits<T>::Uint;
+  const unsigned p = params.right_bits;
+  const Uint right_mask = static_cast<Uint>((Uint{1} << p) - 1);
+  unsigned exc_count = 0;
+  for (unsigned i = 0; i < n; ++i) {
+    const Uint bits = BitsOf(in[i]);
+    const uint16_t left = static_cast<uint16_t>(bits >> p);
+    out->right_parts[i] = bits & right_mask;
+    uint16_t code = params.dict_size;
+    for (unsigned d = 0; d < params.dict_size && code == params.dict_size; ++d) {
+      if (params.dict[d] == left) code = static_cast<uint16_t>(d);
+    }
+    if (code == params.dict_size) {
+      out->exceptions[exc_count] = left;
+      out->exc_positions[exc_count] = static_cast<uint16_t>(i);
+      ++exc_count;
+      code = 0;
+    }
+    out->left_codes[i] = code;
+  }
+  out->exc_count = static_cast<uint16_t>(exc_count);
+  for (unsigned i = n; i < kVectorSize; ++i) {
+    out->left_codes[i] = 0;
+    out->right_parts[i] = n > 0 ? out->right_parts[0] : Uint{0};
+  }
+}
+
+/// Encodes \p in with the table body and with the linear probe into
+/// buffers prefilled with the same garbage, and compares every field: the
+/// codes and right parts including the tail padding, the whole exception
+/// arrays (so neither writes past exc_count), and exc_count.
+template <typename T>
+void ExpectTableMatchesProbe(const std::vector<T>& in, const RdParams<T>& params) {
+  auto table = std::make_unique<RdEncodedVector<T>>();
+  auto probe = std::make_unique<RdEncodedVector<T>>();
+  std::memset(static_cast<void*>(table.get()), 0xA5, sizeof(RdEncodedVector<T>));
+  std::memset(static_cast<void*>(probe.get()), 0xA5, sizeof(RdEncodedVector<T>));
+  const unsigned n = static_cast<unsigned>(in.size());
+  RdEncodeVector(in.data(), n, params, RdCodeTable(params).data(), table.get());
+  LinearProbeEncode(in.data(), n, params, probe.get());
+  ASSERT_EQ(table->exc_count, probe->exc_count);
+  for (unsigned i = 0; i < kVectorSize; ++i) {
+    ASSERT_EQ(table->left_codes[i], probe->left_codes[i]) << i;
+    ASSERT_EQ(table->right_parts[i], probe->right_parts[i]) << i;
+    ASSERT_EQ(table->exceptions[i], probe->exceptions[i]) << i;
+    ASSERT_EQ(table->exc_positions[i], probe->exc_positions[i]) << i;
+  }
+}
+
+template <typename T>
+void SweepCodeTableAgainstProbe() {
+  using Uint = typename AlpTraits<T>::Uint;
+  std::mt19937_64 rng(12);
+  for (unsigned left_bits = 1; left_bits <= kRdMaxLeftBits; ++left_bits) {
+    const unsigned p = AlpTraits<T>::kValueBits - left_bits;
+    const uint32_t left_space = 1u << left_bits;
+    for (unsigned dict_size = 0; dict_size <= kRdMaxDictSize; ++dict_size) {
+      for (const bool duplicates : {false, true}) {
+        RdParams<T> params;
+        params.right_bits = static_cast<uint8_t>(p);
+        params.dict_size = static_cast<uint8_t>(dict_size);
+        for (unsigned d = 0; d < kRdMaxDictSize; ++d) {
+          params.dict[d] = static_cast<uint16_t>(rng() % left_space);
+        }
+        // Entries may repeat: the lowest index must win.
+        if (duplicates) {
+          for (unsigned d = 1; d < dict_size; d += 2) params.dict[d] = params.dict[d / 2];
+        }
+        // Slots past dict_size hold left parts the input uses; they must
+        // match nothing.
+        std::vector<uint16_t> missing;
+        for (uint32_t x = 0; x < left_space && missing.size() < 64; ++x) {
+          if (std::find(params.dict, params.dict + dict_size, x) ==
+              params.dict + dict_size) {
+            missing.push_back(static_cast<uint16_t>(x));
+          }
+        }
+        SCOPED_TRACE(::testing::Message() << "left_bits " << left_bits << " dict_size "
+                                          << dict_size << " duplicates " << duplicates);
+        for (const unsigned n : {1u, 13u, kVectorSize}) {
+          // Miss rates: none, about one in ten, all.
+          for (const unsigned miss_per_10 : {0u, 1u, 10u}) {
+            const bool can_hit = dict_size > 0;
+            const bool can_miss = !missing.empty();
+            if ((miss_per_10 < 10 && !can_hit) || (miss_per_10 > 0 && !can_miss)) continue;
+            std::vector<T> in(n);
+            for (auto& v : in) {
+              const bool miss = rng() % 10 < miss_per_10;
+              const uint16_t left = miss ? missing[rng() % missing.size()]
+                                         : params.dict[rng() % dict_size];
+              const Uint right = static_cast<Uint>(rng()) & static_cast<Uint>((Uint{1} << p) - 1);
+              v = std::bit_cast<T>(static_cast<Uint>(static_cast<Uint>(left) << p | right));
+            }
+            ExpectTableMatchesProbe(in, params);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RdEncode, CodeTableMatchesLinearProbe) {
+  SweepCodeTableAgainstProbe<double>();
+  SweepCodeTableAgainstProbe<float>();
+}
+
+TEST(RdEncode, CodeTableIgnoresEntriesWiderThanTheCut) {
+  RdParams<double> params;
+  params.right_bits = 60;  // 4 left bits: a 16-entry table.
+  params.dict_size = 2;
+  params.dict[0] = 0xFFFF;  // Can never equal a 4-bit left part.
+  params.dict[1] = 0x3;
+  const std::vector<uint8_t> table = RdCodeTable(params);
+  ASSERT_EQ(table.size(), 16u);
+  for (unsigned x = 0; x < 16; ++x) EXPECT_EQ(table[x], x == 0x3 ? 1 : 2) << x;
+  const std::vector<double> in = {DoubleFromBits(uint64_t{0x3} << 60 | 7),
+                                  DoubleFromBits(uint64_t{0xF} << 60 | 9)};
+  ExpectTableMatchesProbe(in, params);
 }
 
 TEST(RdFloat, BitExactRoundTrip) {

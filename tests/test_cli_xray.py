@@ -117,6 +117,23 @@ def main():
         check(os.path.getsize(back) == 4096 * 8,
               "float32 decompress wrote wrong value count")
 
+        # --- inspect: one cut line per ALP_rd rowgroup -------------------
+        golden = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "golden")
+        proc = run(cli, ["inspect", os.path.join(golden, "rd_small.alp")])
+        cuts = re.findall(r"rd cut:\s+rowgroup (\d+): right (\d+) bits, "
+                          r"(\d+) entr(?:y|ies), (\d+)-bit codes", proc.stdout)
+        check(cuts == [("0", "52", "1", "0")],
+              f"rd_small.alp cut line wrong: {proc.stdout!r}")
+        proc = run(cli, ["inspect", os.path.join(golden, "rd_dict.alp")])
+        cuts = re.findall(r"rd cut:\s+rowgroup \d+: right \d+ bits, "
+                          r"(\d+) entries", proc.stdout)
+        check(len(cuts) == 1 and int(cuts[0]) >= 4,
+              f"rd_dict.alp should show a 4+ entry dictionary: {proc.stdout!r}")
+        proc = run(cli, ["inspect", col])
+        check("rd cut:" not in proc.stdout,
+              "an ALP-only column printed an ALP_rd cut line")
+
         # --- exit-code contract ------------------------------------------
         # Every Status class maps to its own documented exit code (see the
         # table in tools/alp_cli.cc): 2 usage, 10 TRUNCATED, 11 CORRUPT,

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <random>
+#include <vector>
 
 #include "util/bit_stream.h"
 #include "util/bits.h"
@@ -194,6 +196,41 @@ TEST(ByteBuffer, ReserveAndPatch) {
   EXPECT_EQ(reader.Read<uint64_t>(), 111u);
   EXPECT_EQ(reader.Read<uint64_t>(), 222u);
   EXPECT_EQ(reader.Read<uint8_t>(), 0xEE);
+}
+
+/// Every kind of ByteBuffer write, in one 48-byte sequence.
+void WriteEveryKind(ByteBuffer* buffer) {
+  buffer->Append<uint8_t>(0x11);
+  buffer->AlignTo(8);
+  buffer->ReserveSlot<uint32_t>(3);
+  buffer->Append<uint64_t>(0x0123456789ABCDEFull);
+  const uint16_t array[] = {0x0102, 0x0304, 0x0506, 0x0708, 0x090A};
+  buffer->AppendArray(array, 5);
+  buffer->AppendArray<uint16_t>(nullptr, 0);
+  buffer->AlignTo(8);
+  buffer->Append<uint8_t>(0x22);
+  buffer->AlignTo(16);
+}
+
+TEST(ByteBuffer, ReserveChangesNoByte) {
+  std::vector<uint8_t> expected(48, 0);  // Slots and padding read as zero.
+  expected[0] = 0x11;
+  const uint64_t word = 0x0123456789ABCDEFull;
+  std::memcpy(expected.data() + 20, &word, sizeof(word));
+  const uint16_t array[] = {0x0102, 0x0304, 0x0506, 0x0708, 0x090A};
+  std::memcpy(expected.data() + 28, array, sizeof(array));
+  expected[40] = 0x22;
+
+  // No reserve, too small, exact and oversized.
+  for (const size_t reserve : {size_t{0}, size_t{5}, size_t{48}, size_t{4096}}) {
+    SCOPED_TRACE(reserve);
+    ByteBuffer buffer;
+    if (reserve > 0) buffer.Reserve(reserve);
+    WriteEveryKind(&buffer);
+    EXPECT_EQ(buffer.size(), expected.size());
+    const std::vector<uint8_t> bytes = buffer.Take();
+    EXPECT_EQ(bytes, expected);  // Take() hands over exactly size() bytes.
+  }
 }
 
 TEST(ByteReader, SeekAndAlign) {

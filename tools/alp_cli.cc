@@ -2,7 +2,7 @@
 //
 //   alp [--threads=N] compress   <in.bin|in.csv> <out.alp>   compress doubles
 //   alp [--threads=N] decompress <in.alp> <out.bin|out.csv>  restore doubles
-//   alp inspect    <in.alp>                      header, schemes, ratios
+//   alp inspect    <in.alp>                      header, schemes, ratios, ALP_rd cuts
 //   alp explain    <in.alp> [--json] [--top=N] [--perf]  per-vector x-ray
 //                                                report (--perf adds a
 //                                                measured decode profile:
@@ -271,6 +271,19 @@ int InspectAs(const std::string& in_path, const std::vector<uint8_t>& buffer,
               reader.vector_count() - rd_vectors, rd_vectors);
   if (reader.vector_count() > 0) {
     std::printf("value range: [%g, %g]\n", global_min, global_max);
+  }
+
+  // Each ALP_rd rowgroup's cut: right-part width, dictionary size, code width.
+  auto cursor = alp::ColumnMetaCursor<T>::Open(buffer.data(), buffer.size());
+  if (!cursor.ok()) return Fail(cursor.status(), "not a valid ALP column");
+  for (size_t rg = 0; rg < cursor->rowgroup_count(); ++rg) {
+    auto meta = cursor->Rowgroup(rg);
+    if (!meta.ok()) return Fail(meta.status(), "not a valid ALP column");
+    if (meta->scheme != alp::Scheme::kAlpRd) continue;
+    std::printf("rd cut:      rowgroup %zu: right %u bits, %u %s, %u-bit codes\n", rg,
+                unsigned{meta->rd_right_bits}, unsigned{meta->rd_dict_size},
+                meta->rd_dict_size == 1 ? "entry" : "entries",
+                unsigned{meta->rd_dict_width});
   }
   return 0;
 }
